@@ -34,6 +34,8 @@ from .quadrature import (QuadratureRule, ValueWithError, graded_edges,
 
 _RATIO = 0.35
 _LEV_DIAG = 16  # geometric levels into the diagonal before the Jacobi panel
+# points per block when profiles are evaluated at an engine's inner nodes
+_FORM_BLOCK = 65_536
 
 ANGULAR_KINDS = ("constant", "coordinate", "signed-derivative")
 
@@ -144,16 +146,6 @@ def _far_segment_rule(r, p, q, lev_sing, sing, n):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _kappa_chunked(kind, r, rho, h, N, s, ell, chunk=30_000):
-    if kind == "line":
-        return h ** (-1.0 - 2.0 * s)
-    out = np.empty_like(h)
-    for lo in range(0, h.size, chunk):
-        sl = slice(lo, lo + chunk)
-        out[sl] = kappa_ell(r[sl], rho[sl], h[sl], N, s, ell)
-    return out
-
-
 _KDIFF_CACHE = {}
 
 
@@ -206,7 +198,9 @@ def exterior_tail(r, N, s, ell=0, n=10):
     """tau_ell(r) = int_1^inf kappa_ell(r, rho) rho^{N-1} drho for r in [0, 1).
 
     This is the single-integral reduction of the pairs with one point outside
-    the ball.  Vectorized in r; for N = 1 it is elementary.
+    the ball.  Vectorized in r; for N = 1 it is elementary.  On (1, 2) the rule
+    is graded toward rho = 1 with a depth set by the gap 1 - r, so the r that
+    share a depth share their nodes and are evaluated together.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if N == 1:
@@ -216,19 +210,20 @@ def exterior_tail(r, N, s, ell=0, n=10):
     out = np.empty_like(r)
     tj, wtj = jacobi_panel(0.0, 0.5, 2.0 * s - 1.0, 16, "left")
     rho_t = 1.0 / tj
-    wt = wtj * tj ** (-(N + 2.0 * s)) * np.ones_like(tj)
-    for i, ri in enumerate(r):
-        g = 1.0 - ri
+    wt = wtj * tj ** (-(N + 2.0 * s))
+    gap = 1.0 - r
+    levs = np.array([_lev_for(g, 1.0, base=6) for g in gap], dtype=int)
+    for lev in np.unique(levs):
         xs, ws = [], []
-        _one_sided(0.0, 1.0, "left", _lev_for(g, 1.0, base=6), n, xs, ws)
+        _one_sided(0.0, 1.0, "left", lev, n, xs, ws)
         zeta = np.concatenate(xs)
-        wz = np.concatenate(ws)
         rho = 1.0 + zeta
-        k = kappa_ell(np.full_like(rho, ri), rho, g + zeta, N, s, ell)
-        acc = float(np.dot(wz * rho ** (N - 1), k))
-        kt = kappa_ell(np.full_like(rho_t, ri), rho_t, rho_t - ri, N, s, ell)
-        acc += float(np.dot(wt, kt))
-        out[i] = acc
+        wz = np.concatenate(ws) * rho ** (N - 1)
+        i = levs == lev
+        ri = r[i, None]
+        k = kappa_ell(ri, rho, gap[i, None] + zeta, N, s, ell)
+        kt = kappa_ell(ri, rho_t, rho_t - ri, N, s, ell)
+        out[i] = k @ wz + kt @ wt
     return out
 
 
@@ -236,8 +231,7 @@ class PairFormEngine:
     """Precomputed node/weight tables for one reduced bilinear form.
 
     form(g, h) returns the radial-reduced value; the full N-dimensional form
-    is angular_factor(N, ell) times that.  The kernel constant c(N, s) is
-    applied at evaluation time so it can be rescaled (test hook).
+    is angular_factor(N, ell) times that.
     """
 
     def __init__(self, kind, N, s, ell, breaks, n, lev):
@@ -280,7 +274,10 @@ class PairFormEngine:
         h = np.concatenate(h_l)
         win = np.concatenate(win_l)
         self.rho = rho
-        kap = _kappa_chunked(kind, self.r_out[self.idx], rho, h, N, s, ell)
+        if kind == "line":
+            kap = h ** (-1.0 - 2.0 * s)
+        else:
+            kap = kappa_ell(self.r_out[self.idx], rho, h, N, s, ell)
         meas = (self.r_out[self.idx] * rho) ** mpow if mpow else 1.0
         self.kw = self.w_out[self.idx] * win * kap * meas
         # diagonal tail weights (per unit kernel constant)
@@ -296,37 +293,24 @@ class PairFormEngine:
     def n_pairs(self):
         return self.kw.size
 
-    def form(self, g, h=None, c_scale=1.0):
+    def _inner(self, f):
+        """f at the inner nodes, evaluated in blocks to bound f's temporaries."""
+        out = np.empty_like(self.rho)
+        for lo in range(0, out.size, _FORM_BLOCK):
+            out[lo:lo + _FORM_BLOCK] = f(self.rho[lo:lo + _FORM_BLOCK])
+        return out
+
+    def form(self, g, h=None):
         """Reduced bilinear form of two radial profiles (h defaults to g)."""
         g_out = np.asarray(g(self.r_out), dtype=float)
-        g_in = np.asarray(g(self.rho), dtype=float)
-        dg = g_out[self.idx] - g_in
+        dg = g_out[self.idx] - self._inner(g)
         if h is None or h is g:
             h_out, dh = g_out, dg
         else:
             h_out = np.asarray(h(self.r_out), dtype=float)
-            dh = h_out[self.idx] - np.asarray(h(self.rho), dtype=float)
-        c = c_scale * self.c
-        return c * (0.5 * float(np.dot(self.kw, dg * dh))
-                    + float(np.dot(self.wdiag, g_out * h_out)))
-
-    def gram(self, profiles, c_scale=1.0):
-        """Matrix of reduced forms over a list of radial profiles."""
-        F = len(profiles)
-        P_out = np.stack([np.asarray(p(self.r_out), dtype=float) for p in profiles])
-        P_in = np.stack([np.asarray(p(self.rho), dtype=float) for p in profiles])
-        D = P_out[:, self.idx] - P_in
-        c = c_scale * self.c
-        G = 0.5 * (D * self.kw[None, :]) @ D.T + (P_out * self.wdiag[None, :]) @ P_out.T
-        return c * G
-
-    def potential_term(self, V, g, h=None):
-        """int V(r) g h r^{N-1} dr on the engine's outer grid (radial kind)."""
-        mpow = self.N - 1 if self.kind == "radial" else 0
-        g_out = np.asarray(g(self.r_out), dtype=float)
-        h_out = g_out if (h is None or h is g) else np.asarray(h(self.r_out), dtype=float)
-        V_out = np.asarray(V(self.r_out), dtype=float)
-        return float(np.dot(self.w_out * self.r_out ** mpow, V_out * g_out * h_out))
+            dh = h_out[self.idx] - self._inner(h)
+        return self.c * (0.5 * float(np.dot(self.kw, dg * dh))
+                         + float(np.dot(self.wdiag, g_out * h_out)))
 
 
 _ENGINE_CACHE = {}
@@ -357,12 +341,12 @@ def _ladder_pos_for_budget(budget):
     return pos
 
 
-def reduced_form(kind, N, s, ell, g, h=None, breaks=(), c_scale=1.0, pos=_FINE):
+def reduced_form(kind, N, s, ell, g, h=None, breaks=(), pos=_FINE):
     """Reduced radial form with a two-resolution absolute error estimate."""
     n_f, lev_f = _LADDER[pos]
     n_c, lev_c = _LADDER[max(pos - 1, 0)]
-    fine = get_engine(kind, N, s, ell, breaks, n_f, lev_f).form(g, h, c_scale)
-    coarse = get_engine(kind, N, s, ell, breaks, n_c, lev_c).form(g, h, c_scale)
+    fine = get_engine(kind, N, s, ell, breaks, n_f, lev_f).form(g, h)
+    coarse = get_engine(kind, N, s, ell, breaks, n_c, lev_c).form(g, h)
     return ValueWithError(fine, abs(fine - coarse) + 1e-15 * abs(fine))
 
 
@@ -428,20 +412,6 @@ def bilinear_form(u, v, params, rule=None):
         raise BudgetExceeded(f"error target {target:g} unreachable at max resolution")
     pos = _ladder_pos_for_budget(rule.budget)
     est = reduced_form("radial", N, s, ell, u.profile, v.profile, breaks=breaks, pos=pos)
-    return ValueWithError(ang * est.value, ang * est.error)
-
-
-def bilinear_form_scaled(u, v, params, rule=None, c_scale=1.0):
-    """Test hook: E_s with the kernel constant multiplied by c_scale."""
-    if isinstance(params, tuple):
-        params = ProblemParams(*params)
-    if not _check_compat(u, v):
-        return ValueWithError(0.0, 0.0)
-    N, s, ell = params.N, params.s, u.ell
-    breaks = tuple(sorted(set(u.breaks) | set(v.breaks)))
-    ang = angular_factor(N, ell)
-    est = reduced_form("radial", N, s, ell, u.profile, v.profile,
-                       breaks=breaks, c_scale=c_scale)
     return ValueWithError(ang * est.value, ang * est.error)
 
 

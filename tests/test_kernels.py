@@ -1,24 +1,49 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
+import fracball
+from fracball import kernels
 from fracball.kernels import kappa_ell, kappa_moments, kappa_moments_1d
 
 
-def _kappa_direct(r, rho, d, s, moment):
-    """Sphere average by direct quadrature in the polar angle."""
+def _kappa_direct(r, rho, d, s, moment, h=None):
+    """Sphere average by direct quadrature in the polar angle.
+
+    With the gap h = |r - rho| given, the squared distance is formed as
+    h^2 + 4 r rho sin^2(theta / 2), which keeps its digits as the radii
+    merge, and the interval is split geometrically from the angle h / R
+    where the integrand turns over.  Without it the reference loses digits
+    near the diagonal (r^2 + rho^2 - 2 r rho cos(theta) cancels).
+    """
     from fracball.params import sphere_area
 
     p = d + 2.0 * s
     weight = sphere_area(d - 1) if d > 2 else 2.0
 
     def integrand(theta):
-        dist2 = r * r + rho * rho - 2.0 * r * rho * np.cos(theta)
+        if h is None:
+            dist2 = r * r + rho * rho - 2.0 * r * rho * np.cos(theta)
+            one_minus_cos = 1.0 - np.cos(theta)
+        else:
+            one_minus_cos = 2.0 * np.sin(theta / 2.0) ** 2
+            dist2 = h * h + 2.0 * r * rho * one_minus_cos
         w = np.sin(theta) ** (d - 2) if d > 2 else 1.0
-        fac = 1.0 if moment == 0 else (1.0 - np.cos(theta))
+        fac = 1.0 if moment == 0 else one_minus_cos
         return w * fac * dist2 ** (-p / 2.0)
 
-    val, _ = quad(integrand, 0.0, np.pi, limit=200)
+    if h is None:
+        val, _ = quad(integrand, 0.0, np.pi, limit=200)
+    else:
+        turn = h / max(r, rho)
+        points = [turn * 4.0**k for k in range(40) if turn * 4.0**k < np.pi]
+        val, _ = quad(integrand, 0.0, np.pi, points=points, limit=400,
+                      epsabs=0.0, epsrel=2e-14)
     return weight * val
 
 
@@ -69,3 +94,48 @@ def test_kappa_ell_ordering():
 def test_kappa_moments_rejects_d1():
     with pytest.raises(ValueError):
         kappa_moments(0.5, 0.6, 0.1, 1, 0.5)
+
+
+@pytest.mark.filterwarnings("ignore", category=IntegrationWarning)
+@pytest.mark.parametrize("d", range(2, 10))
+def test_kappa_table_matches_adaptive_quadrature(d):
+    # The table inherits the rule's error, so it may be off by twice that.
+    for s in (0.1, 0.25, 0.5, 0.75, 0.9):
+        for i, x in enumerate([*np.logspace(-10, 0, 11), 0.6, 0.85, 0.9, 0.99]):
+            R = (0.6, 1.0, 2.5)[i % 3]
+            for r, rho in ((R, R * (1.0 - x)), (R * (1.0 - x), R)):
+                table = kappa_moments(r, rho, R * x, d, s)
+                rule = kernels._kappa_rule(np.array([r]), np.array([rho]),
+                                           np.array([R * x]), d, s)
+                for moment in (0, 1):
+                    ref = _kappa_direct(r, rho, d, s, moment, h=R * x)
+                    bound = max(1e-12, 2.0 * abs(rule[moment][0] / ref - 1.0))
+                    assert abs(float(table[moment]) / ref - 1.0) <= bound, (s, x, r, moment)
+
+
+@pytest.mark.parametrize("d,s", [(2, 0.3), (3, 0.75), (9, 0.5)])
+def test_kappa_table_matches_rule(d, s):
+    rng = np.random.default_rng(7)
+    x = np.concatenate([10.0 ** rng.uniform(-15, 0, 3000), [kernels._X_MIN, 0.5, 1.0]])
+    R = 10.0 ** rng.uniform(-1, 1, x.size)
+    table = kappa_moments(R, R * (1.0 - x), R * x, d, s)
+    rule = kernels._kappa_rule(R, R * (1.0 - x), R * x, d, s)
+    for got, want in zip(table, rule):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_kappa_below_finest_panel_uses_rule():
+    r, h = 0.7, 0.7 * kernels._X_MIN / 4.0
+    args = (np.array([r]), np.array([r - h]), np.array([h]), 3, 0.4)
+    for got, want in zip(kappa_moments(*args), kernels._kappa_rule(*args)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_kappa_tables_built_lazily():
+    code = ("import fracball.cli, fracball.kernels as k; "
+            "assert not k._TABLES; "
+            "k.kappa_moments(0.5, 0.6, 0.1, 3, 0.5); "
+            "assert list(k._TABLES) == [(3, 0.5)]")
+    src = str(Path(fracball.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -55,7 +55,8 @@ def oracle_gate(oracle_budget=None):
             for n in range(m, 4):
                 est = stiffness_entry_oracle(d, s, m, n, budget=oracle_budget)
                 diff = abs(est.value - A[m, n])
-                rel = max(0.0, diff - est.error) / scale[m, n]
+                rel = (max(0.0, diff - est.error) / scale[m, n] if est.finite
+                       else float("inf"))
                 if rel > worst["rel"]:
                     worst = {"rel": rel, "d": d, "s": s, "m": m, "n": n}
                 if rel > 1e-4:

@@ -170,16 +170,6 @@ def radial_weighted_integrals(spec, fn, breaks=(), n=14, levels=20, ratio=0.3):
     return (phi * wt[None, :]) @ phi.T
 
 
-def load_vector(spec, fn, breaks=(), n=14, levels=20, ratio=0.3):
-    """Vector int_0^1 fn(r) phi_n r^{d-1} dr with the same panel treatment."""
-    pts = sorted(set([0.0, 1.0] + [float(b) for b in breaks if 0.0 < b < 1.0]))
-    rule = segment_rule(pts, n, grade=set(pts) - {0.0}, levels=levels, ratio=ratio)
-    r, w = rule.nodes, rule.weights
-    V = np.asarray(fn(r), dtype=float)
-    phi = basis_matrix(spec, r)
-    return phi @ (w * V * r ** (spec.d - 1))
-
-
 @dataclass
 class RadialOperatorPair:
     """Stiffness/mass pair for the generalized radial eigenproblem."""
@@ -193,13 +183,6 @@ class RadialOperatorPair:
         scale = np.abs(self.A).max()
         if scale > 0 and np.abs(self.A - self.A.T).max() > 1e-10 * scale:
             raise ValueError("stiffness matrix is not symmetric")
-
-    def shifted(self, shift):
-        """Pair for the operator with an extra constant potential `shift`."""
-        return RadialOperatorPair(
-            self.spec, self.A - shift * self.B, self.B,
-            potential_tag=f"{self.potential_tag or 'none'}+const",
-        )
 
 
 def assemble_radial_operator(spec, potential=None, potential_breaks=(),
@@ -234,7 +217,7 @@ def _oracle_gate(spec, A, budget):
         for j in range(i, m):
             est = stiffness_entry_oracle(spec.d, spec.s, i, j, budget=budget)
             tol = max(10.0 * est.error, 1e-4 * scale)
-            if abs(est.value - A[i, j]) > tol:
+            if not est.finite or abs(est.value - A[i, j]) > tol:
                 raise OracleMismatch(
                     f"stiffness entry ({i},{j}) for d={spec.d}, s={spec.s}: "
                     f"closed form {A[i, j]:.8e} vs oracle {est.value:.8e} "

@@ -23,9 +23,11 @@ the h^{-1-2s} blow-up keep full precision near the diagonal.
 
 The direct rule `_kappa_rule` is a fixed 144-node quadrature in the half-angle
 variable.  It generates the tables, serves the points with x below the finest
-panel, and is the oracle the tests hold the table against.  Against a 30-digit
-adaptive quadrature it is within 6e-14 relative at the sampled d <= 9 and
-x in [2^-79, 1].  The table matches the rule to 2e-14 relative for d = 2..9.
+panel (through `_kappa_fallback`, which rescales by homogeneity the points
+where the rule would overflow), and is the oracle the tests hold the table
+against.  Against a 30-digit adaptive quadrature it is within 6e-14 relative
+at the sampled d <= 9 and x in [2^-79, 1].  The table matches the rule to
+2e-14 relative for d = 2..9.
 """
 
 import numpy as np
@@ -101,6 +103,28 @@ def _kappa_rule(r, rho, h, d, s):
     return k0, kd
 
 
+def _kappa_fallback(r, rho, h, d, s):
+    """The direct rule, shape (2, npts), rescaled where it overflows.
+
+    Its integrand (h^2 + 4 r rho sin^2 phi)^{-(d+2s)/2} overflows once h is
+    below about 2^{-1024/(d+2s)}.  Those points are evaluated at
+    lam (r, rho, h), lam = 1/sqrt(h max(r, rho)), where the gap becomes
+    sqrt(x), and scaled back by homogeneity: kappa = lam^{d+2s} kappa(lam .).
+    Points where the rule is finite keep its value.  The factor
+    sin^{d-2} phi does not scale, so below x of about 2^{-1022/(d-2)} it
+    underflows either way.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.stack(_kappa_rule(r, rho, h, d, s))
+    bad = ~np.isfinite(k).all(axis=0) & (h > 0.0)
+    if bad.any():
+        r, rho, h = r[bad], rho[bad], h[bad]
+        lam = 1.0 / np.sqrt(h * np.maximum(r, rho))
+        half = lam ** ((d + 2.0 * s) / 2.0)  # lam^{d+2s} may overflow alone
+        k[:, bad] = np.stack(_kappa_rule(lam * r, lam * rho, lam * h, d, s)) * half * half
+    return k
+
+
 _TABLES = {}
 
 
@@ -165,7 +189,7 @@ def kappa_moments(r, rho, h, d, s):
                           * (h[sl] ** (-1.0 - 2.0 * s) * R ** (1.0 - d)))
         rest = ~((x >= _X_MIN) & (x <= 1.0))
         if rest.any():
-            out[:, lo + np.flatnonzero(rest)] = _kappa_rule(
+            out[:, lo + np.flatnonzero(rest)] = _kappa_fallback(
                 r[sl][rest], rho[sl][rest], h[sl][rest], d, s)
     return out[0].reshape(shape), out[1].reshape(shape)
 

@@ -10,20 +10,20 @@ quadratic-form checks that reproduce that argument numerically.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import (RadialBasisSpec, RadialProfile, assemble_radial_operator,
-                    basis_matrix, solve_radial_eigs)
+                    solve_radial_eigs)
 from .errors import (DimensionUnsupported, FracballError,
                      InadmissibleBoundaryData, OracleMismatch,
                      TruncationUnsafe)
 from .nonlocal_quadrature import (SeparableFunction, angular_factor,
-                                  bilinear_form, exterior_tail,
+                                  linearized_potential_form, mc_remainder,
                                   quadratic_form_L, radial_potential_integral)
 from .params import ProblemParams, frac_constant, harmonic_multiplicity, sphere_area
-from .quadrature import QuadratureRule, ValueWithError, segment_rule
+from .quadrature import ValueWithError
 
 
 # ---------------------------------------------------------------------------
@@ -34,12 +34,6 @@ _GATE_TOL_REL = 1e-4
 _gate_cache = set()
 
 
-def _linearization_context(sol):
-    prof = sol.profile
-    prof.breaks = sol.breaks  # kink radii for kink-aware quadrature
-    return (sol.params, sol.nonlin, prof)
-
-
 def _gate_block(params, sol, ell, pair):
     """Validate a linearized block entry against the full singular-kernel
     quadrature (once per (solution, ell) per process)."""
@@ -47,7 +41,6 @@ def _gate_block(params, sol, ell, pair):
            hash(sol.coefficients.tobytes()))
     if key in _gate_cache:
         return
-    ctx = _linearization_context(sol)
     d = params.N + 2 * ell
     spec_d = pair.spec
     e0 = np.zeros(spec_d.K)
@@ -67,10 +60,11 @@ def _gate_block(params, sol, ell, pair):
                               label="x1 times first basis function")
         block_val = pair.A[0, 0]
         conv = angular_factor(params.N, 1) / sphere_area(d)
-    est = quadratic_form_L(ctx, v, v)
+    est = quadratic_form_L(sol, v, v)
     target = conv * block_val
     scale = max(abs(est.value), abs(target))
-    if abs(est.value - target) > max(10.0 * est.error, _GATE_TOL_REL * scale):
+    tol = max(10.0 * est.error, _GATE_TOL_REL * scale)
+    if not est.finite or abs(est.value - target) > tol:
         raise OracleMismatch(
             f"linearized ell={ell} block entry {target:.10g} vs oracle "
             f"{est.value:.10g} +/- {est.error:.2g}"
@@ -84,17 +78,10 @@ def assemble_linearized(params, sol, ell, K, oracle_budget=None):
     The ell = 0 and ell = 1 blocks are validated against the quadrature
     oracle once per build (OracleMismatch on failure).
     """
-    if isinstance(params, tuple):
-        params = ProblemParams(*params)
     harmonic_multiplicity(params.N, ell)  # validates ell for this N
     spec = RadialBasisSpec(params.N + 2 * ell, params.s, K)
-    u = sol.profile
-
-    def potential(r):
-        return sol.nonlin.fprime(np.asarray(u(r), dtype=float))
-
     pair = assemble_radial_operator(
-        spec, potential=potential, potential_breaks=sol.breaks,
+        spec, potential=sol.linearized_potential, potential_breaks=sol.breaks,
         potential_tag=f"fprime({sol.nonlin.family})", oracle_budget=oracle_budget)
     if ell <= 1:
         _gate_block(params, sol, ell, pair)
@@ -129,9 +116,19 @@ class MorseReport:
     K: int
 
 
-def _sector_eigs(params, sol, ell, K, oracle_budget=None):
-    pair = assemble_linearized(params, sol, ell, K, oracle_budget=oracle_budget)
-    return solve_radial_eigs(pair)
+def _sector_eigs(params, sol, ell_max, K, oracle_budget):
+    """Eigen-results of L in the sectors ell = 0..ell_max, in order.
+
+    K defaults to the solution's basis size; for N = 1 the parity classes
+    ell = 0, 1 are exhaustive, so ell_max is clamped to 1.
+    """
+    if K is None:
+        K = sol.spec.K
+    if params.N == 1:
+        ell_max = min(ell_max, 1)
+    return [solve_radial_eigs(assemble_linearized(params, sol, ell, K,
+                                                  oracle_budget=oracle_budget))
+            for ell in range(ell_max + 1)]
 
 
 def morse_index(params, sol, ell_max=3, K=None, oracle_budget=None):
@@ -142,15 +139,10 @@ def morse_index(params, sol, ell_max=3, K=None, oracle_budget=None):
     marginal and never included in the total.  Raises TruncationUnsafe when
     the sector beyond the last negative one still reaches below zero.
     """
-    if isinstance(params, tuple):
-        params = ProblemParams(*params)
-    if K is None:
-        K = sol.spec.K
-    if params.N == 1:
-        ell_max = min(ell_max, 1)  # parity decomposition is exhaustive
+    sectors = _sector_eigs(params, sol, ell_max, K, oracle_budget)
+    ell_max = len(sectors) - 1
     per_ell = []
-    for ell in range(ell_max + 1):
-        res = _sector_eigs(params, sol, ell, K, oracle_budget=oracle_budget)
+    for ell, res in enumerate(sectors):
         lam = res.eigenvalues
         conv = res.convergence
         neg = int(np.sum(lam + conv < 0.0))
@@ -179,24 +171,16 @@ def morse_index(params, sol, ell_max=3, K=None, oracle_budget=None):
     else:
         check = "passes" if total >= params.N + 1 else "fails"
     return MorseReport(params, sol.residual, per_ell, total, marg, lam1,
-                       lam1_radial, check, ell_max, K)
+                       lam1_radial, check, ell_max, sectors[0].spec.K)
 
 
 def first_linearized_eigen(params, sol, K=None, ell_max=3, oracle_budget=None):
     """(lambda_{1,L}, sector, radial profile, sign-definite) of the first
     eigenvalue of the linearized operator."""
-    if isinstance(params, tuple):
-        params = ProblemParams(*params)
-    if K is None:
-        K = sol.spec.K
-    if params.N == 1:
-        ell_max = min(ell_max, 1)
-    best = None
-    for ell in range(ell_max + 1):
-        res = _sector_eigs(params, sol, ell, K, oracle_budget=oracle_budget)
-        if best is None or res.eigenvalues[0] < best[0]:
-            best = (float(res.eigenvalues[0]), ell, res)
-    lam1, ell1, res = best
+    sectors = _sector_eigs(params, sol, ell_max, K, oracle_budget)
+    ell1 = min(range(len(sectors)), key=lambda ell: sectors[ell].eigenvalues[0])
+    res = sectors[ell1]
+    lam1 = float(res.eigenvalues[0])
     prof = RadialProfile(res.spec, res.eigenvectors[:, 0])
     return lam1, ell1, prof, _sign_definite(prof, params.N)
 
@@ -301,8 +285,8 @@ def _mc_quadratic_pair(u, v, params, M, seed):
 
     x is sampled per quadrant (fixed allocation M/4, deterministic
     substreams), the offset y = x + t*omega with the same importance density
-    as the unreduced-form sampler; for pairs sharing the parity class the
-    cut-off and exterior remainders are added deterministically.
+    as the unreduced-form sampler; mc_remainder adds the cut-off and
+    exterior pairs deterministically.
     """
     N, s = params.N, params.s
     beta = max(0.0, 2.0 * s - 0.5)
@@ -338,19 +322,7 @@ def _mc_quadratic_pair(u, v, params, M, seed):
         total += mean_q
         var_sum += var_q / m_each
     se = math.sqrt(var_sum)
-
-    det = 0.0
-    if u.ell == v.ell and (u.ell == 0 or u.j == v.j):
-        ang = angular_factor(N, u.ell)
-        pts = sorted(set([0.0, 1.0] + [float(b) for b in (*u.breaks, *v.breaks)]))
-        rl = segment_rule(pts, 12, grade=set(pts) - {0.0}, levels=20, ratio=0.3)
-        r, wq = rl.nodes, rl.weights
-        prod = np.asarray(u.profile(r)) * np.asarray(v.profile(r)) * r ** (N - 1)
-        c2 = sphere_area(N) * 2.0 ** (-2.0 * s) / (2.0 * s)
-        det += 0.5 * c * c2 * ang * float(np.dot(wq, prod))
-        tau = exterior_tail(r, N, s, ell=u.ell)
-        det += 0.5 * c * ang * float(np.dot(wq, prod * tau))
-    return ValueWithError(total + det, se)
+    return ValueWithError(total + mc_remainder(u, v, N, s), se)
 
 
 def test_function_checks(params, sol, rule=None, mc_samples=1_000_000,
@@ -363,30 +335,20 @@ def test_function_checks(params, sol, rule=None, mc_samples=1_000_000,
     Monte-Carlo estimator for the nonlocal parts; N >= 3 is unsupported for
     the quadrature checks (morse_index itself works at any N).
     """
-    if isinstance(params, tuple):
-        params = ProblemParams(*params)
     if params.N > 2:
         raise DimensionUnsupported(
             f"direct quadratic-form checks support N <= 2, got N={params.N}"
         )
     fns = build_test_functions(sol)
-    ctx = _linearization_context(sol)
 
     def weak_defect_at(sol_k):
-        """E_s(v^1, d_1) - int f'(u) v^1 d_1 for one discrete solution."""
-        fns_k = build_test_functions(sol_k)
-        du_k = sol_k.profile.derivative
-        v1 = SeparableFunction(profile=lambda r: np.asarray(du_k(r)),
+        """E_{s,L}(v^1, d_1) with v^1 = (x_1/|x|) u'(|x|), for one discrete
+        solution."""
+        d1_k = build_test_functions(sol_k)[0]
+        v1 = SeparableFunction(profile=sol_k.profile.derivative,
                                angular="coordinate", j=1,
-                               breaks=tuple(fns_k[0].breaks), label="v^1")
-        es_k = bilinear_form(v1, fns_k[0], params, rule)
-        pot_k = radial_potential_integral(
-            lambda r: sol_k.nonlin.fprime(np.asarray(sol_k.profile(r))),
-            du_k, fns_k[0].profile, params.N,
-            breaks=tuple(sorted(set(fns_k[0].breaks) | set(sol_k.breaks))))
-        ang_k = angular_factor(params.N, 1)
-        return ValueWithError(es_k.value - ang_k * pot_k.value,
-                              es_k.error + ang_k * pot_k.error)
+                               breaks=d1_k.breaks, label="v^1")
+        return quadratic_form_L(sol_k, v1, d1_k, rule)
 
     def weak_defect_with_truncation():
         """The identity holds for the continuum solution only, so the defect
@@ -420,20 +382,14 @@ def test_function_checks(params, sol, rule=None, mc_samples=1_000_000,
     if params.N == 1:
         method = "deterministic"
         d1 = fns[0]
-        diag[1] = quadratic_form_L(ctx, d1, d1, rule)
+        diag[1] = quadratic_form_L(sol, d1, d1, rule)
         weak[(1, 1)] = weak_defect_with_truncation()
     else:
         method = "monte-carlo"
         for j in (1, 2):
             dj = fns[j - 1]
-            es = _mc_quadratic_pair(dj, dj, params, mc_samples, seed + j)
-            pot = radial_potential_integral(
-                lambda r: sol.nonlin.fprime(np.asarray(sol.profile(r))),
-                dj.profile, dj.profile, params.N,
-                breaks=tuple(sorted(set(dj.breaks) | set(sol.breaks))))
-            ang = angular_factor(params.N, 1)
-            diag[j] = ValueWithError(es.value - ang * pot.value,
-                                     es.error + ang * pot.error)
+            diag[j] = (_mc_quadratic_pair(dj, dj, params, mc_samples, seed + j)
+                       - linearized_potential_form(sol, dj, dj))
         # cross term: potential part vanishes by angular parity, so the
         # Monte-Carlo estimate of E_s is the whole of E_{s,L}(d_1, d_2)
         cross[(1, 2)] = _mc_quadratic_pair(fns[0], fns[1], params,

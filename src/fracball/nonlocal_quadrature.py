@@ -21,14 +21,13 @@ the unreduced 2N-dimensional integral is provided as an independent check.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import BudgetExceeded, SingularityTooClose
-from .kernels import kappa_ell, kappa_moments, kappa_moments_1d
-from .params import ProblemParams, frac_constant, sphere_area
+from .kernels import kappa_ell, kappa_moments
+from .params import frac_constant, sphere_area
 from .quadrature import (QuadratureRule, ValueWithError, graded_edges,
                          jacobi_panel, legendre_panel, segment_rule)
 
@@ -386,8 +385,6 @@ def bilinear_form(u, v, params, rule=None):
     two-resolution error estimate meets rule.target_error or the node budget
     is exhausted (BudgetExceeded).
     """
-    if isinstance(params, tuple):
-        params = ProblemParams(*params)
     rule = rule or QuadratureRule()
     if not _check_compat(u, v):
         return ValueWithError(0.0, 0.0)  # exact: odd angular integrand
@@ -429,28 +426,25 @@ def radial_potential_integral(fn, pu, pv, N, breaks=(), n=12, lev=22):
     return ValueWithError(vals[0], abs(vals[0] - vals[1]) + 1e-15 * abs(vals[0]))
 
 
-def quadratic_form_L(context, v, w, rule=None):
-    """E_{s,L}(v, w) = E_s(v, w) - int f'(u) v w dx for the linearization
-    around a radial solution u.
-
-    context is (params, nonlinearity, u_profile) where the nonlinearity
-    exposes fprime(t) and u_profile has optional .breaks (its interior roots).
-    """
-    params, nonlin, u_prof = context
-    if isinstance(params, tuple):
-        params = ProblemParams(*params)
-    es = bilinear_form(v, w, params, rule)
+def linearized_potential_form(sol, v, w):
+    """int f'(u) v w dx for the linearization around the radial solution sol:
+    angular_factor times the radial integral, panels split at the kinks of
+    u (sol.breaks), v and w."""
     if not _check_compat(v, w):
-        return es
-    u_breaks = tuple(getattr(u_prof, "breaks", ()))
-    breaks = tuple(sorted(set(u_breaks) | set(v.breaks) | set(w.breaks)))
-    ang = angular_factor(params.N, v.ell)
+        return ValueWithError(0.0, 0.0)  # exact: odd angular integrand
+    N = sol.params.N
+    breaks = tuple(sorted(set(sol.breaks) | set(v.breaks) | set(w.breaks)))
+    pot = radial_potential_integral(sol.linearized_potential, v.profile,
+                                    w.profile, N, breaks=breaks)
+    ang = angular_factor(N, v.ell)
+    return ValueWithError(ang * pot.value, ang * pot.error)
 
-    def Vr(r):
-        return nonlin.fprime(np.asarray(u_prof(r), dtype=float))
 
-    pot = radial_potential_integral(Vr, v.profile, w.profile, params.N, breaks=breaks)
-    return ValueWithError(es.value - ang * pot.value, es.error + ang * pot.error)
+def quadratic_form_L(sol, v, w, rule=None):
+    """E_{s,L}(v, w) = E_s(v, w) - int f'(u) v w dx for the linearization
+    around the radial solution sol (a semilinear.RadialSolution)."""
+    return (bilinear_form(v, w, sol.params, rule)
+            - linearized_potential_form(sol, v, w))
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +472,8 @@ def _mc_bilinear(u, v, params, rule):
     """Sample E_s(u, v) from the unreduced definition.
 
     x ~ Unif(B), offset length t with density ~ t^{-beta} on (0, 2],
-    beta = max(0, 2s - 1/2), direction uniform; the cut-off remainder
-    (|x - y| > 2, hence y outside B) and the exterior-pair reflection term
-    are added deterministically.  Returns value with 1-sigma standard error.
+    beta = max(0, 2s - 1/2), direction uniform; mc_remainder adds the rest
+    deterministically.  Returns value with 1-sigma standard error.
     """
     N, s = params.N, params.s
     rng = np.random.default_rng(rule.seed)
@@ -508,25 +501,28 @@ def _mc_bilinear(u, v, params, rule):
     mean = total / M
     var = max(total_sq / M - mean**2, 0.0)
     se = math.sqrt(var / M)
+    return ValueWithError(mean + mc_remainder(u, v, N, s), se)
 
-    # deterministic remainders
-    ell = u.ell
-    compatible = _check_compat(u, v)
-    det = 0.0
-    if compatible:
-        ang = angular_factor(N, ell)
-        breaks = tuple(sorted(set(u.breaks) | set(v.breaks)))
-        pts = sorted(set([0.0, 1.0] + [float(b) for b in breaks]))
-        rl = segment_rule(pts, 12, grade=set(pts) - {0.0}, levels=20, ratio=_RATIO)
-        r, w = rl.nodes, rl.weights
-        prod = np.asarray(u.profile(r)) * np.asarray(v.profile(r)) * r ** (N - 1)
-        # |x - y| > 2 cut-off (y necessarily outside the ball)
-        c2 = sphere_area(N) * 2.0 ** (-2.0 * s) / (2.0 * s)
-        det += 0.5 * c * c2 * ang * float(np.dot(w, prod))
-        # pairs with x outside the ball: single integral against the tail
-        tau = exterior_tail(r, N, s, ell=ell)
-        det += 0.5 * c * ang * float(np.dot(w, prod * tau))
-    return ValueWithError(mean + det, se)
+
+def mc_remainder(u, v, N, s):
+    """Deterministic part of the Monte-Carlo estimators of E_s(u, v).
+
+    The samplers draw offsets |x - y| <= 2 with x in the ball; the pairs cut
+    off at |x - y| > 2 (y necessarily outside the ball) and the pairs with x
+    outside the ball each reduce to a single radial integral.
+    """
+    if not _check_compat(u, v):
+        return 0.0
+    c = frac_constant(N, s)
+    ang = angular_factor(N, u.ell)
+    pts = sorted(set([0.0, 1.0] + [float(b) for b in (*u.breaks, *v.breaks)]))
+    rl = segment_rule(pts, 12, grade=set(pts) - {0.0}, levels=20, ratio=0.3)
+    r, w = rl.nodes, rl.weights
+    prod = np.asarray(u.profile(r)) * np.asarray(v.profile(r)) * r ** (N - 1)
+    c2 = sphere_area(N) * 2.0 ** (-2.0 * s) / (2.0 * s)
+    cut_off = 0.5 * c * c2 * ang * float(np.dot(w, prod))
+    tau = exterior_tail(r, N, s, ell=u.ell)
+    return cut_off + 0.5 * c * ang * float(np.dot(w, prod * tau))
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +615,6 @@ def pointwise_flap(u, x, params, rule=None, margin=1e-3):
     Gauss-Jacobi rule absorbing t^{1-2s}.  Raises SingularityTooClose when
     dist(x, boundary) < margin.
     """
-    if isinstance(params, tuple):
-        params = ProblemParams(*params)
     N, s = params.N, params.s
     x = np.atleast_1d(np.asarray(x, dtype=float))
     r = float(np.linalg.norm(x))

@@ -22,8 +22,6 @@ class ProblemParams:
 
 def frac_constant(N: int, s: float) -> float:
     """Normalization constant c(N, s) = 2^{2s} pi^{-N/2} s Gamma((N+2s)/2) / Gamma(1-s)."""
-    if isinstance(N, ProblemParams):
-        N, s = N.N, N.s
     ProblemParams(N, s)
     return 2.0 ** (2 * s) * pi ** (-N / 2.0) * s * gamma((N + 2 * s) / 2.0) / gamma(1.0 - s)
 

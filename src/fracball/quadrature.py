@@ -21,6 +21,15 @@ class ValueWithError:
     def __float__(self):
         return float(self.value)
 
+    @property
+    def finite(self):
+        """Both the value and its error are finite numbers."""
+        return bool(np.isfinite(self.value) and np.isfinite(self.error))
+
+    def __sub__(self, other):
+        """Difference of two estimates; their absolute errors add."""
+        return ValueWithError(self.value - other.value, self.error + other.error)
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -119,9 +128,6 @@ class CompositeRule:
         edges = graded_edges(a, b, toward, levels, ratio)
         for lo, hi in zip(edges[:-1], edges[1:]):
             self.add_legendre(lo, hi, n)
-
-    def integrate(self, f):
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 def segment_rule(breaks, n, grade=(), levels=14, ratio=0.3):

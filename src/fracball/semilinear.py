@@ -13,9 +13,8 @@ from math import gamma
 
 import numpy as np
 
-from .basis import (RadialBasisSpec, RadialProfile, basis_matrix, mass_matrix,
-                    solve_radial_eigs, stiffness_matrix)
-from .basis import assemble_radial_operator
+from .basis import (RadialBasisSpec, RadialProfile, assemble_radial_operator,
+                    basis_matrix, solve_radial_eigs, stiffness_matrix)
 from .errors import (NoConvergence, NotConverged, TrivialSolution,
                      TruncationUnsafe, WrongNodalCount)
 from .params import ProblemParams, sphere_area
@@ -85,8 +84,6 @@ def check_subcriticality(nonlin, params):
     Closed form for the linear and power families; otherwise tested on a
     sign-aware log grid with the failing witness reported.
     """
-    if isinstance(params, tuple):
-        params = ProblemParams(*params)
     N, s = params.N, params.s
     thresh = float("inf") if N <= 2.0 * s else 2.0 * N / (N - 2.0 * s)
     if nonlin.family == "linear":
@@ -132,6 +129,10 @@ class RadialSolution:
         """Interior roots of the profile (kinks of |u|^{p-2} terms)."""
         return tuple(self.profile.sign_change_radii())
 
+    def linearized_potential(self, r):
+        """f'(u(r)), the potential of the linearization L = (-Delta)^s - f'(u)."""
+        return self.nonlin.fprime(np.asarray(self.profile(r), dtype=float))
+
     def __call__(self, r):
         return self.profile(r)
 
@@ -169,8 +170,6 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=24,
     sign pattern ray) the scaled eigenfunction itself is returned, flagged
     linear-degenerate.
     """
-    if isinstance(params, tuple):
-        params = ProblemParams(*params)
     sub = check_subcriticality(nonlin, params)
     if not sub.satisfied:
         warnings.warn(

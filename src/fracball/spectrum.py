@@ -68,8 +68,6 @@ def assemble_full_spectrum(params, ell_max, n_max, K, oracle_budget=None, jobs=1
     dimension) no low eigenvalue can hide above the truncation.  For N = 1
     the parity decomposition is exhaustive at ell_max = 1.
     """
-    if isinstance(params, tuple):
-        params = ProblemParams(*params)
     if params.N == 1:
         ell_max = min(ell_max, 1)
         ells = list(range(ell_max + 1))
@@ -126,8 +124,6 @@ def second_eigenvalue(params, K, oracle_budget=None):
     antisymmetric one does.  Raises TruncationUnsafe when the convergence
     estimates exceed half the gap.
     """
-    if isinstance(params, tuple):
-        params = ProblemParams(*params)
     res0 = radial_family(params, 0, K, oracle_budget=oracle_budget)
     res1 = radial_family(params, 1, K, oracle_budget=oracle_budget)
     lam_anti = float(res1.eigenvalues[0])  # lambda_{N+2,0}
@@ -191,8 +187,6 @@ def verify_conjecture(params, K, ell_max=3, oracle_budget=None):
     'yes'.  When the verdict is 'yes' the second eigenspace is spanned by
     x_j * phi(|x|), which is antisymmetric under x -> -x.
     """
-    if isinstance(params, tuple):
-        params = ProblemParams(*params)
     res0 = radial_family(params, 0, K, oracle_budget=oracle_budget)
     res1 = radial_family(params, 1, K, oracle_budget=oracle_budget)
     lam_anti = float(res1.eigenvalues[0])

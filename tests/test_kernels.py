@@ -139,3 +139,32 @@ def test_kappa_tables_built_lazily():
     src = str(Path(fracball.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("d", [14, 16])
+def test_oracle_finite_where_the_rule_overflows(d):
+    # at ladder position 3 the engine grades deep enough that some fallback
+    # points have gaps below 2^{-1024/(d+2s)}, where the direct rule overflows
+    from fracball.basis import RadialBasisSpec, stiffness_matrix
+    from fracball.nonlocal_quadrature import stiffness_entry_oracle
+
+    est = stiffness_entry_oracle(d, 0.75, 0, 0, budget=300_000)
+    exact = stiffness_matrix(RadialBasisSpec(d, 0.75, 2))[0, 0]
+    assert est.finite
+    assert abs(est.value / exact - 1.0) <= 1e-9
+
+
+def test_kappa_fallback_rescales_only_overflowing_points():
+    d, s, R = 14, 0.75, 1.0
+    h = np.array([2.0**-60, 2.0**-80])  # the rule is finite at the first only
+    r, rho = np.full(2, R), R - h
+    with np.errstate(over="ignore", invalid="ignore"):
+        rule = np.stack(kernels._kappa_rule(r, rho, h, d, s))
+    assert np.isfinite(rule[:, 0]).all() and not np.isfinite(rule[:, 1]).all()
+    got = kernels._kappa_fallback(r, rho, h, d, s)
+    np.testing.assert_array_equal(got[:, 0], rule[:, 0])
+    # near the diagonal kappa_0 ~ h^{-1-2s} and kappa_diff ~ h^{1-2s}: the
+    # rescaled point continues the finite one along those power laws
+    scale = (h[1] / h[0]) ** np.array([-1.0 - 2.0 * s, 1.0 - 2.0 * s])
+    np.testing.assert_allclose(got[:, 1], rule[:, 0] * scale, rtol=1e-6)
+

@@ -114,3 +114,11 @@ def test_test_function_checks_dimension_limit():
     _, sol = _linear_solution(params, 16, 1, 1)
     with pytest.raises(DimensionUnsupported):
         run_test_function_checks(params, sol)
+
+
+def test_linearization_leaves_solution_profile_unchanged(cubic_n1):
+    # kink radii travel as sol.breaks; nothing is attached to the cached profile
+    params, _, sol = cubic_n1
+    morse_index(params, sol, ell_max=1, oracle_budget=50_000)
+    run_test_function_checks(params, sol)
+    assert not hasattr(sol.profile, "breaks")

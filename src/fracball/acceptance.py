@@ -319,7 +319,7 @@ def determinism(seed=20240824):
                             "payload-bytes": len(payloads[0])})
 
 
-def run_all(jobs=1, oracle_budget=None, mc_samples=1_000_000):
+def run_all(oracle_budget=None, mc_samples=1_000_000):
     """Full verification battery, in criterion order."""
     results = [
         oracle_gate(oracle_budget=oracle_budget),

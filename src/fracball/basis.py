@@ -18,7 +18,7 @@ import scipy.linalg
 from scipy.special import gammaln, roots_jacobi
 
 from .errors import IndexOutOfRange, MassNotPD, OracleMismatch, PotentialUnbounded
-from .quadrature import segment_rule
+from .quadrature import kink_rule
 
 
 @dataclass(frozen=True)
@@ -153,15 +153,13 @@ def mass_matrix(spec):
     return scale * (P * w[None, :]) @ P.T
 
 
-def radial_weighted_integrals(spec, fn, breaks=(), n=14, levels=20, ratio=0.3):
+def radial_weighted_integrals(spec, fn, breaks=()):
     """Matrix int_0^1 fn(r) phi_m phi_n r^{d-1} dr with panels split at breaks.
 
     Panels are geometrically graded toward r = 1 and toward every interior
     break (kinks of fn, e.g. roots of a solution inside |.|^{p-2}).
     """
-    pts = sorted(set([0.0, 1.0] + [float(b) for b in breaks if 0.0 < b < 1.0]))
-    rule = segment_rule(pts, n, grade=set(pts) - {0.0}, levels=levels, ratio=ratio)
-    r, w = rule.nodes, rule.weights
+    r, w = kink_rule(breaks, 14, 20, 0.3)
     V = np.asarray(fn(r), dtype=float)
     if not np.all(np.isfinite(V)):
         raise PotentialUnbounded("potential evaluated to a non-finite value")

@@ -9,7 +9,6 @@ import argparse
 import os
 import sys
 import time
-import warnings
 
 from .config import format_nonlinearity, load_config
 from .errors import FracballError
@@ -92,7 +91,6 @@ def cmd_conjecture(cfg, jobs, oracle_budget):
         inputs = _point_inputs(params, cfg=cfg)
         try:
             rep = verify_conjecture(params, cfg.trunc_K,
-                                    ell_max=cfg.trunc_ell_max,
                                     oracle_budget=oracle_budget)
             payload = {
                 "lambda-antisymmetric": {"value": rep.lam_antisymmetric,
@@ -151,9 +149,7 @@ def cmd_solve(cfg, jobs, oracle_budget):
     for params, nl in cfg.grid_points():
         inputs = _point_inputs(params, nl, cfg)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                _, payload = _solve_point(cfg, params, nl, oracle_budget)
+            _, payload = _solve_point(cfg, params, nl, oracle_budget)
             rows.append({"N": params.N, "s": params.s,
                          "nonlinearity": format_nonlinearity(nl),
                          "nodal_count": payload["nodal-count"],
@@ -180,11 +176,9 @@ def cmd_morse(cfg, jobs, oracle_budget):
     for params, nl in cfg.grid_points():
         inputs = _point_inputs(params, nl, cfg)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sol, sol_payload = _solve_point(cfg, params, nl, oracle_budget)
-                rep = morse_index(params, sol, ell_max=cfg.trunc_ell_max,
-                                  oracle_budget=oracle_budget)
+            sol, sol_payload = _solve_point(cfg, params, nl, oracle_budget)
+            rep = morse_index(params, sol, ell_max=cfg.trunc_ell_max,
+                              oracle_budget=oracle_budget)
             payload = {
                 "solution": sol_payload,
                 "per-ell": [
@@ -204,11 +198,13 @@ def cmd_morse(cfg, jobs, oracle_budget):
                          "total_index": rep.total_index,
                          "lambda1L": rep.lambda1L,
                          "theorem_check": rep.theorem_check})
-            records.append(make_record("morse", inputs, payload))
-            if params.N <= 2 and not sol.linear_degenerate:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    tfr = test_function_checks(params, sol, seed=cfg.seed or 20240824)
+        except FracballError as exc:
+            records.append(make_record("morse", inputs, _error_row(exc)))
+            continue
+        records.append(make_record("morse", inputs, payload))
+        if params.N <= 2 and not sol.linear_degenerate:
+            try:
+                tfr = test_function_checks(params, sol, seed=cfg.seed or 20240824)
                 tf_payload = {
                     "method": tfr.method,
                     "sign-convention": tfr.sign_convention,
@@ -220,9 +216,9 @@ def cmd_morse(cfg, jobs, oracle_budget):
                     "rayleigh-bound": tfr.rayleigh_bound,
                     "lambda1L": tfr.lambda1L,
                 }
-                records.append(make_record("testfn", inputs, tf_payload))
-        except FracballError as exc:
-            records.append(make_record("morse", inputs, _error_row(exc)))
+            except FracballError as exc:
+                tf_payload = _error_row(exc)
+            records.append(make_record("testfn", inputs, tf_payload))
     table = ("morse.csv",
              ["N", "s", "nonlinearity", "total_index", "lambda1L",
               "theorem_check"],
@@ -233,7 +229,7 @@ def cmd_morse(cfg, jobs, oracle_budget):
 def cmd_verify_all(cfg, jobs, oracle_budget):
     from . import acceptance
 
-    results = acceptance.run_all(jobs=jobs, oracle_budget=oracle_budget)
+    results = acceptance.run_all(oracle_budget=oracle_budget)
     records = []
     rows = []
     any_fail = False

@@ -20,9 +20,10 @@ from .errors import (DimensionUnsupported, FracballError,
                      InadmissibleBoundaryData, OracleMismatch,
                      TruncationUnsafe)
 from .nonlocal_quadrature import (SeparableFunction, angular_factor,
-                                  linearized_potential_form, mc_remainder,
-                                  quadratic_form_L, radial_potential_integral)
-from .params import ProblemParams, frac_constant, harmonic_multiplicity, sphere_area
+                                  linearized_potential_form, mc_offset_sample,
+                                  mc_remainder, quadratic_form_L,
+                                  radial_potential_integral)
+from .params import ProblemParams, harmonic_multiplicity, sphere_area
 from .quadrature import ValueWithError
 
 
@@ -284,45 +285,34 @@ def _mc_quadratic_pair(u, v, params, M, seed):
     """Stratified Monte-Carlo estimate of E_s(u, v) at N = 2.
 
     x is sampled per quadrant (fixed allocation M/4, deterministic
-    substreams), the offset y = x + t*omega with the same importance density
-    as the unreduced-form sampler; mc_remainder adds the cut-off and
-    exterior pairs deterministically.
+    substreams), the offset with mc_offset_sample's importance density, as
+    in the unreduced-form sampler; mc_remainder adds the cut-off and
+    exterior pairs deterministically.  Raises DimensionUnsupported for
+    s >= 3/4 and for non-finite estimates.
     """
     N, s = params.N, params.s
-    beta = max(0.0, 2.0 * s - 0.5)
-    c = frac_constant(N, s)
     # per-quadrant x measure: quadrant volume = ball_volume / 4
     quad_vol = (sphere_area(N) / N) / 4.0
-    const = quad_vol * sphere_area(N) * 2.0 ** (1.0 - beta) / (1.0 - beta)
     seeds = np.random.SeedSequence(seed).spawn(4)
     total = 0.0
     var_sum = 0.0
-    m_each = M // 4
+
+    def direction(rng, m):
+        phi = 2.0 * np.pi * rng.random(m)
+        return np.column_stack([np.cos(phi), np.sin(phi)])
+
     for q, (sx, sy) in enumerate([(1, 1), (-1, 1), (-1, -1), (1, -1)]):
-        rng = np.random.default_rng(seeds[q])
-        acc = 0.0
-        acc_sq = 0.0
-        done = 0
-        while done < m_each:
-            m = min(200_000, m_each - done)
+        def quadrant(rng, m, sx=sx, sy=sy):
             theta = (np.pi / 2.0) * rng.random(m)
             rad = np.sqrt(rng.random(m))
-            x = np.column_stack([sx * rad * np.cos(theta), sy * rad * np.sin(theta)])
-            t = 2.0 * rng.random(m) ** (1.0 / (1.0 - beta))
-            phi = 2.0 * np.pi * rng.random(m)
-            y = x + np.column_stack([t * np.cos(phi), t * np.sin(phi)])
-            du = u(x) - u(y)
-            dv = v(x) - v(y)
-            samp = 0.5 * c * const * t ** (beta - 1.0 - 2.0 * s) * du * dv
-            acc += float(samp.sum())
-            acc_sq += float((samp**2).sum())
-            done += m
-        mean_q = acc / m_each
-        var_q = max(acc_sq / m_each - mean_q**2, 0.0)
+            return np.column_stack([sx * rad * np.cos(theta), sy * rad * np.sin(theta)])
+
+        mean_q, var_q = mc_offset_sample(u, v, N, s, quad_vol, M // 4,
+                                         np.random.default_rng(seeds[q]),
+                                         quadrant, direction)
         total += mean_q
-        var_sum += var_q / m_each
-    se = math.sqrt(var_sum)
-    return ValueWithError(total + mc_remainder(u, v, N, s), se)
+        var_sum += var_q
+    return ValueWithError(total + mc_remainder(u, v, N, s), math.sqrt(var_sum))
 
 
 def test_function_checks(params, sol, rule=None, mc_samples=1_000_000,

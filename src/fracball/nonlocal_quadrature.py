@@ -25,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, SingularityTooClose
+from .errors import BudgetExceeded, DimensionUnsupported, SingularityTooClose
 from .kernels import kappa_ell, kappa_moments
 from .params import frac_constant, sphere_area
-from .quadrature import (QuadratureRule, ValueWithError, graded_edges,
-                         jacobi_panel, legendre_panel, segment_rule)
+from .quadrature import (QuadratureRule, ValueWithError, graded_rule,
+                         jacobi_panel, join_rules, kink_points, kink_rule,
+                         legendre_panel, segment_rule)
 
 _RATIO = 0.35
 _LEV_DIAG = 16  # geometric levels into the diagonal before the Jacobi panel
@@ -94,55 +95,31 @@ def _lev_for(scale, span, base=2, cap=45):
     return int(min(cap, max(base, math.ceil(math.log(span / scale) / math.log(1.0 / _RATIO)))))
 
 
-def _one_sided(a, b, toward, lev, n, xs, ws):
-    edges = graded_edges(a, b, toward, lev, _RATIO)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = legendre_panel(lo, hi, n)
-        xs.append(x)
-        ws.append(w)
-
-
 def _gap_rule(G, s, n, lev_far, far_sing):
     """Rule in the gap coordinate delta in (0, G] for the diagonal approach.
 
-    The innermost panel is Gauss-Jacobi absorbing delta^{1-2s}; its weights
-    are returned already multiplied by delta^{2s-1} so that all nodes share
-    the plain convention sum(w * F(delta)) ~ int F.
+    The innermost panel is Gauss-Jacobi absorbing delta^{1-2s}, so that all
+    nodes share the plain convention sum(w * F(delta)) ~ int F.
     """
-    xs, ws = [], []
     mid = 0.5 * G
-    edges = graded_edges(0.0, mid, "left", _LEV_DIAG, _RATIO)
-    dj, wj = jacobi_panel(edges[0], edges[1], 1.0 - 2.0 * s, n, "left")
-    xs.append(dj)
-    ws.append(wj * dj ** (2.0 * s - 1.0))
-    for lo, hi in zip(edges[1:-1], edges[2:]):
-        x, w = legendre_panel(lo, hi, n)
-        xs.append(x)
-        ws.append(w)
-    _one_sided(mid, G, "right", lev_far if far_sing else 2, n, xs, ws)
-    return np.concatenate(xs), np.concatenate(ws)
+    return join_rules(
+        graded_rule(0.0, mid, "left", _LEV_DIAG, _RATIO, n, gamma=1.0 - 2.0 * s),
+        graded_rule(mid, G, "right", lev_far if far_sing else 2, _RATIO, n))
 
 
 def _far_segment_rule(r, p, q, lev_sing, sing, n):
-    """Rule on a segment (p, q) not containing the outer node r."""
-    xs, ws = [], []
-    span = q - p
+    """Rule on a segment (p, q) not containing the outer node r: each half is
+    graded toward its end, the end nearer r by its distance from r, and an
+    end in sing at least lev_sing deep."""
+    near = p if r < p else q
+
+    def lev(end):
+        base = _lev_for(abs(end - r), q - p) if end == near else 2
+        return max(base, lev_sing) if end in sing else base
+
     mid = 0.5 * (p + q)
-    if r < p:
-        lev_near = _lev_for(p - r, span)
-        if p in sing:
-            lev_near = max(lev_near, lev_sing)
-        lev_far = lev_sing if q in sing else 2
-        _one_sided(p, mid, "left", lev_near, n, xs, ws)
-        _one_sided(mid, q, "right", lev_far, n, xs, ws)
-    else:
-        lev_near = _lev_for(r - q, span)
-        if q in sing:
-            lev_near = max(lev_near, lev_sing)
-        lev_far = lev_sing if p in sing else 2
-        _one_sided(p, mid, "left", lev_far, n, xs, ws)
-        _one_sided(mid, q, "right", lev_near, n, xs, ws)
-    return np.concatenate(xs), np.concatenate(ws)
+    return join_rules(graded_rule(p, mid, "left", lev(p), _RATIO, n),
+                      graded_rule(mid, q, "right", lev(q), _RATIO, n))
 
 
 _KDIFF_CACHE = {}
@@ -169,16 +146,10 @@ def kdiff_total(N, s):
     # both sides of the diagonal rho = 1 in the gap coordinate: left reaches
     # down to rho = 0.5, right up to rho = 2 where the 1/rho tail takes over
     for sgn, reach in ((-1.0, 0.5), (1.0, 1.0)):
-        edges = graded_edges(0.0, reach, "left", 30, _RATIO)
-        dj, wj = jacobi_panel(edges[0], edges[1], 1.0 - 2.0 * s, 12, "left")
-        rho_l.append(1.0 + sgn * dj)
-        h_l.append(dj)
-        w_l.append(wj * dj ** (2.0 * s - 1.0))
-        for lo, hi in zip(edges[1:-1], edges[2:]):
-            d, wd = legendre_panel(lo, hi, 12)
-            rho_l.append(1.0 + sgn * d)
-            h_l.append(d)
-            w_l.append(wd)
+        d, wd = graded_rule(0.0, reach, "left", 30, _RATIO, 12, gamma=1.0 - 2.0 * s)
+        rho_l.append(1.0 + sgn * d)
+        h_l.append(d)
+        w_l.append(wd)
     rho = np.concatenate(rho_l)
     h = np.concatenate(h_l)
     w = np.concatenate(w_l)
@@ -193,7 +164,7 @@ def kdiff_total(N, s):
     return val
 
 
-def exterior_tail(r, N, s, ell=0, n=10):
+def exterior_tail(r, N, s, ell=0):
     """tau_ell(r) = int_1^inf kappa_ell(r, rho) rho^{N-1} drho for r in [0, 1).
 
     This is the single-integral reduction of the pairs with one point outside
@@ -213,11 +184,9 @@ def exterior_tail(r, N, s, ell=0, n=10):
     gap = 1.0 - r
     levs = np.array([_lev_for(g, 1.0, base=6) for g in gap], dtype=int)
     for lev in np.unique(levs):
-        xs, ws = [], []
-        _one_sided(0.0, 1.0, "left", lev, n, xs, ws)
-        zeta = np.concatenate(xs)
+        zeta, wz = graded_rule(0.0, 1.0, "left", lev, _RATIO, 10)
         rho = 1.0 + zeta
-        wz = np.concatenate(ws) * rho ** (N - 1)
+        wz = wz * rho ** (N - 1)
         i = levs == lev
         ri = r[i, None]
         k = kappa_ell(ri, rho, gap[i, None] + zeta, N, s, ell)
@@ -239,19 +208,13 @@ class PairFormEngine:
         self.s = s
         self.ell = ell
         self.c = frac_constant(N if kind == "radial" else 1, s)
-        if kind == "radial":
-            pts = sorted(set([0.0, 1.0] + [float(b) for b in breaks if 0.0 < b < 1.0]))
-            # the ell = 1 moment's reflection part is homogeneous-singular at
-            # the origin, so grade toward r = 0 as well in that sector
-            sing = set(pts) - ({0.0} if ell == 0 else set())
-            mpow = N - 1
-        else:
-            pts = sorted(set([-1.0, 1.0] + [float(b) for b in breaks if -1.0 < b < 1.0]))
-            sing = set(pts)
-            mpow = 0
-        outer = segment_rule(pts, n, grade=sing, levels=lev, ratio=_RATIO)
-        self.r_out = outer.nodes
-        self.w_out = outer.weights
+        pts = kink_points(breaks, 0.0 if kind == "radial" else -1.0)
+        # the ell = 1 moment's reflection part is homogeneous-singular at the
+        # origin, so grade toward r = 0 as well in that sector
+        sing = set(pts) - ({0.0} if kind == "radial" and ell == 0 else set())
+        mpow = N - 1 if kind == "radial" else 0
+        self.r_out, self.w_out = segment_rule(pts, n, grade=sing, levels=lev,
+                                              ratio=_RATIO)
         idx_l, rho_l, h_l, win_l = [], [], [], []
         for i, r in enumerate(self.r_out):
             for p, q in zip(pts[:-1], pts[1:]):
@@ -412,15 +375,10 @@ def bilinear_form(u, v, params, rule=None):
     return ValueWithError(ang * est.value, ang * est.error)
 
 
-def radial_potential_integral(fn, pu, pv, N, breaks=(), n=12, lev=22):
+def radial_potential_integral(fn, pu, pv, N, breaks=()):
     """int_0^1 fn(r) pu(r) pv(r) r^{N-1} dr with kink-aware graded panels."""
-    pts = sorted(set([0.0, 1.0] + [float(b) for b in breaks if 0.0 < b < 1.0]))
-    fine = segment_rule(pts, n, grade=set(pts) - {0.0}, levels=lev, ratio=_RATIO)
-    coarse = segment_rule(pts, max(n - 4, 4), grade=set(pts) - {0.0},
-                          levels=max(lev - 8, 6), ratio=_RATIO)
     vals = []
-    for rl in (fine, coarse):
-        r, w = rl.nodes, rl.weights
+    for r, w in (kink_rule(breaks, 12, 22, _RATIO), kink_rule(breaks, 8, 14, _RATIO)):
         vals.append(float(np.dot(w * r ** (N - 1),
                                  np.asarray(fn(r)) * np.asarray(pu(r)) * np.asarray(pv(r)))))
     return ValueWithError(vals[0], abs(vals[0] - vals[1]) + 1e-15 * abs(vals[0]))
@@ -468,30 +426,30 @@ def ball_volume(N):
     return sphere_area(N) / N
 
 
-def _mc_bilinear(u, v, params, rule):
-    """Sample E_s(u, v) from the unreduced definition.
+def mc_offset_sample(u, v, N, s, vol, M, rng, draw_x, draw_dir):
+    """Mean of M samples of the offset part of E_s(u, v) and the variance of
+    that mean.
 
-    x ~ Unif(B), offset length t with density ~ t^{-beta} on (0, 2],
-    beta = max(0, 2s - 1/2), direction uniform; mc_remainder adds the rest
-    deterministically.  Returns value with 1-sigma standard error.
+    x = draw_x(rng, m) covers a region of volume vol; the offset is
+    t * draw_dir(rng, m), a unit direction, with t drawn from the density
+    ~ t^{-beta} on (0, 2], beta = max(0, 2s - 1/2).  That density has no
+    normalisation once beta >= 1 (s >= 3/4), and close to it the samples
+    overflow, so both raise DimensionUnsupported.
     """
-    N, s = params.N, params.s
-    rng = np.random.default_rng(rule.seed)
-    M = int(rule.budget)
     beta = max(0.0, 2.0 * s - 0.5)
+    if beta >= 1.0:
+        raise DimensionUnsupported(
+            f"Monte-Carlo offsets need s < 3/4, got s = {s}")
     c = frac_constant(N, s)
-    const = ball_volume(N) * sphere_area(N) * 2.0 ** (1.0 - beta) / (1.0 - beta)
-
+    const = vol * sphere_area(N) * 2.0 ** (1.0 - beta) / (1.0 - beta)
     total = 0.0
     total_sq = 0.0
     done = 0
-    chunk = 200_000
     while done < M:
-        m = min(chunk, M - done)
-        x = _uniform_ball(rng, m, N)
+        m = min(200_000, M - done)
+        x = draw_x(rng, m)
         t = 2.0 * rng.random(m) ** (1.0 / (1.0 - beta))
-        w_dir = _uniform_sphere(rng, m, N)
-        y = x + t[:, None] * w_dir
+        y = x + t[:, None] * draw_dir(rng, m)
         du = u(x) - u(y)
         dv = v(x) - v(y)
         samp = 0.5 * c * const * t ** (beta - 1.0 - 2.0 * s) * du * dv
@@ -500,8 +458,26 @@ def _mc_bilinear(u, v, params, rule):
         done += m
     mean = total / M
     var = max(total_sq / M - mean**2, 0.0)
-    se = math.sqrt(var / M)
-    return ValueWithError(mean + mc_remainder(u, v, N, s), se)
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise DimensionUnsupported(
+            f"Monte-Carlo estimate is not finite at s = {s}")
+    return mean, var / M
+
+
+def _mc_bilinear(u, v, params, rule):
+    """Sample E_s(u, v) from the unreduced definition.
+
+    x ~ Unif(B) and a uniform offset direction (mc_offset_sample);
+    mc_remainder adds the rest deterministically.  Returns value with
+    1-sigma standard error.
+    """
+    N, s = params.N, params.s
+    mean, var = mc_offset_sample(
+        u, v, N, s, ball_volume(N), int(rule.budget),
+        np.random.default_rng(rule.seed),
+        lambda rng, m: _uniform_ball(rng, m, N),
+        lambda rng, m: _uniform_sphere(rng, m, N))
+    return ValueWithError(mean + mc_remainder(u, v, N, s), math.sqrt(var))
 
 
 def mc_remainder(u, v, N, s):
@@ -515,9 +491,7 @@ def mc_remainder(u, v, N, s):
         return 0.0
     c = frac_constant(N, s)
     ang = angular_factor(N, u.ell)
-    pts = sorted(set([0.0, 1.0] + [float(b) for b in (*u.breaks, *v.breaks)]))
-    rl = segment_rule(pts, 12, grade=set(pts) - {0.0}, levels=20, ratio=0.3)
-    r, w = rl.nodes, rl.weights
+    r, w = kink_rule((*u.breaks, *v.breaks), 12, 20, 0.3)
     prod = np.asarray(u.profile(r)) * np.asarray(v.profile(r)) * r ** (N - 1)
     c2 = sphere_area(N) * 2.0 ** (-2.0 * s) / (2.0 * s)
     cut_off = 0.5 * c * c2 * ang * float(np.dot(w, prod))
@@ -544,35 +518,17 @@ def _sphere_mean_rule(r, t, N, cut_frac=0.8, n=12):
     if lo >= 1.0:
         return np.empty(0), np.empty(0), np.empty(0)
     cut = lo + cut_frac * (hi_eff - lo)
-    xs, ws, raw = [], [], []
     # left end: absorb (R - lo)^gam on a micro-panel; the leftover factor
     # (R + lo)^gam varies on scale lo, so grade geometrically from that scale
     lev = _lev_for(max(lo, 1e-13), cut - lo, base=2, cap=30)
-    edges = graded_edges(lo, cut, "left", lev, _RATIO)
-    Rl, wl = jacobi_panel(edges[0], edges[1], gam, n, "left")
-    xs.append(Rl)
-    raw.append(wl)
-    ws.append(np.abs(Rl - lo) ** (-gam))
-    for a, b in zip(edges[1:-1], edges[2:]):
-        R, w = legendre_panel(a, b, n)
-        xs.append(R)
-        raw.append(w)
-        ws.append(np.ones_like(R))
+    left = graded_rule(lo, cut, "left", lev, _RATIO, n, gamma=gam)
     if hi_eff < hi:  # boundary cusp inside the range: grade into R = 1
         lev = _lev_for(1e-8, hi_eff - cut, base=10)
-        edges = graded_edges(cut, hi_eff, "right", lev, _RATIO)
-        for a, b in zip(edges[:-1], edges[1:]):
-            R, w = legendre_panel(a, b, n)
-            xs.append(R)
-            raw.append(w)
-            ws.append(np.ones_like(R))
+        right = graded_rule(cut, hi_eff, "right", lev, _RATIO, n)
     else:  # right end of the full range: absorb (hi - R)^gam
         Rr, wr = jacobi_panel(cut, hi, gam, n, "right")
-        xs.append(Rr)
-        raw.append(wr)
-        ws.append(np.abs(hi - Rr) ** (-gam))
-    R = np.concatenate(xs)
-    w = np.concatenate(raw) * np.concatenate(ws)
+        right = (Rr, wr * np.abs(hi - Rr) ** (-gam))
+    R, w = join_rules(left, right)
     mu = (R**2 - r**2 - t**2) / (2.0 * r * t)
     om2 = np.clip((1.0 - mu) * (1.0 + mu), 0.0, None)
     dens = np.where(om2 > 0, om2, 1.0) ** gam * R / (r * t)

@@ -5,7 +5,8 @@ panels that are geometrically graded into algebraic singularities, plus
 Gauss-Jacobi panels that absorb a known |h|^gamma weight exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -112,43 +113,71 @@ def graded_edges(a, b, toward, levels, ratio):
     return b - L * cuts[::-1]
 
 
-@dataclass
-class CompositeRule:
-    """Flat collection of nodes/weights assembled from panels."""
+class Rule(NamedTuple):
+    """Nodes and weights: sum(weights * f(nodes)) approximates the integral."""
 
-    nodes: np.ndarray = field(default_factory=lambda: np.empty(0))
-    weights: np.ndarray = field(default_factory=lambda: np.empty(0))
+    nodes: np.ndarray
+    weights: np.ndarray
 
-    def add_legendre(self, a, b, n):
-        x, w = legendre_panel(a, b, n)
-        self.nodes = np.concatenate([self.nodes, x])
-        self.weights = np.concatenate([self.weights, w])
 
-    def add_graded(self, a, b, toward, levels, ratio, n):
-        edges = graded_edges(a, b, toward, levels, ratio)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            self.add_legendre(lo, hi, n)
+def join_rules(*rules):
+    """One rule from several, nodes in the order given."""
+    return Rule(np.concatenate([r[0] for r in rules]),
+                np.concatenate([r[1] for r in rules]))
+
+
+def graded_rule(a, b, toward, levels, ratio, n, gamma=None):
+    """n-point Gauss-Legendre panels on the graded_edges of (a, b).
+
+    With gamma set, the innermost panel (at the end `toward` names) is
+    Gauss-Jacobi for |t - end|^gamma instead, and its weights are multiplied
+    by |t - end|^-gamma, so that every node shares the plain convention
+    sum(w * f(t)) ~ int_a^b f while f = |t - end|^gamma * poly stays exact.
+    Nodes are ascending except inside a right-end Jacobi panel.
+    """
+    edges = graded_edges(a, b, toward, levels, ratio)
+    x, w = _legendre01(n)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    nodes, weights = lo + (hi - lo) * x, (hi - lo) * w
+    if gamma is not None:
+        i = 0 if toward == "left" else -1
+        t, wj = jacobi_panel(lo[i, 0], hi[i, 0], gamma, n, toward)
+        nodes[i], weights[i] = t, wj * np.abs(t - edges[i]) ** (-gamma)
+    return Rule(nodes.ravel(), weights.ravel())
 
 
 def segment_rule(breaks, n, grade=(), levels=14, ratio=0.3):
     """Composite rule over [breaks[0], breaks[-1]] split at interior breaks.
 
     grade lists endpoint values (from breaks) toward which the adjacent panel
-    is geometrically refined (for algebraic endpoint behavior).
+    is geometrically refined (for algebraic endpoint behavior); a segment
+    graded at both ends is split at its midpoint.
     """
-    rule = CompositeRule()
     breaks = sorted(set(float(b) for b in breaks))
     grade = set(float(g) for g in grade)
+    parts = []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         glo, ghi = lo in grade, hi in grade
         if glo and ghi:
             mid = 0.5 * (lo + hi)
-            rule.add_graded(lo, mid, "left", levels, ratio, n)
-            rule.add_graded(mid, hi, "right", levels, ratio, n)
-        elif glo:
-            rule.add_graded(lo, hi, "left", levels, ratio, n)
-        elif ghi:
-            rule.add_graded(lo, hi, "right", levels, ratio, n)
+            parts += [graded_rule(lo, mid, "left", levels, ratio, n),
+                      graded_rule(mid, hi, "right", levels, ratio, n)]
+        elif glo or ghi:
+            parts.append(graded_rule(lo, hi, "left" if glo else "right",
+                                     levels, ratio, n))
         else:
-            rule.add_legendre(lo, hi, n)
-    return rule
+            parts.append(legendre_panel(lo, hi, n))
+    return join_rules(*parts)
+
+
+def kink_points(breaks, a=0.0):
+    """a, 1 and the breaks strictly between them, sorted."""
+    return sorted({a, 1.0} | {float(x) for x in breaks if a < x < 1.0})
+
+
+def kink_rule(breaks, n, levels, ratio):
+    """segment_rule on [0, 1] split at the breaks inside (0, 1) and graded
+    toward each of them (kinks such as the roots inside |u|^{p-2}) and toward
+    the (1 - r)^s edge at r = 1."""
+    pts = kink_points(breaks)
+    return segment_rule(pts, n, grade=pts[1:], levels=levels, ratio=ratio)

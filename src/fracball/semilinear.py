@@ -18,7 +18,7 @@ from .basis import (RadialBasisSpec, RadialProfile, assemble_radial_operator,
 from .errors import (NoConvergence, NotConverged, TrivialSolution,
                      TruncationUnsafe, WrongNodalCount)
 from .params import ProblemParams, sphere_area
-from .quadrature import segment_rule
+from .quadrature import kink_rule
 
 # Truncation control of solve_radial_resolved: K doubles until the last
 # coefficients fall below TAIL_TOL of the largest one, up to K_CAP.
@@ -144,11 +144,9 @@ def _interior_rule(spec, breaks=()):
     Jacobian, and the energy so the discrete gradient is exactly consistent.
     The r^{d-1} factor is folded into the weights.
     """
-    pts = sorted({0.0, 1.0} | {float(b) for b in breaks if 0.0 < b < 1.0})
     # panel order tracks the basis degree (~2K) so high modes stay resolved
-    n = max(12, spec.K + 4)
-    rule = segment_rule(pts, n, grade=set(pts) - {0.0}, levels=18, ratio=0.3)
-    return rule.nodes, rule.weights * rule.nodes ** (spec.d - 1)
+    r, w = kink_rule(breaks, max(12, spec.K + 4), 18, 0.3)
+    return r, w * r ** (spec.d - 1)
 
 
 def _load_and_jacobian(spec, nonlin, phi, r, w, coeffs, ang):
@@ -347,7 +345,7 @@ def boundary_ratio(sol):
     return val, ("nonnegative" if val >= 0.0 else "negative")
 
 
-def pohozaev_residual(sol, quad_n=None, quad_levels=22):
+def pohozaev_residual(sol):
     """Both sides of the boundary-ratio identity
     psi0(1)^2 = (1/(|S^{N-1}| Gamma(1+s)^2)) int_B [(2s-N) u f(u) + 2N F(u)].
 
@@ -363,12 +361,7 @@ def pohozaev_residual(sol, quad_n=None, quad_levels=22):
     params, nonlin = sol.params, sol.nonlin
     N, s = params.N, params.s
     lhs = sol.psi0_at_1**2
-    pts = sorted(set([0.0, 1.0] + list(sol.breaks)))
-    if quad_n is None:
-        quad_n = max(14, sol.spec.K + 4)
-    rule = segment_rule(pts, quad_n, grade=set(pts) - {0.0}, levels=quad_levels,
-                        ratio=0.3)
-    r, w = rule.nodes, rule.weights
+    r, w = kink_rule(sol.breaks, max(14, sol.spec.K + 4), 22, 0.3)
     u = sol.profile(r)
     integrand = (2.0 * s - N) * u * nonlin.f(u) + 2.0 * N * nonlin.F(u)
     vol = sphere_area(N) * float(np.dot(w * r ** (N - 1), integrand))

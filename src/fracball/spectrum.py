@@ -124,19 +124,16 @@ def second_eigenvalue(params, K, oracle_budget=None):
     antisymmetric one does.  Raises TruncationUnsafe when the convergence
     estimates exceed half the gap.
     """
-    res0 = radial_family(params, 0, K, oracle_budget=oracle_budget)
-    res1 = radial_family(params, 1, K, oracle_budget=oracle_budget)
-    lam_anti = float(res1.eigenvalues[0])  # lambda_{N+2,0}
-    lam_rad = float(res0.eigenvalues[1])  # lambda_{N,1}
-    gap = lam_rad - lam_anti
-    conv = float(res1.convergence[0] + res0.convergence[1])
-    if conv > abs(gap) / 2.0:
+    rep = verify_conjecture(params, K, oracle_budget=oracle_budget)
+    gap = rep.gap
+    if rep.error_bar > abs(gap) / 2.0:
         raise TruncationUnsafe(
-            f"convergence estimate {conv:.2e} exceeds half the gap {gap:.2e}; raise K"
+            f"convergence estimate {rep.error_bar:.2e} exceeds half the gap "
+            f"{gap:.2e}; raise K"
         )
-    if lam_anti <= lam_rad:
-        return lam_anti, (1, 0), gap
-    return lam_rad, (0, 1), gap
+    if rep.lam_antisymmetric <= rep.lam_radial_excited:
+        return rep.lam_antisymmetric, (1, 0), gap
+    return rep.lam_radial_excited, (0, 1), gap
 
 
 def eigenfunction_profile(spectrum, entry):
@@ -179,7 +176,7 @@ class ConjectureReport:
     multiplicity: int
 
 
-def verify_conjecture(params, K, ell_max=3, oracle_budget=None):
+def verify_conjecture(params, K, oracle_budget=None):
     """Check lambda_{N+2,0} < lambda_{N,1} with convergence error bars.
 
     Verdict 'yes' only when the ordering holds with margin exceeding the

@@ -171,6 +171,27 @@ def test_cli_jobs_env_fallback(monkeypatch):
     assert cli._resolve_jobs(None) == 1
 
 
+def test_cli_solve_surfaces_subcriticality_warning():
+    # p = 5 is above the critical exponent 2N/(N - 2s) = 3 at N = 3, s = 1/2
+    cfg = CampaignConfig(grid_N=[3], grid_s=[0.5],
+                         grid_nonlinearity=["power(1.0, 5.0)"], trunc_K=12)
+    with pytest.warns(UserWarning, match="not subcritical"):
+        records, _, _ = cli.cmd_solve(cfg, 1, None)
+    assert len(records) == 1
+
+
+def test_cli_morse_testfn_failure_is_a_testfn_row():
+    # N = 2 Monte-Carlo needs s < 3/4; the morse record stays and the test
+    # function checks record their own typed error
+    cfg = CampaignConfig(grid_N=[2], grid_s=[0.75],
+                         grid_nonlinearity=["power(1.0, 3.0)"], trunc_K=12,
+                         trunc_ell_max=4)
+    records, _, _ = cli.cmd_morse(cfg, 1, None)
+    assert [r["kind"] for r in records] == ["morse", "testfn"]
+    assert "total-index" in records[0]["payload"]
+    assert records[1]["payload"]["error"] == "DimensionUnsupported"
+
+
 def test_cli_failure_isolation(tmp_path):
     # A supercritical grid point fails to converge; the campaign still
     # completes and records the error for that row.

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from fracball.basis import RadialBasisSpec, RadialProfile, dyda_factor
-from fracball.errors import BudgetExceeded, SingularityTooClose
+from fracball.errors import (BudgetExceeded, DimensionUnsupported,
+                             SingularityTooClose)
 from fracball.nonlocal_quadrature import (SeparableFunction, bilinear_form,
                                           exterior_tail, pointwise_flap,
                                           pointwise_flap_radial_reduced,
                                           radial_potential_integral,
                                           stiffness_entry_oracle)
 from fracball.params import ProblemParams
-from fracball.quadrature import QuadratureRule, ValueWithError, segment_rule
+from fracball.quadrature import (QuadratureRule, ValueWithError, graded_rule,
+                                 segment_rule)
 
 
 def _basis_fn(d, s, n, K=6, angular="constant"):
@@ -81,6 +83,21 @@ def test_monte_carlo_unbiased_across_seeds(N, s):
     assert abs(mean - exact) <= 4.0 * se_mean
 
 
+@pytest.mark.parametrize("s", [0.74, 0.8])
+def test_monte_carlo_samplers_reject_large_s(s):
+    # offsets have density ~ t^{-(2s - 1/2)}: not normalisable at s >= 3/4,
+    # and at s = 0.74 some samples overflow to nan
+    from fracball.morse import _mc_quadratic_pair
+    from fracball.nonlocal_quadrature import _mc_bilinear
+
+    params = ProblemParams(2, s)
+    u = _basis_fn(2, s, 1)
+    with pytest.raises(DimensionUnsupported):
+        _mc_quadratic_pair(u, u, params, 200_000, 5)
+    with pytest.raises(DimensionUnsupported):
+        _mc_bilinear(u, u, params, QuadratureRule("monte-carlo", 200_000, seed=5))
+
+
 def test_monte_carlo_deterministic_given_seed():
     params = ProblemParams(2, 0.6)
     u = _basis_fn(2, 0.6, 0)
@@ -101,7 +118,7 @@ def test_exterior_tail_positive_decreasing():
 def _exterior_tail_per_radius(r, N, s, ell, n=10):
     """exterior_tail one radius at a time: the reference for its vectorized form."""
     from fracball.kernels import kappa_ell
-    from fracball.nonlocal_quadrature import _lev_for, _one_sided
+    from fracball.nonlocal_quadrature import _RATIO, _lev_for
     from fracball.quadrature import jacobi_panel
 
     tj, wtj = jacobi_panel(0.0, 0.5, 2.0 * s - 1.0, 16, "left")
@@ -110,13 +127,11 @@ def _exterior_tail_per_radius(r, N, s, ell, n=10):
     out = []
     for ri in r:
         g = 1.0 - ri
-        xs, ws = [], []
-        _one_sided(0.0, 1.0, "left", _lev_for(g, 1.0, base=6), n, xs, ws)
-        zeta = np.concatenate(xs)
+        zeta, wz = graded_rule(0.0, 1.0, "left", _lev_for(g, 1.0, base=6), _RATIO, n)
         rho = 1.0 + zeta
         k = kappa_ell(np.full_like(rho, ri), rho, g + zeta, N, s, ell)
         kt = kappa_ell(np.full_like(rho_t, ri), rho_t, rho_t - ri, N, s, ell)
-        out.append(np.dot(np.concatenate(ws) * rho ** (N - 1), k) + np.dot(wt, kt))
+        out.append(np.dot(wz * rho ** (N - 1), k) + np.dot(wt, kt))
     return np.array(out)
 
 
@@ -183,3 +198,26 @@ def test_segment_rule_integrates_polynomial_exactly():
     rule = segment_rule([0.0, 0.4, 1.0], 8, grade={1.0}, levels=10, ratio=0.3)
     est = float(np.dot(rule.weights, rule.nodes**5))
     assert est == pytest.approx(1.0 / 6.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("toward", ["left", "right"])
+def test_graded_rule_exactness(toward):
+    a, b, n = 0.2, 1.7, 10
+    end = a if toward == "left" else b
+    rule = graded_rule(a, b, toward, 9, 0.3, n)
+    assert np.all(np.diff(rule.nodes) > 0.0)
+    for k in range(8):
+        exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+        est = np.dot(rule.weights, rule.nodes**k)
+        assert est == pytest.approx(exact, rel=1e-13, abs=1e-13)
+    # the Jacobi panel absorbs |t - end|^gamma: exact at levels 0 for any
+    # power gamma + k, and accurate deep into the grading
+    L = b - a
+    for gamma in (-0.4, 0.0, 0.6):
+        for levels, tol in ((0, 1e-13), (12, 1e-9)):
+            rule = graded_rule(a, b, toward, levels, 0.3, n, gamma=gamma)
+            for k in range(4):
+                p = gamma + k
+                est = np.dot(rule.weights, np.abs(rule.nodes - end) ** p)
+                exact = L ** (p + 1) / (p + 1)
+                assert est == pytest.approx(exact, rel=tol, abs=tol)

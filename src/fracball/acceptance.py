@@ -33,6 +33,9 @@ NONLINEAR_CASES = {
     "A2": {1: (0.5, 3.0), 2: (0.5, 3.0), 3: (0.5, 2.5)},
 }
 POHOZAEV_TOL = 1e-3
+# basis size of the criteria; the nonlinear cases start from it and raise it
+TRUNC_K = 24
+ELL_CAP = 8  # largest ell_max the Morse-index escalation tries
 MORSE_GRID_S = (0.25, 0.5, 0.75)
 ORACLE_GRID = [(d, s) for d in (1, 2, 3, 5) for s in (0.25, 0.5, 0.75)]
 
@@ -64,13 +67,13 @@ def oracle_gate(oracle_budget=None):
     return CriterionResult("oracle-gate", passed, {"worst": worst, "tol": 1e-4})
 
 
-def conjecture_sweep(K=24, oracle_budget=None):
+def conjecture_sweep(oracle_budget=None):
     """Ordering lambda_{N+2,0} < lambda_{N,1} across the (N, s) grid."""
     rows = []
     passed = True
     for N in range(1, 7):
         for s in (0.1, 0.25, 0.5, 0.75, 0.9):
-            rep = verify_conjecture(ProblemParams(N, s), K,
+            rep = verify_conjecture(ProblemParams(N, s), TRUNC_K,
                                     oracle_budget=oracle_budget)
             ok = rep.verdict == "yes" and rep.gap > 5.0 * rep.error_bar
             passed = passed and ok
@@ -81,13 +84,13 @@ def conjecture_sweep(K=24, oracle_budget=None):
                             "failures": [r for r in rows if not r["ok"]]})
 
 
-def monotonicity(K=24, oracle_budget=None):
+def monotonicity(oracle_budget=None):
     """First eigenvalue strictly increasing in the dimension, with margin."""
     failures = []
     for s in MORSE_GRID_S:
         lam, conv = [], []
         for d in range(1, 11):
-            res = radial_family(ProblemParams(d, s), 0, K,
+            res = radial_family(ProblemParams(d, s), 0, TRUNC_K,
                                 oracle_budget=oracle_budget)
             lam.append(float(res.eigenvalues[0]))
             conv.append(float(res.convergence[0]))
@@ -101,7 +104,7 @@ def monotonicity(K=24, oracle_budget=None):
                            {"failures": failures})
 
 
-def linear_morse_crosscheck(K=24, ell_max=3, n_max=8, oracle_budget=None):
+def linear_morse_crosscheck(oracle_budget=None):
     """Morse index of the linear-family solution vs. the spectrum count."""
     from .morse import morse_index
     from .semilinear import NonlinearitySpec, solve_radial_sign_changing
@@ -111,15 +114,15 @@ def linear_morse_crosscheck(K=24, ell_max=3, n_max=8, oracle_budget=None):
     for N in (1, 2, 3):
         for s in MORSE_GRID_S:
             params = ProblemParams(N, s)
-            lam = float(radial_family(params, 0, K,
+            lam = float(radial_family(params, 0, TRUNC_K,
                                       oracle_budget=oracle_budget).eigenvalues[1])
             sol = solve_radial_sign_changing(params,
                                              NonlinearitySpec("linear", lam),
-                                             target_nodes=1, K=K,
+                                             target_nodes=1, K=TRUNC_K,
                                              oracle_budget=oracle_budget)
-            rep = morse_index(params, sol, ell_max=ell_max,
+            rep = morse_index(params, sol, ell_max=3,
                               oracle_budget=oracle_budget)
-            spec = assemble_full_spectrum(params, ell_max, n_max, K,
+            spec = assemble_full_spectrum(params, 3, 8, TRUNC_K,
                                           oracle_budget=oracle_budget)
             expected = spec.below(lam)
             # The count is trustworthy when no sector beyond ell_max can
@@ -132,26 +135,28 @@ def linear_morse_crosscheck(K=24, ell_max=3, n_max=8, oracle_budget=None):
     return CriterionResult("linear-morse-crosscheck", passed, {"rows": rows})
 
 
-def _morse_with_escalation(params, sol, ell_max=3, ell_cap=8,
-                           oracle_budget=None):
-    """Morse index, raising ell_max until the top sector is positive."""
+def _morse_with_escalation(params, sol, oracle_budget):
+    """Morse index, raising ell_max from 3 up to ELL_CAP until the top sector
+    is positive."""
     from .morse import morse_index
 
+    ell_max = 3
     while True:
         try:
             return morse_index(params, sol, ell_max=ell_max,
                                oracle_budget=oracle_budget)
         except TruncationUnsafe:
-            if ell_max >= ell_cap:
+            if ell_max >= ELL_CAP:
                 raise
             ell_max += 1
 
 
-def solve_nonlinear_case(case, K=24, newton_tol=1e-10, oracle_budget=None):
+def solve_nonlinear_case(case, oracle_budget=None):
     """Converged 1-node solutions for one case of the nonlinear grid.
 
-    K is the starting basis size; each case raises it until its coefficient
-    tail is resolved (solve_radial_resolved) and its row reports the K used.
+    TRUNC_K is the starting basis size; each case raises it until its
+    coefficient tail is resolved (solve_radial_resolved) and its row reports
+    the K used.
     Returns (results, solutions); solutions are reused by the linearization
     criteria so the campaign solves each problem once.
     """
@@ -166,12 +171,11 @@ def solve_nonlinear_case(case, K=24, newton_tol=1e-10, oracle_budget=None):
         nl = NonlinearitySpec("power", 1.0, p)
         row = {"N": N, "s": s, "p": p}
         try:
-            sol = solve_radial_resolved(params, nl, target_nodes=1, K=K,
-                                        newton_tol=newton_tol,
+            sol = solve_radial_resolved(params, nl, target_nodes=1, K=TRUNC_K,
+                                        newton_tol=1e-10,
                                         oracle_budget=oracle_budget)
             row["K"] = sol.spec.K
-            rep = _morse_with_escalation(params, sol,
-                                         oracle_budget=oracle_budget)
+            rep = _morse_with_escalation(params, sol, oracle_budget)
             _, _, rel = pohozaev_residual(sol)
             solutions[N] = (params, nl, sol, rep)
             row.update({"nodal-count": sol.nodal_count, "pohozaev-rel": rel,
@@ -203,7 +207,7 @@ def first_eigen_negative(solutions):
                            {"rows": rows})
 
 
-def test_function_signs(solutions, mc_samples=1_000_000, seed=20240824):
+def test_function_signs(solutions):
     """Sign tests for the derivative-built test functions at N = 1, 2."""
     from .morse import test_function_checks
 
@@ -216,8 +220,7 @@ def test_function_signs(solutions, mc_samples=1_000_000, seed=20240824):
             rows.append({"N": N, "error": "no converged solution"})
             continue
         params, nl, sol, _ = solutions[N]
-        tfr = test_function_checks(params, sol, mc_samples=mc_samples,
-                                   seed=seed)
+        tfr = test_function_checks(params, sol)
         reports[N] = tfr
         row = {"N": N, "s": params.s, "method": tfr.method}
         checks = []
@@ -251,7 +254,7 @@ def weak_identity(reports):
     return CriterionResult("weak-identity-defect", passed, {"rows": rows})
 
 
-def gradient_check(solutions=None, h=1e-4, tol=1e-6):
+def gradient_check(solutions=None):
     """Analytic energy gradient vs. central finite differences."""
     from .semilinear import (NonlinearitySpec, energy, energy_gradient,
                              solve_radial_sign_changing)
@@ -261,7 +264,8 @@ def gradient_check(solutions=None, h=1e-4, tol=1e-6):
     else:
         params = ProblemParams(2, 0.7)
         nl = NonlinearitySpec("power", 1.0, 3.0)
-        sol = solve_radial_sign_changing(params, nl, target_nodes=1, K=24)
+        sol = solve_radial_sign_changing(params, nl, target_nodes=1, K=TRUNC_K)
+    h, tol = 1e-4, 1e-6
     spec, rule = sol.spec, (sol.quad_r, sol.quad_w)
     c0 = np.asarray(sol.coefficients, dtype=float)
     # At the solution the gradient vanishes, so mismatches are measured
@@ -288,7 +292,7 @@ def gradient_check(solutions=None, h=1e-4, tol=1e-6):
                             "perturbed": perturbed, "h": h, "tol": tol})
 
 
-def determinism(seed=20240824):
+def determinism():
     """Identical config and seed produce byte-identical report records."""
     from . import cli
     from .morse import _mc_quadratic_pair, build_test_functions
@@ -296,7 +300,7 @@ def determinism(seed=20240824):
 
     cfg = CampaignConfig(grid_N=[1], grid_s=[0.75],
                          grid_nonlinearity=["power(1.0, 3.0)"],
-                         trunc_K=16, seed=seed)
+                         trunc_K=16, seed=20240824)
     payloads = []
     for _ in range(2):
         chunks = []
@@ -310,7 +314,7 @@ def determinism(seed=20240824):
     sol = solve_radial_sign_changing(params, NonlinearitySpec("power", 1.0, 3.0),
                                      target_nodes=1, K=16)
     d1 = build_test_functions(sol)[0]
-    mc = [_mc_quadratic_pair(d1, d1, params, 20_000, seed) for _ in range(2)]
+    mc = [_mc_quadratic_pair(d1, d1, params, 20_000, 20240824) for _ in range(2)]
     mc_identical = (mc[0].value, mc[0].error) == (mc[1].value, mc[1].error)
 
     return CriterionResult("determinism", reports_identical and mc_identical,
@@ -319,7 +323,7 @@ def determinism(seed=20240824):
                             "payload-bytes": len(payloads[0])})
 
 
-def run_all(oracle_budget=None, mc_samples=1_000_000):
+def run_all(oracle_budget=None):
     """Full verification battery, in criterion order."""
     results = [
         oracle_gate(oracle_budget=oracle_budget),
@@ -330,7 +334,7 @@ def run_all(oracle_budget=None, mc_samples=1_000_000):
     res_a1, sols_a1 = solve_nonlinear_case("A1", oracle_budget=oracle_budget)
     res_a2, _ = solve_nonlinear_case("A2", oracle_budget=oracle_budget)
     results += [res_a1, res_a2, first_eigen_negative(sols_a1)]
-    signs, reports = test_function_signs(sols_a1, mc_samples=mc_samples)
+    signs, reports = test_function_signs(sols_a1)
     results += [signs, weak_identity(reports),
                 gradient_check(sols_a1), determinism()]
     return results

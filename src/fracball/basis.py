@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaln, roots_jacobi
 
-from .errors import IndexOutOfRange, MassNotPD, OracleMismatch, PotentialUnbounded
+from .errors import MassNotPD, OracleMismatch, PotentialUnbounded
 from .quadrature import kink_rule
 
 
@@ -92,19 +92,10 @@ def basis_matrix(spec, r):
     return P * w[None, :]
 
 
-def basis_eval(spec, n, r):
-    """Single basis function phi_n(r); raises IndexOutOfRange for bad n."""
-    if not (0 <= n < spec.K):
-        raise IndexOutOfRange(f"basis index {n} outside 0..{spec.K - 1}")
-    scalar = np.isscalar(r)
-    out = basis_matrix(spec, r)[n]
-    return float(out[0]) if scalar else out
-
-
-def dyda_factor(spec, n=None):
+def dyda_factor(spec):
     """mu_n with (-Delta)^s phi_n = mu_n P_n(2r^2-1) in the ball (all n < K)."""
     d, s = spec.d, spec.s
-    n = np.arange(spec.K, dtype=float) if n is None else np.asarray(n, dtype=float)
+    n = np.arange(spec.K, dtype=float)
     return np.exp(
         2.0 * s * np.log(2.0)
         + gammaln(s + n + 1.0)
@@ -294,9 +285,10 @@ class RadialProfile:
         """psi0(1) = 2^s sum_n c_n P_n(1) (exact in the basis)."""
         return float(2.0**self.spec.s * (self.coeffs @ jacobi_at_one(self.spec.K, self.spec.s)))
 
-    def sign_change_radii(self, n_grid=2048):
-        """Radii in (0, 1) where the polynomial factor changes sign."""
-        r = np.linspace(0.0, 1.0, n_grid + 1)
+    def sign_change_radii(self):
+        """Radii in (0, 1) where the polynomial factor changes sign, found by
+        a scan of 2048 cells and bisection."""
+        r = np.linspace(0.0, 1.0, 2049)
         q = self.poly_part(r)
         sign = np.sign(q)
         idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -307,16 +299,6 @@ class RadialProfile:
             roots.append(brentq(lambda x: float(self.poly_part(x)[0]), r[i], r[i + 1]))
         return roots
 
-    def nodal_count(self, n_grid=2048):
+    def nodal_count(self):
         """Number of sign changes of the profile on (0, 1)."""
-        return len(self.sign_change_radii(n_grid))
-
-
-def radial_derivative_profile(result, spec=None, index=0):
-    """Derivative profile r -> u'(r) and boundary data for an eigenvector
-    column (RadialEigenResult) or a raw coefficient vector."""
-    if isinstance(result, RadialEigenResult):
-        prof = RadialProfile(result.spec, result.eigenvectors[:, index])
-    else:
-        prof = RadialProfile(spec, np.asarray(result, dtype=float))
-    return prof.derivative, prof.boundary_ratio()
+        return len(self.sign_change_radii())

@@ -2,16 +2,18 @@
 
 Each grid point runs in isolation; a failing point becomes an error row in
 the report and the campaign continues.  Exit codes: 0 = campaign ran,
-1 = infrastructure failure, 2 = acceptance-suite failure (verify-all only).
+1 = infrastructure failure, including a malformed or out-of-range setting
+(ConfigError), 2 = acceptance-suite failure (verify-all only).
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
 
 from .config import format_nonlinearity, load_config
-from .errors import FracballError
+from .errors import ConfigError, FracballError
 from .params import ProblemParams
 from .report import (config_hash, make_document, make_record,
                      write_csv, write_json)
@@ -19,14 +21,25 @@ from .report import (config_hash, make_document, make_record,
 
 def _resolve_jobs(args_jobs):
     if args_jobs is not None:
-        return max(1, args_jobs)
+        return args_jobs
     env = os.environ.get("FRACBALL_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
-            pass
+            raise ConfigError(
+                f"FRACBALL_JOBS must be an integer, got {env!r}") from None
     return 1
+
+
+def _with_overrides(cfg, args):
+    """cfg with the command line's settings, validated as the file's are."""
+    jobs = _resolve_jobs(args.jobs if args.jobs is not None else
+                         (cfg.jobs if cfg.jobs > 1 else None))
+    overrides = {"seed": args.seed, "out_dir": args.out, "jobs": jobs,
+                 "out_format": args.format, "tol_oracle_budget": args.oracle_budget}
+    return dataclasses.replace(
+        cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _point_inputs(params, nl=None, cfg=None):
@@ -270,19 +283,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.format is not None:
-            cfg.out_format = args.format
-        jobs = _resolve_jobs(args.jobs if args.jobs is not None else
-                             (cfg.jobs if cfg.jobs > 1 else None))
-        budget = args.oracle_budget if args.oracle_budget is not None \
-            else cfg.tol_oracle_budget
+        cfg = _with_overrides(load_config(args.config), args)
         t0 = time.time()
-        records, tables, exit_code = _COMMANDS[args.command](cfg, jobs, budget)
+        records, tables, exit_code = _COMMANDS[args.command](
+            cfg, cfg.jobs, cfg.tol_oracle_budget)
         doc = make_document(cfg, records, wall_time=round(time.time() - t0, 3))
     except FracballError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ Format: one `key = value` per line, `#` comments, values in JSON syntax
 
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .params import ProblemParams
@@ -77,6 +77,12 @@ class CampaignConfig:
             raise ConfigError(f"out.format must be csv|json|both, got {self.out_format!r}")
         if self.trunc_K < 2:
             raise ConfigError("trunc.K must be at least 2")
+        if self.trunc_ell_max < 0 or self.trunc_n_max < 0:
+            raise ConfigError("trunc.ell-max and trunc.n-max must be >= 0")
+        if not 0 <= self.grid_target_nodes < self.trunc_K:
+            raise ConfigError("grid.target-nodes must lie in 0 .. trunc.K - 1")
+        if self.tol_oracle_budget is not None and self.tol_oracle_budget < 1:
+            raise ConfigError("tol.oracle-budget must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
         if self.jobs < 1:
@@ -150,9 +156,3 @@ def parse_config_text(text):
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def config_roundtrip_ok(cfg):
-    """Does the config survive serialize -> parse unchanged?"""
-    back = parse_config_text(cfg.to_text())
-    return all(getattr(back, f.name) == getattr(cfg, f.name) for f in fields(cfg))

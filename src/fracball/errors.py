@@ -9,10 +9,6 @@ class SingularityTooClose(FracballError):
     """Pointwise evaluation requested too close to the boundary."""
 
 
-class BudgetExceeded(FracballError):
-    """A quadrature rule cannot reach its error target within its budget."""
-
-
 class OracleMismatch(FracballError):
     """A closed-form assembly disagrees with the quadrature oracle."""
 
@@ -23,10 +19,6 @@ class PotentialUnbounded(FracballError):
 
 class MassNotPD(FracballError):
     """The mass matrix failed its positive-definiteness factorization."""
-
-
-class IndexOutOfRange(FracballError):
-    """Basis index outside the configured truncation."""
 
 
 class UnsupportedAngularDegree(FracballError):

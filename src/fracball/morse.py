@@ -117,22 +117,19 @@ class MorseReport:
     K: int
 
 
-def _sector_eigs(params, sol, ell_max, K, oracle_budget):
-    """Eigen-results of L in the sectors ell = 0..ell_max, in order.
-
-    K defaults to the solution's basis size; for N = 1 the parity classes
-    ell = 0, 1 are exhaustive, so ell_max is clamped to 1.
+def _sector_eigs(params, sol, ell_max, oracle_budget):
+    """Eigen-results of L in the sectors ell = 0..ell_max, in order, at the
+    solution's basis size; for N = 1 the parity classes ell = 0, 1 are
+    exhaustive, so ell_max is clamped to 1.
     """
-    if K is None:
-        K = sol.spec.K
     if params.N == 1:
         ell_max = min(ell_max, 1)
-    return [solve_radial_eigs(assemble_linearized(params, sol, ell, K,
+    return [solve_radial_eigs(assemble_linearized(params, sol, ell, sol.spec.K,
                                                   oracle_budget=oracle_budget))
             for ell in range(ell_max + 1)]
 
 
-def morse_index(params, sol, ell_max=3, K=None, oracle_budget=None):
+def morse_index(params, sol, ell_max=3, oracle_budget=None):
     """Count negative eigenvalues of L per sector, weighted by multiplicity.
 
     An eigenvalue counts as negative only when value + convergence < 0;
@@ -140,7 +137,7 @@ def morse_index(params, sol, ell_max=3, K=None, oracle_budget=None):
     marginal and never included in the total.  Raises TruncationUnsafe when
     the sector beyond the last negative one still reaches below zero.
     """
-    sectors = _sector_eigs(params, sol, ell_max, K, oracle_budget)
+    sectors = _sector_eigs(params, sol, ell_max, oracle_budget)
     ell_max = len(sectors) - 1
     per_ell = []
     for ell, res in enumerate(sectors):
@@ -175,10 +172,10 @@ def morse_index(params, sol, ell_max=3, K=None, oracle_budget=None):
                        lam1_radial, check, ell_max, sectors[0].spec.K)
 
 
-def first_linearized_eigen(params, sol, K=None, ell_max=3, oracle_budget=None):
+def first_linearized_eigen(params, sol):
     """(lambda_{1,L}, sector, radial profile, sign-definite) of the first
-    eigenvalue of the linearized operator."""
-    sectors = _sector_eigs(params, sol, ell_max, K, oracle_budget)
+    eigenvalue of the linearized operator, over the sectors ell <= 3."""
+    sectors = _sector_eigs(params, sol, 3, None)
     ell1 = min(range(len(sectors)), key=lambda ell: sectors[ell].eigenvalues[0])
     res = sectors[ell1]
     lam1 = float(res.eigenvalues[0])
@@ -186,12 +183,12 @@ def first_linearized_eigen(params, sol, K=None, ell_max=3, oracle_budget=None):
     return lam1, ell1, prof, _sign_definite(prof, params.N)
 
 
-def _sign_definite(prof, N, n_grid=8192, tol=1e-4):
+def _sign_definite(prof, N):
     """Sign-definite up to truncation: the minority-sign L2 mass fraction
-    must be negligible.  Spectral eigenvectors develop small boundary
+    must be at most 1e-4.  Spectral eigenvectors develop small boundary
     oscillations that vanish as K grows; a genuine interior sign change
     carries O(1) mass, so the mass criterion separates the two cleanly."""
-    r = np.linspace(0.0, 1.0, n_grid + 1)[:-1]
+    r = np.linspace(0.0, 1.0, 8193)[:-1]
     u = np.asarray(prof(r))
     w = r ** (N - 1)
     pos = float(np.dot(w, np.maximum(u, 0.0) ** 2))
@@ -199,18 +196,18 @@ def _sign_definite(prof, N, n_grid=8192, tol=1e-4):
     total = pos + neg
     if total == 0.0:
         return False
-    return min(pos, neg) / total <= tol
+    return min(pos, neg) / total <= 1e-4
 
 
 # ---------------------------------------------------------------------------
 # test functions d_j
 
 
-def _derivative_sign_radii(du, n_grid=4096):
+def _derivative_sign_radii(du):
     """Sign-change radii of u' in (0, 1) by grid scan + bisection."""
     from scipy.optimize import brentq
 
-    r = np.linspace(0.0, 1.0, n_grid + 1)[1:-1]
+    r = np.linspace(0.0, 1.0, 4097)[1:-1]
     vals = du(r)
     roots = []
     sgn = np.sign(vals)
@@ -219,7 +216,7 @@ def _derivative_sign_radii(du, n_grid=4096):
     return roots
 
 
-def build_test_functions(sol, n_grid=4096):
+def build_test_functions(sol):
     """Signed-derivative test functions d_j = (x_j/|x|) w(|x|), j = 1..N.
 
     w = max(u', 0) when psi0(1) >= 0, w = min(u', 0) when psi0(1) < 0; in
@@ -240,7 +237,7 @@ def build_test_functions(sol, n_grid=4096):
         vals = np.asarray(du(np.atleast_1d(np.asarray(r, dtype=float))))
         return np.maximum(vals, 0.0) if positive_branch else np.minimum(vals, 0.0)
 
-    roots = _derivative_sign_radii(du, n_grid)
+    roots = _derivative_sign_radii(du)
     # outermost radius beyond which the signed part vanishes
     r_star = None
     if abs(psi0) > 1e-8:
@@ -248,7 +245,7 @@ def build_test_functions(sol, n_grid=4096):
     fns = []
     for j in range(1, params.N + 1):
         fns.append(SeparableFunction(
-            profile=w, angular="signed-derivative", j=j,
+            profile=w, angular="coordinate", j=j,
             breaks=tuple(roots),
             support_radius=r_star if r_star is not None else 1.0,
             label=f"d_{j}"))
@@ -315,8 +312,7 @@ def _mc_quadratic_pair(u, v, params, M, seed):
     return ValueWithError(total + mc_remainder(u, v, N, s), math.sqrt(var_sum))
 
 
-def test_function_checks(params, sol, rule=None, mc_samples=1_000_000,
-                         seed=20240824):
+def test_function_checks(params, sol, mc_samples=1_000_000, seed=20240824):
     """Numerical version of the negative-energy argument on span
     {phi_{1,L}, d_1..d_N}: diagonal energies negative, cross terms zero,
     weak-identity defect zero, Rayleigh bound negative.
@@ -338,7 +334,7 @@ def test_function_checks(params, sol, rule=None, mc_samples=1_000_000,
         v1 = SeparableFunction(profile=sol_k.profile.derivative,
                                angular="coordinate", j=1,
                                breaks=d1_k.breaks, label="v^1")
-        return quadratic_form_L(sol_k, v1, d1_k, rule)
+        return quadratic_form_L(sol_k, v1, d1_k)
 
     def weak_defect_with_truncation():
         """The identity holds for the continuum solution only, so the defect
@@ -372,7 +368,7 @@ def test_function_checks(params, sol, rule=None, mc_samples=1_000_000,
     if params.N == 1:
         method = "deterministic"
         d1 = fns[0]
-        diag[1] = quadratic_form_L(sol, d1, d1, rule)
+        diag[1] = quadratic_form_L(sol, d1, d1)
         weak[(1, 1)] = weak_defect_with_truncation()
     else:
         method = "monte-carlo"

@@ -25,30 +25,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionUnsupported, SingularityTooClose
+from .errors import DimensionUnsupported, SingularityTooClose
 from .kernels import kappa_ell, kappa_moments
 from .params import frac_constant, sphere_area
-from .quadrature import (QuadratureRule, ValueWithError, graded_rule,
-                         jacobi_panel, join_rules, kink_points, kink_rule,
-                         legendre_panel, segment_rule)
+from .quadrature import (ValueWithError, graded_rule, jacobi_panel,
+                         join_rules, kink_points, kink_rule, legendre_panel,
+                         segment_rule)
 
 _RATIO = 0.35
 _LEV_DIAG = 16  # geometric levels into the diagonal before the Jacobi panel
 # points per block when profiles are evaluated at an engine's inner nodes
 _FORM_BLOCK = 65_536
+# pointwise_flap refuses points closer than this to the boundary
+_FLAP_MARGIN = 1e-3
 
-ANGULAR_KINDS = ("constant", "coordinate", "signed-derivative")
+ANGULAR_KINDS = ("constant", "coordinate")
 
 
 @dataclass(frozen=True)
 class SeparableFunction:
     """Radial profile times an angular factor, vanishing outside the ball.
 
-    angular 'constant' means u(x) = profile(|x|); 'coordinate' and
-    'signed-derivative' mean u(x) = (x_j/|x|) * profile(|x|) (the latter tags
-    the sign-restricted derivative shapes, whose half-space definition
-    collapses to this separable form).  The profile must evaluate to 0 for
-    r >= 1 and, for the coordinate classes, to 0 at r = 0.
+    angular 'constant' means u(x) = profile(|x|) (ell = 0); 'coordinate'
+    means u(x) = (x_j/|x|) * profile(|x|) (ell = 1), which also covers the
+    sign-restricted derivative shapes d_j, whose half-space definition
+    collapses to this separable form.  The profile must evaluate to 0 for
+    r >= 1 and, for 'coordinate', to 0 at r = 0.
     """
 
     profile: object
@@ -202,17 +204,13 @@ class PairFormEngine:
     is angular_factor(N, ell) times that.
     """
 
-    def __init__(self, kind, N, s, ell, breaks, n, lev):
-        self.kind = kind
-        self.N = N
-        self.s = s
-        self.ell = ell
-        self.c = frac_constant(N if kind == "radial" else 1, s)
-        pts = kink_points(breaks, 0.0 if kind == "radial" else -1.0)
+    def __init__(self, N, s, ell, breaks, n, lev):
+        self.c = frac_constant(N, s)
+        pts = kink_points(breaks)
         # the ell = 1 moment's reflection part is homogeneous-singular at the
         # origin, so grade toward r = 0 as well in that sector
-        sing = set(pts) - ({0.0} if kind == "radial" and ell == 0 else set())
-        mpow = N - 1 if kind == "radial" else 0
+        sing = set(pts) - ({0.0} if ell == 0 else set())
+        mpow = N - 1
         self.r_out, self.w_out = segment_rule(pts, n, grade=sing, levels=lev,
                                               ratio=_RATIO)
         idx_l, rho_l, h_l, win_l = [], [], [], []
@@ -236,19 +234,13 @@ class PairFormEngine:
         h = np.concatenate(h_l)
         win = np.concatenate(win_l)
         self.rho = rho
-        if kind == "line":
-            kap = h ** (-1.0 - 2.0 * s)
-        else:
-            kap = kappa_ell(self.r_out[self.idx], rho, h, N, s, ell)
+        kap = kappa_ell(self.r_out[self.idx], rho, h, N, s, ell)
         meas = (self.r_out[self.idx] * rho) ** mpow if mpow else 1.0
         self.kw = self.w_out[self.idx] * win * kap * meas
         # diagonal tail weights (per unit kernel constant)
-        if kind == "line":
-            tail = ((1.0 - self.r_out) ** (-2.0 * s) + (1.0 + self.r_out) ** (-2.0 * s)) / (2.0 * s)
-        else:
-            tail = exterior_tail(self.r_out, N, s, ell=ell)
-            if ell == 1:
-                tail = tail + kdiff_total(N, s) * self.r_out ** (-2.0 * s)
+        tail = exterior_tail(self.r_out, N, s, ell=ell)
+        if ell == 1:
+            tail = tail + kdiff_total(N, s) * self.r_out ** (-2.0 * s)
         self.wdiag = self.w_out * self.r_out ** mpow * tail
 
     @property
@@ -279,13 +271,13 @@ _ENGINE_CACHE = {}
 
 # (n, lev) resolution ladder; each entry's error partner is the one before it
 _LADDER = [(5, 10), (7, 16), (10, 22), (13, 26), (16, 28)]
-_FINE = 2  # default ladder position
+_FINE = 2  # ladder position of bilinear_form and of an unset oracle budget
 
 
-def get_engine(kind, N, s, ell, breaks=(), n=10, lev=22):
-    key = (kind, N, round(s, 12), ell, tuple(round(float(b), 12) for b in breaks), n, lev)
+def get_engine(N, s, ell, breaks, n, lev):
+    key = (N, round(s, 12), ell, tuple(round(float(b), 12) for b in breaks), n, lev)
     if key not in _ENGINE_CACHE:
-        _ENGINE_CACHE[key] = PairFormEngine(kind, N, s, ell, breaks, n, lev)
+        _ENGINE_CACHE[key] = PairFormEngine(N, s, ell, breaks, n, lev)
     return _ENGINE_CACHE[key]
 
 
@@ -303,12 +295,12 @@ def _ladder_pos_for_budget(budget):
     return pos
 
 
-def reduced_form(kind, N, s, ell, g, h=None, breaks=(), pos=_FINE):
+def reduced_form(N, s, ell, g, h, breaks, pos):
     """Reduced radial form with a two-resolution absolute error estimate."""
     n_f, lev_f = _LADDER[pos]
     n_c, lev_c = _LADDER[max(pos - 1, 0)]
-    fine = get_engine(kind, N, s, ell, breaks, n_f, lev_f).form(g, h)
-    coarse = get_engine(kind, N, s, ell, breaks, n_c, lev_c).form(g, h)
+    fine = get_engine(N, s, ell, breaks, n_f, lev_f).form(g, h)
+    coarse = get_engine(N, s, ell, breaks, n_c, lev_c).form(g, h)
     return ValueWithError(fine, abs(fine - coarse) + 1e-15 * abs(fine))
 
 
@@ -325,7 +317,7 @@ def stiffness_entry_oracle(d, s, m, n, budget=None):
     pm = RadialProfile(spec, e_m)
     pn = RadialProfile(spec, e_n)
     pos = _ladder_pos_for_budget(budget)
-    est = reduced_form("radial", d, s, 0, pm, pn, pos=pos)
+    est = reduced_form(d, s, 0, pm, pn, (), pos)
     ang = sphere_area(d)
     return ValueWithError(ang * est.value, ang * est.error)
 
@@ -338,40 +330,20 @@ def _check_compat(u, v):
     return True
 
 
-def bilinear_form(u, v, params, rule=None):
+def bilinear_form(u, v, params):
     """E_s(u, v): the full double integral over R^N x R^N, exterior pairs
     reduced to the kernel-tail single integral.  Returns ValueWithError.
 
-    Deterministic schemes use the radial reduction; 'monte-carlo' samples the
-    unreduced double integral (independent check; carries a standard error).
-    'adaptive-subdivision' escalates the deterministic resolution until the
-    two-resolution error estimate meets rule.target_error or the node budget
-    is exhausted (BudgetExceeded).
+    The radial reduction at ladder position _FINE is the only path; its error
+    is the difference from the position below.  The Monte-Carlo estimator
+    _mc_bilinear samples the unreduced integral as an independent check.
     """
-    rule = rule or QuadratureRule()
     if not _check_compat(u, v):
         return ValueWithError(0.0, 0.0)  # exact: odd angular integrand
-    if rule.scheme == "monte-carlo":
-        return _mc_bilinear(u, v, params, rule)
     N, s, ell = params.N, params.s, u.ell
     breaks = tuple(sorted(set(u.breaks) | set(v.breaks)))
+    est = reduced_form(N, s, ell, u.profile, v.profile, breaks, _FINE)
     ang = angular_factor(N, ell)
-    if rule.scheme == "adaptive-subdivision":
-        target = rule.target_error if rule.target_error is not None else 1e-8
-        for pos in range(1, len(_LADDER)):
-            n_f, lev_f = _LADDER[pos]
-            eng = get_engine("radial", N, s, ell, breaks, n_f, lev_f)
-            if eng.n_pairs > rule.budget:
-                raise BudgetExceeded(
-                    f"error target {target:g} unreachable within {rule.budget} nodes"
-                )
-            est = reduced_form("radial", N, s, ell, u.profile, v.profile,
-                               breaks=breaks, pos=pos)
-            if ang * est.error <= target:
-                return ValueWithError(ang * est.value, ang * est.error)
-        raise BudgetExceeded(f"error target {target:g} unreachable at max resolution")
-    pos = _ladder_pos_for_budget(rule.budget)
-    est = reduced_form("radial", N, s, ell, u.profile, v.profile, breaks=breaks, pos=pos)
     return ValueWithError(ang * est.value, ang * est.error)
 
 
@@ -398,10 +370,10 @@ def linearized_potential_form(sol, v, w):
     return ValueWithError(ang * pot.value, ang * pot.error)
 
 
-def quadratic_form_L(sol, v, w, rule=None):
+def quadratic_form_L(sol, v, w):
     """E_{s,L}(v, w) = E_s(v, w) - int f'(u) v w dx for the linearization
     around the radial solution sol (a semilinear.RadialSolution)."""
-    return (bilinear_form(v, w, sol.params, rule)
+    return (bilinear_form(v, w, sol.params)
             - linearized_potential_form(sol, v, w))
 
 
@@ -503,7 +475,7 @@ def mc_remainder(u, v, N, s):
 # Pointwise (-Delta)^s via exact angular reduction
 
 
-def _sphere_mean_rule(r, t, N, cut_frac=0.8, n=12):
+def _sphere_mean_rule(r, t, N, cut_frac, n):
     """Nodes/weights reducing int_{S^{N-1}} F(x + t w) dsigma to the radius
     R = |x + t w|: returns (R, W, mu) with mu = cos angle(x, w-offset).
 
@@ -535,7 +507,7 @@ def _sphere_mean_rule(r, t, N, cut_frac=0.8, n=12):
     return R, sphere_area(N - 1) * w * dens, mu
 
 
-def _sphere_mean(u, r, t, N, cut_frac=0.8, n=12):
+def _sphere_mean(u, r, t, N, cut_frac, n):
     """I(t) = int_{S^{N-1}} u(x + t w) dsigma for separable u, x = r e_r.
 
     For ell = 1 profiles the result carries the factor (x_j / r) of the
@@ -551,7 +523,7 @@ def _sphere_mean(u, r, t, N, cut_frac=0.8, n=12):
         if u.ell == 1:
             return 0.0
         return float(sphere_area(N) * np.asarray(u.profile(np.atleast_1d(t)))[0])
-    R, w, mu = _sphere_mean_rule(r, t, N, cut_frac=cut_frac, n=n)
+    R, w, mu = _sphere_mean_rule(r, t, N, cut_frac, n)
     if R.size == 0:
         return 0.0
     p = np.asarray(u.profile(R), dtype=float)
@@ -562,23 +534,23 @@ def _sphere_mean(u, r, t, N, cut_frac=0.8, n=12):
     return float(np.dot(w, p * proj))
 
 
-def pointwise_flap(u, x, params, rule=None, margin=1e-3):
+def pointwise_flap(u, x, params):
     """(-Delta)^s u at an interior point x, by exact angular averaging.
 
     The angular integral makes the offset-average I(t) even to second order,
     so no principal value is needed: the value is
     c int_0^inf t^{-1-2s} [|S^{N-1}| u(x) - I(t)] dt with the near field on a
     Gauss-Jacobi rule absorbing t^{1-2s}.  Raises SingularityTooClose when
-    dist(x, boundary) < margin.
+    dist(x, boundary) < _FLAP_MARGIN.
     """
     N, s = params.N, params.s
     x = np.atleast_1d(np.asarray(x, dtype=float))
     r = float(np.linalg.norm(x))
     dist = 1.0 - r
-    if dist < margin:
+    if dist < _FLAP_MARGIN:
         raise SingularityTooClose(
-            f"evaluation point at distance {dist:.3e} from the boundary (margin {margin:g})"
-        )
+            f"evaluation point at distance {dist:.3e} from the boundary "
+            f"(margin {_FLAP_MARGIN:g})")
     c = frac_constant(N, s)
     S = sphere_area(N)
     ux_rad = float(np.asarray(u.profile(np.atleast_1d(r)))[0])  # radial part at r
@@ -614,20 +586,16 @@ def pointwise_flap(u, x, params, rule=None, margin=1e-3):
         ang = x[u.j - 1] / r if r > 0 else 0.0
         val *= ang
         err *= abs(ang)
-    if rule is not None and rule.target_error is not None and err > rule.target_error:
-        raise BudgetExceeded(
-            f"pointwise error estimate {err:.2e} above target {rule.target_error:g}"
-        )
     return ValueWithError(val, err)
 
 
-def pointwise_flap_radial_reduced(u, params, n=40):
+def pointwise_flap_radial_reduced(u, params):
     """(-Delta)^s u(0) for radial u by the elementary 1-D reduction:
     c |S^{N-1}| int_0^inf (u(0) - u(t)) t^{-1-2s} dt (independent check)."""
     N, s = params.N, params.s
     c = frac_constant(N, s)
     u0 = float(np.asarray(u.profile(np.atleast_1d(0.0)))[0])
-    tj, wj = jacobi_panel(0.0, 0.5, 1.0 - 2.0 * s, n, "left")
+    tj, wj = jacobi_panel(0.0, 0.5, 1.0 - 2.0 * s, 40, "left")
     acc = sum(w * (u0 - float(np.asarray(u.profile(np.atleast_1d(t)))[0])) * t**(-2.0)
               for t, w in zip(tj, wj))
     rule = segment_rule([0.5, 1.0], 12, grade={1.0}, levels=20, ratio=_RATIO)

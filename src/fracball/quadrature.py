@@ -1,8 +1,9 @@
-"""Panel-based Gauss quadrature utilities and the quadrature-rule descriptor.
+"""Panel-based Gauss quadrature and the Monte-Carlo sample descriptor.
 
 All singular integrals in the toolkit are handled by composite Gauss rules on
 panels that are geometrically graded into algebraic singularities, plus
-Gauss-Jacobi panels that absorb a known |h|^gamma weight exactly.
+Gauss-Jacobi panels that absorb a known |h|^gamma weight exactly; every radial
+rule is built by graded_rule or kink_rule.
 """
 
 from dataclasses import dataclass
@@ -34,30 +35,12 @@ class ValueWithError:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Scheme selector plus budget for the oracle integrators.
+    """Sample count and seed of the Monte-Carlo estimator of E_s
+    (nonlocal_quadrature._mc_bilinear).  The deterministic forms take no
+    rule: they always use the radial reduction at one fixed resolution."""
 
-    scheme: 'tensor-desingularized' (deterministic graded panels),
-    'adaptive-subdivision' (deterministic, refined until the two-resolution
-    error estimate meets target or the budget is exhausted), or 'monte-carlo'.
-    budget: node-count scale (deterministic) or sample count (monte-carlo).
-    """
-
-    scheme: str = "tensor-desingularized"
-    budget: int = 100_000
-    seed: int | None = None
-    target_error: float | None = None
-
-    def __post_init__(self):
-        if self.scheme not in (
-            "tensor-desingularized",
-            "adaptive-subdivision",
-            "monte-carlo",
-        ):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.scheme == "monte-carlo" and self.seed is None:
-            raise ValueError("monte-carlo rules require a seed")
+    budget: int
+    seed: int
 
 
 _LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -146,7 +129,7 @@ def graded_rule(a, b, toward, levels, ratio, n, gamma=None):
     return Rule(nodes.ravel(), weights.ravel())
 
 
-def segment_rule(breaks, n, grade=(), levels=14, ratio=0.3):
+def segment_rule(breaks, n, grade, levels, ratio):
     """Composite rule over [breaks[0], breaks[-1]] split at interior breaks.
 
     grade lists endpoint values (from breaks) toward which the adjacent panel
@@ -170,9 +153,9 @@ def segment_rule(breaks, n, grade=(), levels=14, ratio=0.3):
     return join_rules(*parts)
 
 
-def kink_points(breaks, a=0.0):
-    """a, 1 and the breaks strictly between them, sorted."""
-    return sorted({a, 1.0} | {float(x) for x in breaks if a < x < 1.0})
+def kink_points(breaks):
+    """0, 1 and the breaks strictly between them, sorted."""
+    return sorted({0.0, 1.0} | {float(x) for x in breaks if 0.0 < x < 1.0})
 
 
 def kink_rule(breaks, n, levels, ratio):

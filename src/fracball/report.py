@@ -76,15 +76,14 @@ def make_record(kind, inputs, payload):
     return {"kind": kind, "inputs": inputs, "payload": payload}
 
 
-def make_document(cfg, records, wall_time=None):
+def make_document(cfg, records, wall_time):
     """Full report: deterministic records plus a provenance block.
 
     Only the provenance block (wall-time) varies between identical runs;
     the records themselves are byte-identical given the same config/seed.
     """
-    provenance = {"version": SCHEMA_VERSION, "config-hash": config_hash(cfg)}
-    if wall_time is not None:
-        provenance["wall-time"] = wall_time
+    provenance = {"version": SCHEMA_VERSION, "config-hash": config_hash(cfg),
+                  "wall-time": wall_time}
     return {"provenance": provenance, "records": records}
 
 

@@ -137,7 +137,7 @@ class RadialSolution:
         return self.profile(r)
 
 
-def _interior_rule(spec, breaks=()):
+def _interior_rule(spec, breaks):
     """Composite Gauss rule for int_0^1 G(r) r^{d-1} dr, graded toward the
     boundary and split at the profile's sign-change radii (where |u|^{p-2}
     factors lose smoothness).  Shared by the load vector, the Newton
@@ -395,11 +395,10 @@ def energy(sol_or_coeffs, spec=None, nonlin=None, params=None, rule=None):
     return 0.5 * float(c @ A0 @ c) - ang * float(np.dot(w, nonlin.F(u)))
 
 
-def energy_gradient(coeffs, spec, nonlin, params, rule=None):
-    """Analytic gradient of energy() in the coefficients: A0 c - load(f, c)."""
+def energy_gradient(coeffs, spec, nonlin, params, rule):
+    """Analytic gradient of energy() in the coefficients on the (r, w) rule:
+    A0 c - load(f, c)."""
     c = np.asarray(coeffs, dtype=float)
-    if rule is None:
-        rule = _interior_rule(spec, RadialProfile(spec, c).sign_change_radii())
     r, w = rule
     A0 = stiffness_matrix(spec)
     phi = basis_matrix(spec, r)

@@ -13,11 +13,8 @@ verify_conjecture examines.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .basis import (RadialBasisSpec, RadialProfile, assemble_radial_operator,
-                    solve_radial_eigs)
-from .errors import TruncationUnsafe, UnsupportedAngularDegree
+from .basis import RadialBasisSpec, assemble_radial_operator, solve_radial_eigs
+from .errors import TruncationUnsafe
 from .params import ProblemParams, harmonic_multiplicity
 
 
@@ -134,31 +131,6 @@ def second_eigenvalue(params, K, oracle_budget=None):
     if rep.lam_antisymmetric <= rep.lam_radial_excited:
         return rep.lam_antisymmetric, (1, 0), gap
     return rep.lam_radial_excited, (0, 1), gap
-
-
-def eigenfunction_profile(spectrum, entry):
-    """RadialProfile of the radial factor of a spectrum entry."""
-    res = spectrum.radial[entry.ell]
-    return RadialProfile(res.spec, res.eigenvectors[:, entry.n])
-
-
-def eval_eigenfunction(spectrum, entry, x, j=1):
-    """Eigenfunction value V_ell(x) * phi(|x|) at points x (ell <= 1 only).
-
-    For ell = 1 the solid harmonic is V_1(x) = x_j.  The x -> -x symmetry of
-    the output is exact by construction.
-    """
-    if entry.ell > 1:
-        raise UnsupportedAngularDegree(
-            f"pointwise evaluation limited to ell <= 1, got ell={entry.ell}"
-        )
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(x, axis=1)
-    prof = eigenfunction_profile(spectrum, entry)
-    vals = prof(r)
-    if entry.ell == 1:
-        vals = vals * x[:, j - 1]
-    return vals if vals.size > 1 else float(vals[0])
 
 
 @dataclass

@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracball.basis import (RadialBasisSpec, RadialProfile,
-                            assemble_radial_operator, basis_eval,
-                            basis_matrix, dyda_factor, jacobi_at_one,
-                            mass_matrix, radial_derivative_profile,
+                            assemble_radial_operator, basis_matrix,
+                            dyda_factor, jacobi_at_one, mass_matrix,
                             solve_radial_eigs, stiffness_matrix)
-from fracball.errors import IndexOutOfRange
 
 
 def test_stiffness_is_positive_diagonal():
@@ -30,12 +28,6 @@ def test_basis_vanishes_outside_ball():
     vals = basis_matrix(spec, np.array([0.5, 1.0, 1.5]))
     assert np.all(vals[:, 1:] == 0.0)
     assert np.any(vals[:, 0] != 0.0)
-
-
-def test_basis_eval_index_range():
-    spec = RadialBasisSpec(2, 0.5, 4)
-    with pytest.raises(IndexOutOfRange):
-        basis_eval(spec, 4, 0.5)
 
 
 def test_first_eigenvalue_one_dimensional_half_laplacian():
@@ -99,8 +91,8 @@ def test_second_radial_eigenfunction_has_one_node():
 
 def test_derivative_profile_matches_finite_differences():
     res = solve_radial_eigs(assemble_radial_operator(RadialBasisSpec(2, 0.75, 16)))
-    du, _ = radial_derivative_profile(res, index=1)
     prof = RadialProfile(res.spec, res.eigenvectors[:, 1])
+    du = prof.derivative
     h = 1e-6
     for r in (0.2, 0.5, 0.8):
         fd = (float(prof(np.array([r + h]))[0]) - float(prof(np.array([r - h]))[0])) / (2 * h)

@@ -1,15 +1,12 @@
 import json
-import math
-import os
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fracball import cli
-from fracball.config import (CampaignConfig, config_roundtrip_ok,
-                             format_nonlinearity, parse_config_text,
-                             parse_nonlinearity)
+from fracball.config import (CampaignConfig, format_nonlinearity,
+                             parse_config_text, parse_nonlinearity)
 from fracball.errors import ConfigError
 from fracball.quadrature import ValueWithError
 from fracball.report import (config_hash, fmt_float, make_document,
@@ -68,7 +65,7 @@ def test_config_roundtrip():
     cfg = CampaignConfig(grid_N=[1, 3], grid_s=[0.25, 0.75],
                          grid_nonlinearity=["power(1, 3)", "linear(2)"],
                          trunc_K=20, seed=99, out_format="json")
-    assert config_roundtrip_ok(cfg)
+    assert parse_config_text(cfg.to_text()) == cfg
 
 
 def test_grid_points_cartesian_order():
@@ -168,7 +165,34 @@ def test_cli_jobs_env_fallback(monkeypatch):
     assert cli._resolve_jobs(None) == 5
     assert cli._resolve_jobs(3) == 3
     monkeypatch.setenv("FRACBALL_JOBS", "junk")
-    assert cli._resolve_jobs(None) == 1
+    with pytest.raises(ConfigError, match="FRACBALL_JOBS"):
+        cli._resolve_jobs(None)
+
+
+@pytest.mark.parametrize("command,extra,flags,env", [
+    ("eigs", "trunc.ell-max = -1\n", [], None),
+    ("eigs", "trunc.n-max = -1\n", [], None),
+    ("solve", "grid.target-nodes = 50\n", [], None),
+    ("solve", 'grid.nonlinearity = ["linear(5.0)"]\ngrid.target-nodes = -1\n',
+     [], None),
+    ("eigs", "tol.oracle-budget = -5\n", [], None),
+    ("eigs", "", ["--jobs", "0"], None),
+    ("eigs", "", [], "abc"),
+    ("eigs", "", ["--seed", "-1"], None),
+], ids=["ell-max", "n-max", "target-nodes-above-K", "target-nodes-negative",
+        "oracle-budget", "jobs-flag", "jobs-env", "seed-flag"])
+def test_cli_rejects_out_of_range_settings(tmp_path, capsys, monkeypatch,
+                                           command, extra, flags, env):
+    monkeypatch.delenv("FRACBALL_JOBS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("FRACBALL_JOBS", env)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text('grid.N = [1]\ngrid.s = [0.5]\ntrunc.K = 12\n' + extra)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)] + flags
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_solve_surfaces_subcriticality_warning():

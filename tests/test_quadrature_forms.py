@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from fracball.basis import RadialBasisSpec, RadialProfile, dyda_factor
-from fracball.errors import (BudgetExceeded, DimensionUnsupported,
-                             SingularityTooClose)
-from fracball.nonlocal_quadrature import (SeparableFunction, bilinear_form,
+from fracball.basis import (RadialBasisSpec, RadialProfile, dyda_factor,
+                            stiffness_matrix)
+from fracball.errors import DimensionUnsupported, SingularityTooClose
+from fracball.nonlocal_quadrature import (SeparableFunction, _mc_bilinear,
+                                          angular_factor, bilinear_form,
                                           exterior_tail, pointwise_flap,
                                           pointwise_flap_radial_reduced,
                                           radial_potential_integral,
                                           stiffness_entry_oracle)
-from fracball.params import ProblemParams
+from fracball.params import ProblemParams, sphere_area
 from fracball.quadrature import (QuadratureRule, ValueWithError, graded_rule,
                                  segment_rule)
 
@@ -44,26 +45,6 @@ def test_bilinear_form_incompatible_parity_exact_zero():
     assert est.value == 0.0 and est.error == 0.0
 
 
-def test_adaptive_subdivision_matches_fixed_rule():
-    params = ProblemParams(2, 0.6)
-    u = _basis_fn(2, 0.6, 1)
-    fixed = bilinear_form(u, u, params)
-    adapt = bilinear_form(u, u, params,
-                          QuadratureRule("adaptive-subdivision",
-                                         budget=10_000_000, target_error=1e-7))
-    assert adapt.error <= 1e-7
-    assert abs(adapt.value - fixed.value) <= 1e-6 * abs(fixed.value)
-
-
-def test_adaptive_subdivision_budget_exhaustion():
-    params = ProblemParams(2, 0.6)
-    u = _basis_fn(2, 0.6, 1)
-    with pytest.raises(BudgetExceeded):
-        bilinear_form(u, u, params,
-                      QuadratureRule("adaptive-subdivision", budget=10,
-                                     target_error=1e-14))
-
-
 @pytest.mark.parametrize("N,s", [(1, 0.3), (2, 0.6)])
 def test_monte_carlo_unbiased_across_seeds(N, s):
     # Sample mean over 32 independent streams lies within 4 standard errors
@@ -73,9 +54,7 @@ def test_monte_carlo_unbiased_across_seeds(N, s):
     exact = bilinear_form(u, u, params).value
     vals, ses = [], []
     for seed in range(32):
-        est = bilinear_form(u, u, params,
-                            QuadratureRule("monte-carlo", budget=20_000,
-                                           seed=seed))
+        est = _mc_bilinear(u, u, params, QuadratureRule(20_000, seed))
         vals.append(est.value)
         ses.append(est.error)
     mean = np.mean(vals)
@@ -88,23 +67,41 @@ def test_monte_carlo_samplers_reject_large_s(s):
     # offsets have density ~ t^{-(2s - 1/2)}: not normalisable at s >= 3/4,
     # and at s = 0.74 some samples overflow to nan
     from fracball.morse import _mc_quadratic_pair
-    from fracball.nonlocal_quadrature import _mc_bilinear
 
     params = ProblemParams(2, s)
     u = _basis_fn(2, s, 1)
     with pytest.raises(DimensionUnsupported):
         _mc_quadratic_pair(u, u, params, 200_000, 5)
     with pytest.raises(DimensionUnsupported):
-        _mc_bilinear(u, u, params, QuadratureRule("monte-carlo", 200_000, seed=5))
+        _mc_bilinear(u, u, params, QuadratureRule(200_000, 5))
 
 
 def test_monte_carlo_deterministic_given_seed():
     params = ProblemParams(2, 0.6)
     u = _basis_fn(2, 0.6, 0)
-    rule = QuadratureRule("monte-carlo", budget=5_000, seed=42)
-    a = bilinear_form(u, u, params, rule)
-    b = bilinear_form(u, u, params, rule)
+    rule = QuadratureRule(5_000, 42)
+    a = _mc_bilinear(u, u, params, rule)
+    b = _mc_bilinear(u, u, params, rule)
     assert (a.value, a.error) == (b.value, b.error)
+
+
+@pytest.mark.parametrize("N,s", [(1, 0.3), (2, 0.2), (2, 0.7), (3, 0.5)])
+def test_coordinate_form_matches_closed_form(N, s):
+    # x_1 phi_m(|x|) with phi_m the basis of effective dimension N + 2: the
+    # ell = 1 form E_s is the (m, n) stiffness entry in that dimension, up to
+    # the angular measures (kdiff_total, exterior_tail(ell=1) and the grading
+    # toward r = 0 all enter)
+    params = ProblemParams(N, s)
+    A = stiffness_matrix(RadialBasisSpec(N + 2, s, 4))
+    conv = angular_factor(N, 1) / sphere_area(N + 2)
+    fns = [_basis_fn(N + 2, s, n, K=4) for n in range(3)]
+    coord = [SeparableFunction(lambda r, p=f.profile: r * p(r), "coordinate")
+             for f in fns]
+    for m in range(3):
+        for n in range(m, 3):
+            est = bilinear_form(coord[m], coord[n], params)
+            bound = 1e-8 * conv * np.sqrt(A[m, m] * A[n, n])
+            assert abs(est.value - conv * A[m, n]) <= bound
 
 
 def test_exterior_tail_positive_decreasing():

@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 
 from fracball.params import ProblemParams, harmonic_multiplicity
-from fracball.spectrum import (assemble_full_spectrum, eval_eigenfunction,
-                               second_eigenvalue, verify_conjecture)
+from fracball.spectrum import (assemble_full_spectrum, second_eigenvalue,
+                               verify_conjecture)
 
 
 @pytest.fixture(scope="module")
@@ -45,18 +44,6 @@ def test_conjecture_verdict_yes(N, s):
     assert rep.gap > rep.error_bar
     assert rep.second_eigenspace_antisymmetric
     assert rep.multiplicity == harmonic_multiplicity(N, 1)
-
-
-def test_eval_eigenfunction_parity(spectrum_n3):
-    entry1 = next(e for e in spectrum_n3.entries if e.ell == 1)
-    x = np.array([[0.3, 0.2, -0.1], [0.5, 0.0, 0.4]])
-    plus = eval_eigenfunction(spectrum_n3, entry1, x)
-    minus = eval_eigenfunction(spectrum_n3, entry1, -x)
-    assert np.array_equal(np.asarray(plus), -np.asarray(minus))
-    entry0 = spectrum_n3.entries[0]
-    even_plus = eval_eigenfunction(spectrum_n3, entry0, x)
-    even_minus = eval_eigenfunction(spectrum_n3, entry0, -x)
-    assert np.array_equal(np.asarray(even_plus), np.asarray(even_minus))
 
 
 def test_one_dimensional_parity_decomposition_exhaustive():

@@ -53,7 +53,7 @@ def test_tracer_engine_methods(tracer):
 
     for meth in tracer.ENGINE_METHODS:
         assert callable(getattr(PairFormEngine, meth, None))
-    eng = PairFormEngine("radial", 2, 0.5, 0, (), 5, 10)
+    eng = PairFormEngine(2, 0.5, 0, (), 5, 10)
     n_pairs, nbytes = tracer._engine_size((eng,), {}, None)
     assert n_pairs == eng.rho.size > 0
     assert nbytes > 0

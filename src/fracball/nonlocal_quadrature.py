@@ -20,11 +20,13 @@ behavior exactly.  Everything is deterministic; a Monte-Carlo estimator of
 the unreduced 2N-dimensional integral is provided as an independent check.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import RadialBasisSpec, basis_matrix
 from .errors import DimensionUnsupported, SingularityTooClose
 from .kernels import kappa_ell, kappa_moments
 from .params import frac_constant, sphere_area
@@ -98,7 +100,8 @@ def _lev_for(scale, span, base=2, cap=45):
 
 
 def _gap_rule(G, s, n, lev_far, far_sing):
-    """Rule in the gap coordinate delta in (0, G] for the diagonal approach.
+    """Rules in the gap coordinate delta in (0, G] for the diagonal approach,
+    one row per entry of the array G.
 
     The innermost panel is Gauss-Jacobi absorbing delta^{1-2s}, so that all
     nodes share the plain convention sum(w * F(delta)) ~ int F.
@@ -109,19 +112,51 @@ def _gap_rule(G, s, n, lev_far, far_sing):
         graded_rule(mid, G, "right", lev_far if far_sing else 2, _RATIO, n))
 
 
-def _far_segment_rule(r, p, q, lev_sing, sing, n):
-    """Rule on a segment (p, q) not containing the outer node r: each half is
-    graded toward its end, the end nearer r by its distance from r, and an
-    end in sing at least lev_sing deep."""
+def _far_levels(r, p, q, lev_sing, sing):
+    """Grading depths at p and q of the rule on a segment (p, q) not
+    containing the outer node r: the end nearer r is graded by its distance
+    from r, and an end in sing at least lev_sing deep."""
     near = p if r < p else q
 
     def lev(end):
         base = _lev_for(abs(end - r), q - p) if end == near else 2
         return max(base, lev_sing) if end in sing else base
 
+    return lev(p), lev(q)
+
+
+def _far_segment_rule(p, q, lev_p, lev_q, n):
+    """Rule on (p, q) whose halves are graded toward their ends, lev_p and
+    lev_q deep."""
     mid = 0.5 * (p + q)
-    return join_rules(graded_rule(p, mid, "left", lev(p), _RATIO, n),
-                      graded_rule(mid, q, "right", lev(q), _RATIO, n))
+    return join_rules(graded_rule(p, mid, "left", lev_p, _RATIO, n),
+                      graded_rule(mid, q, "right", lev_q, _RATIO, n))
+
+
+def _interleave(pieces):
+    """Flatten pieces (key, rows, *columns) into the engine's pair order.
+
+    Each piece holds one row of inner nodes for each outer node in rows (a
+    column may also be one row shared by all of them).  The flat order is
+    outer node by outer node, and within one outer node by key.  Returns the
+    outer-node index of every pair and the flattened columns.
+    """
+    owner = np.concatenate([rows for _, rows, *_ in pieces])
+    key = np.concatenate([np.full(rows.size, k) for k, rows, *_ in pieces])
+    width = np.concatenate([np.full(rows.size, np.shape(cols[0])[-1])
+                            for _, rows, *cols in pieces])
+    order = np.lexsort((key, owner))
+    start = np.empty_like(width)
+    start[order] = np.cumsum(width[order]) - width[order]
+    total = int(width.sum())
+    out = [np.empty(total, dtype=np.intp)] + [np.empty(total) for _ in pieces[0][2:]]
+    lo = 0
+    for _, rows, *cols in pieces:
+        dst = start[lo:lo + rows.size, None] + np.arange(np.shape(cols[0])[-1])
+        lo += rows.size
+        for arr, col in zip(out, (rows[:, None], *cols)):
+            arr[dst] = col
+    return out
 
 
 _KDIFF_CACHE = {}
@@ -201,7 +236,16 @@ class PairFormEngine:
     """Precomputed node/weight tables for one reduced bilinear form.
 
     form(g, h) returns the radial-reduced value; the full N-dimensional form
-    is angular_factor(N, ell) times that.
+    is angular_factor(N, ell) times that.  stiffness_gram(spec) returns form
+    on every pair of a basis's first functions at once.
+
+    Pair i couples the outer node r_out[idx[i]] with the inner node rho[i].
+    The tables are built with arrays, segment by segment: the gap rules of
+    all outer nodes inside a segment come from one graded_rule call per
+    side, and a far-segment rule, which depends on the outer node only
+    through its two grading depths, is built once per depths and shared.
+    The pairs are ordered outer node by outer node, then by segment: form
+    sums in that order, so the order fixes its floating-point result.
     """
 
     def __init__(self, N, s, ell, breaks, n, lev):
@@ -213,35 +257,30 @@ class PairFormEngine:
         mpow = N - 1
         self.r_out, self.w_out = segment_rule(pts, n, grade=sing, levels=lev,
                                               ratio=_RATIO)
-        idx_l, rho_l, h_l, win_l = [], [], [], []
-        for i, r in enumerate(self.r_out):
-            for p, q in zip(pts[:-1], pts[1:]):
-                if p < r < q:
-                    for sgn, end, far_sing in ((1.0, q, q in sing), (-1.0, p, p in sing)):
-                        delta, w = _gap_rule(abs(end - r), s, n, lev, far_sing)
-                        rho_l.append(r + sgn * delta)
-                        h_l.append(delta)
-                        win_l.append(w)
-                        idx_l.append(np.full(delta.size, i, dtype=np.intp))
-                else:
-                    rho, w = _far_segment_rule(r, p, q, lev, sing, n)
-                    rho_l.append(rho)
-                    h_l.append(np.abs(rho - r))
-                    win_l.append(w)
-                    idx_l.append(np.full(rho.size, i, dtype=np.intp))
-        self.idx = np.concatenate(idx_l)
-        rho = np.concatenate(rho_l)
-        h = np.concatenate(h_l)
-        win = np.concatenate(win_l)
-        self.rho = rho
-        kap = kappa_ell(self.r_out[self.idx], rho, h, N, s, ell)
-        meas = (self.r_out[self.idx] * rho) ** mpow if mpow else 1.0
+        pieces = []  # (key, outer-node rows, rho, |rho - r|, inner weights)
+        for k, (p, q) in enumerate(zip(pts[:-1], pts[1:])):
+            inside = (p < self.r_out) & (self.r_out < q)
+            rows = np.flatnonzero(inside)
+            r = self.r_out[rows, None]
+            for j, (sgn, end) in enumerate(((1.0, q), (-1.0, p))):
+                delta, w = _gap_rule(np.abs(end - r[:, 0]), s, n, lev, end in sing)
+                pieces.append((2 * k + j, rows, r + sgn * delta, delta, w))
+            far = np.flatnonzero(~inside)
+            levels = [_far_levels(self.r_out[i], p, q, lev, sing) for i in far]
+            for lp_lq in set(levels):
+                rows = far[[lv == lp_lq for lv in levels]]
+                rho, w = _far_segment_rule(p, q, *lp_lq, n)
+                pieces.append((2 * k, rows, rho, np.abs(rho - self.r_out[rows, None]), w))
+        self.idx, self.rho, h, win = _interleave(pieces)
+        kap = kappa_ell(self.r_out[self.idx], self.rho, h, N, s, ell)
+        meas = (self.r_out[self.idx] * self.rho) ** mpow if mpow else 1.0
         self.kw = self.w_out[self.idx] * win * kap * meas
         # diagonal tail weights (per unit kernel constant)
         tail = exterior_tail(self.r_out, N, s, ell=ell)
         if ell == 1:
             tail = tail + kdiff_total(N, s) * self.r_out ** (-2.0 * s)
         self.wdiag = self.w_out * self.r_out ** mpow * tail
+        self._grams = {}
 
     @property
     def n_pairs(self):
@@ -254,6 +293,12 @@ class PairFormEngine:
             out[lo:lo + _FORM_BLOCK] = f(self.rho[lo:lo + _FORM_BLOCK])
         return out
 
+    def _sum(self, g_out, dg, h_out, dh):
+        """The form from the profiles at the outer nodes and their pair
+        differences g(r_out[idx]) - g(rho)."""
+        return self.c * (0.5 * float(np.dot(self.kw, dg * dh))
+                         + float(np.dot(self.wdiag, g_out * h_out)))
+
     def form(self, g, h=None):
         """Reduced bilinear form of two radial profiles (h defaults to g)."""
         g_out = np.asarray(g(self.r_out), dtype=float)
@@ -263,8 +308,27 @@ class PairFormEngine:
         else:
             h_out = np.asarray(h(self.r_out), dtype=float)
             dh = h_out[self.idx] - self._inner(h)
-        return self.c * (0.5 * float(np.dot(self.kw, dg * dh))
-                         + float(np.dot(self.wdiag, g_out * h_out)))
+        return self._sum(g_out, dg, h_out, dh)
+
+    def stiffness_gram(self, spec):
+        """K x K matrix of form(phi_m, phi_n) over the basis functions
+        phi_0 .. phi_{K-1} of spec (basis.basis_matrix), memoised per spec.
+
+        The basis is evaluated once at the outer nodes and once at the inner
+        ones, in _FORM_BLOCK blocks, and each entry is summed as form sums
+        it, so it equals form on the unit-coefficient profiles bit for bit.
+        """
+        if spec not in self._grams:
+            phi = basis_matrix(spec, self.r_out)
+            D = np.empty((spec.K, self.rho.size))
+            for lo in range(0, self.rho.size, _FORM_BLOCK):
+                hi = lo + _FORM_BLOCK
+                D[:, lo:hi] = phi[:, self.idx[lo:hi]] - basis_matrix(spec, self.rho[lo:hi])
+            gram = np.empty((spec.K, spec.K))
+            for m, n in itertools.combinations_with_replacement(range(spec.K), 2):
+                gram[m, n] = gram[n, m] = self._sum(phi[m], D[m], phi[n], D[n])
+            self._grams[spec] = gram
+        return self._grams[spec]
 
 
 _ENGINE_CACHE = {}
@@ -272,6 +336,9 @@ _ENGINE_CACHE = {}
 # (n, lev) resolution ladder; each entry's error partner is the one before it
 _LADDER = [(5, 10), (7, 16), (10, 22), (13, 26), (16, 28)]
 _FINE = 2  # ladder position of bilinear_form and of an unset oracle budget
+# the oracle's stiffness Grams hold at least this many basis functions: the
+# assembly gates check the leading 4 x 4 block
+_GRAM_K = 4
 
 
 def get_engine(N, s, ell, breaks, n, lev):
@@ -295,29 +362,37 @@ def _ladder_pos_for_budget(budget):
     return pos
 
 
+def _engine_pair(N, s, ell, breaks, pos):
+    """The engines at ladder position pos and at its error partner below."""
+    return (get_engine(N, s, ell, breaks, *_LADDER[pos]),
+            get_engine(N, s, ell, breaks, *_LADDER[max(pos - 1, 0)]))
+
+
+def _two_resolution(fine, coarse):
+    """The fine value with |fine - coarse| (plus a 1e-15 relative floor) as
+    its absolute error."""
+    return ValueWithError(fine, abs(fine - coarse) + 1e-15 * abs(fine))
+
+
 def reduced_form(N, s, ell, g, h, breaks, pos):
     """Reduced radial form with a two-resolution absolute error estimate."""
-    n_f, lev_f = _LADDER[pos]
-    n_c, lev_c = _LADDER[max(pos - 1, 0)]
-    fine = get_engine(N, s, ell, breaks, n_f, lev_f).form(g, h)
-    coarse = get_engine(N, s, ell, breaks, n_c, lev_c).form(g, h)
-    return ValueWithError(fine, abs(fine - coarse) + 1e-15 * abs(fine))
+    fine, coarse = _engine_pair(N, s, ell, breaks, pos)
+    return _two_resolution(fine.form(g, h), coarse.form(g, h))
 
 
 def stiffness_entry_oracle(d, s, m, n, budget=None):
     """Full-form stiffness entry E_s(phi_m, phi_n) in effective dimension d,
-    computed from the singular kernel alone (no closed-form coefficients)."""
-    from .basis import RadialBasisSpec, RadialProfile
+    computed from the singular kernel alone (no closed-form coefficients).
 
-    spec = RadialBasisSpec(d, s, max(m, n, 1) + 1)
-    e_m = np.zeros(spec.K)
-    e_m[m] = 1.0
-    e_n = np.zeros(spec.K)
-    e_n[n] = 1.0
-    pm = RadialProfile(spec, e_m)
-    pn = RadialProfile(spec, e_n)
-    pos = _ladder_pos_for_budget(budget)
-    est = reduced_form(d, s, 0, pm, pn, (), pos)
+    The entry is read from the stiffness_gram of the two ladder engines, so
+    the gated entries of one (d, s, budget) share one basis evaluation per
+    engine; it equals |S^{d-1}| reduced_form on the unit-coefficient
+    profiles of phi_m and phi_n bit for bit.
+    """
+    spec = RadialBasisSpec(d, s, max(m, n, _GRAM_K - 1) + 1)
+    fine, coarse = _engine_pair(d, s, 0, (), _ladder_pos_for_budget(budget))
+    est = _two_resolution(float(fine.stiffness_gram(spec)[m, n]),
+                          float(coarse.stiffness_gram(spec)[m, n]))
     ang = sphere_area(d)
     return ValueWithError(ang * est.value, ang * est.error)
 
@@ -423,7 +498,7 @@ def mc_offset_sample(u, v, N, s, vol, M, rng, draw_x, draw_dir):
         t = 2.0 * rng.random(m) ** (1.0 / (1.0 - beta))
         y = x + t[:, None] * draw_dir(rng, m)
         du = u(x) - u(y)
-        dv = v(x) - v(y)
+        dv = du if v is u else v(x) - v(y)
         samp = 0.5 * c * const * t ** (beta - 1.0 - 2.0 * s) * du * dv
         total += float(samp.sum())
         total_sq += float((samp**2).sum())

@@ -20,9 +20,6 @@ class ValueWithError:
     value: float
     error: float
 
-    def __float__(self):
-        return float(self.value)
-
     @property
     def finite(self):
         """Both the value and its error are finite numbers."""
@@ -76,16 +73,26 @@ def jacobi_panel(a, b, gamma, n, singular_at="left"):
 
     Returned weights absorb the |t - t_sing|^gamma factor: sum(w * f(x))
     approximates the weighted integral of f alone times the weight.
+
+    a and b may be column arrays of shape (m, 1), one panel per row.  The
+    factor L**(gamma + 1) is then still taken as a scalar power row by row:
+    NumPy's array power can differ from the scalar one in the last bit.
     """
     t, w = _jacobi01(n, gamma)
     L = b - a
+    if np.ndim(L) == 0:
+        scale = L ** (gamma + 1.0)
+    else:
+        scale = np.reshape([x ** (gamma + 1.0) for x in np.ravel(L)], np.shape(L))
     if singular_at == "left":
-        return a + L * t, w * L ** (gamma + 1.0)
-    return b - L * t, w * L ** (gamma + 1.0)
+        return a + L * t, w * scale
+    return b - L * t, w * scale
 
 
 def graded_edges(a, b, toward, levels, ratio):
-    """Panel edges on (a, b) geometrically refined toward one endpoint."""
+    """Panel edges on (a, b) geometrically refined toward one endpoint.
+
+    With a, b column arrays of shape (m, 1), one row of edges per row."""
     L = b - a
     sizes = ratio ** np.arange(levels, -1, -1.0)
     sizes = sizes / sizes.sum()
@@ -104,9 +111,10 @@ class Rule(NamedTuple):
 
 
 def join_rules(*rules):
-    """One rule from several, nodes in the order given."""
-    return Rule(np.concatenate([r[0] for r in rules]),
-                np.concatenate([r[1] for r in rules]))
+    """One rule from several, nodes in the order given (row by row for rules
+    of several rows)."""
+    return Rule(np.concatenate([r[0] for r in rules], axis=-1),
+                np.concatenate([r[1] for r in rules], axis=-1))
 
 
 def graded_rule(a, b, toward, levels, ratio, n, gamma=None):
@@ -117,16 +125,23 @@ def graded_rule(a, b, toward, levels, ratio, n, gamma=None):
     by |t - end|^-gamma, so that every node shares the plain convention
     sum(w * f(t)) ~ int_a^b f while f = |t - end|^gamma * poly stays exact.
     Nodes are ascending except inside a right-end Jacobi panel.
+
+    a and b may be 1-D arrays (or one of them a scalar): the result then has
+    one row of nodes and weights per (a, b) pair, each row equal bit for bit
+    to the scalar call's rule.
     """
-    edges = graded_edges(a, b, toward, levels, ratio)
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    edges = graded_edges(np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1)),
+                         toward, levels, ratio)
     x, w = _legendre01(n)
-    lo, hi = edges[:-1, None], edges[1:, None]
+    lo, hi = edges[:, :-1, None], edges[:, 1:, None]
     nodes, weights = lo + (hi - lo) * x, (hi - lo) * w
     if gamma is not None:
         i = 0 if toward == "left" else -1
-        t, wj = jacobi_panel(lo[i, 0], hi[i, 0], gamma, n, toward)
-        nodes[i], weights[i] = t, wj * np.abs(t - edges[i]) ** (-gamma)
-    return Rule(nodes.ravel(), weights.ravel())
+        t, wj = jacobi_panel(lo[:, i], hi[:, i], gamma, n, toward)
+        nodes[:, i], weights[:, i] = t, wj * np.abs(t - edges[:, [i]]) ** (-gamma)
+    nodes, weights = nodes.reshape(len(edges), -1), weights.reshape(len(edges), -1)
+    return Rule(nodes[0], weights[0]) if scalar else Rule(nodes, weights)
 
 
 def segment_rule(breaks, n, grade, levels, ratio):

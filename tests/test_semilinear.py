@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fracball import semilinear
 from fracball.errors import NoConvergence, TruncationUnsafe
 from fracball.params import ProblemParams
-from fracball.semilinear import (TAIL_TOL, NonlinearitySpec, boundary_ratio,
+from fracball.semilinear import (TAIL_TOL, NonlinearitySpec,
                                  check_subcriticality, coefficient_tail,
                                  energy, energy_gradient, pohozaev_residual,
                                  solve_radial_resolved,
@@ -67,16 +67,17 @@ def test_converged_cubic_solution_properties(cubic_n2):
     assert sol.residual < 1e-9
     assert not sol.linear_degenerate
     assert sol.psi0_at_1 == pytest.approx(sol.profile.boundary_ratio(), rel=1e-12)
-    # callable evaluation matches the profile
-    r = np.array([0.1, 0.5, 0.9])
-    assert np.allclose(sol(r), sol.profile(r))
+    # the profile vanishes on and outside the unit sphere
+    assert np.all(sol.profile(np.array([1.0, 1.2])) == 0.0)
 
 
 def test_boundary_ratio_classification(cubic_n2):
-    _, _, sol = cubic_n2
-    value, sign = boundary_ratio(sol)
-    assert value == pytest.approx(sol.psi0_at_1)
-    assert sign == ("nonnegative" if value >= 0.0 else "negative")
+    params, _, sol = cubic_n2
+    # psi0(1) = lim u(r)/(1-r)^s, so its sign is the profile's at the boundary
+    r = 1.0 - 1e-7
+    limit = float(sol.profile(np.array([r]))[0]) / (1.0 - r) ** params.s
+    assert limit == pytest.approx(sol.psi0_at_1, rel=1e-5)
+    assert (sol.psi0_at_1 >= 0.0) == (limit >= 0.0)
 
 
 def test_scaling_covariance_of_power_solutions():

@@ -261,6 +261,28 @@ class RadialProfile:
         P = jacobi_all(self.spec.K, self.spec.alpha, self.spec.beta, t)
         return self.coeffs @ P
 
+    def poly_at(self, x):
+        """q(x) at one float radius, bit for bit float(poly_part(x)[0]).
+
+        The root finder's evaluator: jacobi_all's recurrence in Python
+        floats, without NumPy's per-operation cost on 1-element arrays, into
+        the (K, 1) column jacobi_all returns, so the sum is the same BLAS
+        call.  x * x, not x ** 2: the scalar power differs from NumPy's
+        array square in the last bit for some x.
+        """
+        K, a, b = self.spec.K, self.spec.alpha, self.spec.beta
+        t = 2.0 * (x * x) - 1.0
+        P = [1.0]
+        if K > 1:
+            P.append(0.5 * (a + b + 2.0) * t + 0.5 * (a - b))
+        for n in range(2, K):
+            h = 2.0 * n + a + b
+            c1 = 2.0 * n * (n + a + b) * (h - 2.0)
+            c2 = (h - 1.0) * (h * (h - 2.0) * t + a * a - b * b)
+            c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * h
+            P.append((c2 * P[n - 1] - c3 * P[n - 2]) / c1)
+        return float((self.coeffs @ np.array(P).reshape(K, 1))[0])
+
     def __call__(self, r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.where(r < 1.0, np.abs(1.0 - r**2) ** self.spec.s, 0.0)
@@ -296,7 +318,7 @@ class RadialProfile:
         from scipy.optimize import brentq
 
         for i in idx:
-            roots.append(brentq(lambda x: float(self.poly_part(x)[0]), r[i], r[i + 1]))
+            roots.append(brentq(self.poly_at, r[i], r[i + 1]))
         return roots
 
     def nodal_count(self):

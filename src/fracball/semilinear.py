@@ -108,7 +108,7 @@ class RadialSolution:
     nonlin: NonlinearitySpec
     spec: RadialBasisSpec
     coefficients: np.ndarray
-    nodal_count: int
+    breaks: tuple  # interior roots of the profile (kinks of |u|^{p-2} terms)
     psi0_at_1: float
     residual: float
     newton_iterations: int
@@ -125,9 +125,9 @@ class RadialSolution:
         return self._profile
 
     @property
-    def breaks(self):
-        """Interior roots of the profile (kinks of |u|^{p-2} terms)."""
-        return tuple(self.profile.sign_change_radii())
+    def nodal_count(self):
+        """Number of sign changes of the profile on (0, 1)."""
+        return len(self.breaks)
 
     def linearized_potential(self, r):
         """f'(u(r)), the potential of the linearization L = (-Delta)^s - f'(u)."""
@@ -146,12 +146,14 @@ def _interior_rule(spec, breaks):
     return r, w * r ** (spec.d - 1)
 
 
-def _load_and_jacobian(spec, nonlin, phi, r, w, coeffs, ang):
-    u = coeffs @ phi
-    fu = nonlin.f(u)
-    load = ang * (phi @ (w * fu))
-    M = ang * (phi * (w * nonlin.fprime(u))[None, :]) @ phi.T
-    return load, M
+def _load(nonlin, phi, w, c, ang):
+    """Galerkin load int f(u) phi_m on the rule (phi = basis at its nodes)."""
+    return ang * (phi @ (w * nonlin.f(c @ phi)))
+
+
+def _jacobian(nonlin, phi, w, c, ang):
+    """Derivative of _load in the coefficients: int f'(u) phi_m phi_n."""
+    return ang * (phi * (w * nonlin.fprime(c @ phi))[None, :]) @ phi.T
 
 
 def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=24,
@@ -187,9 +189,10 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=24,
     if degenerate:
         prof = RadialProfile(spec, v_lin)
         return RadialSolution(params, nonlin, spec, v_lin.copy(),
-                              prof.nodal_count(), prof.boundary_ratio(),
-                              residual=0.0, newton_iterations=0,
-                              newton_tol=newton_tol, linear_degenerate=True)
+                              tuple(prof.sign_change_radii()),
+                              prof.boundary_ratio(), residual=0.0,
+                              newton_iterations=0, newton_tol=newton_tol,
+                              linear_degenerate=True)
 
     ang = sphere_area(params.N)
     if explicit:
@@ -224,23 +227,26 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=24,
             p_path = list(np.arange(2.5, nonlin.p, 0.25)) + [nonlin.p]
             c = amplitude_seed(NonlinearitySpec("power", nonlin.lam, p_path[0]))
 
-    def newton_phase(nl, c, breaks, tol, r, w, phi):
-        """Damped Newton at a fixed quadrature rule; returns (c, res, iters)."""
+    def newton_phase(nl, c, tol, w, phi):
+        """Damped Newton at a fixed quadrature rule; returns (c, res, iters).
+
+        The Jacobian is formed only to take a step: the stopping test and
+        the line search need the residual alone.
+        """
         it = 0
         res_norm = np.inf
         for _ in range(max_iter):
-            load, M = _load_and_jacobian(spec, nl, phi, r, w, c, ang)
-            R = A0 @ c - load
+            R = A0 @ c - _load(nl, phi, w, c, ang)
             res_norm = float(np.linalg.norm(R))
             if res_norm < tol:
                 return c, res_norm, it
             it += 1
-            step = np.linalg.solve(A0 - M, R)
+            step = np.linalg.solve(A0 - _jacobian(nl, phi, w, c, ang), R)
             # backtracking damping on the residual norm
             lam_step = 1.0
             for _ in range(30):
                 c_try = c - lam_step * step
-                load_t, _ = _load_and_jacobian(spec, nl, phi, r, w, c_try, ang)
+                load_t = _load(nl, phi, w, c_try, ang)
                 if float(np.linalg.norm(A0 @ c_try - load_t)) < res_norm:
                     break
                 lam_step *= 0.5
@@ -276,7 +282,7 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=24,
         for _phase in range(4):
             r, w = _interior_rule(spec, breaks)
             phi = basis_matrix(spec, r)
-            c, res_norm, it = newton_phase(nl_step, c, breaks, tol_step, r, w, phi)
+            c, res_norm, it = newton_phase(nl_step, c, tol_step, w, phi)
             total_it += it
             new_breaks = tuple(RadialProfile(spec, c).sign_change_radii())
             if len(new_breaks) == len(breaks) and (
@@ -288,15 +294,18 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=24,
 
     if float(np.linalg.norm(c)) < 1e-10:
         raise TrivialSolution("Newton iteration collapsed onto u = 0")
-    prof = RadialProfile(spec, c)
-    nodes = prof.nodal_count()
+    # new_breaks are the roots of the returned c; breaks may still be the
+    # previous phase's, which can differ below 1e-11
+    nodes = len(new_breaks)
     if nodes != target_nodes:
         raise WrongNodalCount(
             f"converged to a profile with {nodes} sign changes, wanted {target_nodes}"
         )
-    return RadialSolution(params, nonlin, spec, c, nodes, prof.boundary_ratio(),
-                          residual=res_norm, newton_iterations=total_it,
-                          newton_tol=newton_tol, quad_r=r, quad_w=w)
+    prof = RadialProfile(spec, c)
+    return RadialSolution(params, nonlin, spec, c, new_breaks,
+                          prof.boundary_ratio(), residual=res_norm,
+                          newton_iterations=total_it, newton_tol=newton_tol,
+                          quad_r=r, quad_w=w, _profile=prof)
 
 
 def coefficient_tail(coeffs):
@@ -392,6 +401,4 @@ def energy_gradient(coeffs, spec, nonlin, params, rule):
     r, w = rule
     A0 = stiffness_matrix(spec)
     phi = basis_matrix(spec, r)
-    ang = sphere_area(params.N)
-    load, _ = _load_and_jacobian(spec, nonlin, phi, r, w, c, ang)
-    return A0 @ c - load
+    return A0 @ c - _load(nonlin, phi, w, c, sphere_area(params.N))

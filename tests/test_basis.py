@@ -89,6 +89,19 @@ def test_second_radial_eigenfunction_has_one_node():
     assert abs(float(prof(np.array([roots[0]]))[0])) < 1e-10
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_poly_at_equals_the_array_evaluation(d):
+    # the root finder's scalar recurrence reproduces poly_part bit for bit.
+    # x ** 2 in place of x * x changes t at about 1 radius in 2000, so most
+    # radii go to the cheap small K; the reference costs K NumPy steps
+    rng = np.random.default_rng(d)
+    for s in (0.1, 0.25, 0.5, 0.6, 0.75, 0.9):
+        for K in (2, 3, 12, 48, 192):
+            prof = RadialProfile(RadialBasisSpec(d, s, K), rng.standard_normal(K))
+            for x in rng.random(100 if K <= 12 else 10).tolist():
+                assert prof.poly_at(x) == float(prof.poly_part(x)[0]), (s, K, x)
+
+
 def test_derivative_profile_matches_finite_differences():
     res = solve_radial_eigs(assemble_radial_operator(RadialBasisSpec(2, 0.75, 16)))
     prof = RadialProfile(res.spec, res.eigenvectors[:, 1])

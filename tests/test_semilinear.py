@@ -169,3 +169,28 @@ def test_resolved_solve_raises_when_cap_too_small(monkeypatch):
         solve_radial_resolved(ProblemParams(2, 0.5),
                               NonlinearitySpec("power", 1.0, 3.0),
                               target_nodes=1, K=24)
+
+
+def test_jacobian_formed_only_to_take_a_step(monkeypatch):
+    calls = []
+    jacobian = semilinear._jacobian
+
+    def counted(*args):
+        calls.append(1)
+        return jacobian(*args)
+
+    monkeypatch.setattr(semilinear, "_jacobian", counted)
+    sol = solve_radial_sign_changing(ProblemParams(2, 0.6),
+                                     NonlinearitySpec("power", 1.0, 3.0),
+                                     target_nodes=1, K=24)
+    assert len(calls) == sol.newton_iterations > 0
+    # the roots carried from the last phase are those of the returned profile
+    assert sol.breaks == tuple(sol.profile.sign_change_radii())
+    assert sol.nodal_count == len(sol.breaks) == 1
+    # a stalled solve forms one Jacobian per step, none in its line searches
+    calls.clear()
+    with pytest.raises(NoConvergence):
+        solve_radial_sign_changing(ProblemParams(3, 0.6),
+                                   NonlinearitySpec("power", 1.0, 2.5),
+                                   target_nodes=2, K=24)
+    assert len(calls) == 60

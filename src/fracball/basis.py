@@ -186,7 +186,7 @@ def assemble_radial_operator(spec, potential=None, potential_breaks=(),
     A = stiffness_matrix(spec)
     B = mass_matrix(spec)
     if oracle_budget is not None:
-        _oracle_gate(spec, A, oracle_budget)
+        stiffness_oracle_gate(spec, A, oracle_budget)
     if potential is not None:
         from .params import sphere_area
 
@@ -197,7 +197,10 @@ def assemble_radial_operator(spec, potential=None, potential_breaks=(),
     return RadialOperatorPair(spec, A, B, potential_tag=potential_tag)
 
 
-def _oracle_gate(spec, A, budget):
+def stiffness_oracle_gate(spec, A, budget):
+    """Check the leading min(4, K)^2 block of the potential-free stiffness A
+    against the singular-kernel oracle; raise OracleMismatch on a mismatch
+    or a non-finite estimate."""
     from .nonlocal_quadrature import stiffness_entry_oracle
 
     m = min(4, spec.K)
@@ -226,12 +229,21 @@ class RadialEigenResult:
     pair: RadialOperatorPair = field(repr=False, default=None)
 
 
-def solve_radial_eigs(pair):
-    """Solve A x = lambda B x; eigenpairs ascending and B-orthonormal."""
+def generalized_eigh(pair):
+    """Eigenpairs of A x = lambda B x, ascending and B-orthonormal.
+
+    Raises MassNotPD when B cannot be factorized.
+    """
     try:
-        lam, vec = scipy.linalg.eigh(pair.A, pair.B)
+        return scipy.linalg.eigh(pair.A, pair.B)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise MassNotPD(f"mass matrix factorization failed: {exc}") from exc
+
+
+def solve_radial_eigs(pair):
+    """Solve A x = lambda B x; eigenpairs ascending and B-orthonormal, with
+    convergence estimates against the K-2 truncation."""
+    lam, vec = generalized_eigh(pair)
     K = pair.spec.K
     conv = np.full(K, np.inf)
     if K > 2:

@@ -281,13 +281,19 @@ def build_parser():
 
 
 def main(argv=None):
+    from .spectrum import solve_sector
+
     args = build_parser().parse_args(argv)
     try:
         cfg = _with_overrides(load_config(args.config), args)
         t0 = time.time()
+        memo0 = solve_sector.cache_info()
         records, tables, exit_code = _COMMANDS[args.command](
             cfg, cfg.jobs, cfg.tol_oracle_budget)
-        doc = make_document(cfg, records, wall_time=round(time.time() - t0, 3))
+        memo = solve_sector.cache_info()
+        doc = make_document(cfg, records, wall_time=round(time.time() - t0, 3),
+                            sector_memo={"hits": memo.hits - memo0.hits,
+                                         "misses": memo.misses - memo0.misses})
     except FracballError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

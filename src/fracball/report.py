@@ -76,14 +76,16 @@ def make_record(kind, inputs, payload):
     return {"kind": kind, "inputs": inputs, "payload": payload}
 
 
-def make_document(cfg, records, wall_time):
+def make_document(cfg, records, wall_time, sector_memo=None):
     """Full report: deterministic records plus a provenance block.
 
-    Only the provenance block (wall-time) varies between identical runs;
-    the records themselves are byte-identical given the same config/seed.
+    Only the provenance block (wall-time, and the sector-memo hits and
+    misses, which depend on what the process solved before) varies between
+    identical runs; the records themselves are byte-identical given the
+    same config/seed.
     """
     provenance = {"version": SCHEMA_VERSION, "config-hash": config_hash(cfg),
-                  "wall-time": wall_time}
+                  "wall-time": wall_time, "sector-memo": sector_memo}
     return {"provenance": provenance, "records": records}
 
 

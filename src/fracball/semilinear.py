@@ -14,7 +14,7 @@ from math import gamma
 import numpy as np
 
 from .basis import (RadialBasisSpec, RadialProfile, assemble_radial_operator,
-                    basis_matrix, solve_radial_eigs, stiffness_matrix)
+                    basis_matrix, generalized_eigh, stiffness_matrix)
 from .errors import (NoConvergence, NotConverged, TrivialSolution,
                      TruncationUnsafe, WrongNodalCount)
 from .params import ProblemParams, sphere_area
@@ -183,9 +183,9 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=24,
     )
     explicit = not (isinstance(init, str) and init == "from-eigenfunction")
     if degenerate or not explicit:
-        eig = solve_radial_eigs(pair)
-        lam_lin = float(eig.eigenvalues[target_nodes])
-        v_lin = eig.eigenvectors[:, target_nodes]
+        lam, vec = generalized_eigh(pair)
+        lam_lin = float(lam[target_nodes])
+        v_lin = vec[:, target_nodes]
     if degenerate:
         prof = RadialProfile(spec, v_lin)
         return RadialSolution(params, nonlin, spec, v_lin.copy(),

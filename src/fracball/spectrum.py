@@ -8,12 +8,20 @@ eigenvalues with their spherical-harmonic multiplicities.  The second
 eigenvalue is the smaller of lambda_{N+2,0} (antisymmetric, ell = 1) and
 lambda_{N,1} (radial with one sign change); their ordering is what
 verify_conjecture examines.
+
+A potential-free sector depends on (d, s, K) alone, and the same sector
+recurs across N (N = 1, ell = 1 is N = 3, ell = 0) and between commands, so
+its eigenvalues are solved once per process and memoised.
 """
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .basis import RadialBasisSpec, assemble_radial_operator, solve_radial_eigs
+import numpy as np
+
+from .basis import (RadialBasisSpec, assemble_radial_operator,
+                    solve_radial_eigs, stiffness_matrix, stiffness_oracle_gate)
 from .errors import TruncationUnsafe
 from .params import ProblemParams, harmonic_multiplicity
 
@@ -48,12 +56,40 @@ class SpectrumLabeled:
         return sum(e.multiplicity for e in self.entries if e.lam < threshold)
 
 
+@dataclass(frozen=True)
+class RadialSector:
+    """Ascending eigenvalues of one potential-free radial sector and their
+    convergence estimates (against the K-2 truncation), as read-only arrays."""
+
+    spec: RadialBasisSpec
+    eigenvalues: np.ndarray
+    convergence: np.ndarray
+
+
+@functools.lru_cache(maxsize=1024)
+def solve_sector(spec):
+    """The RadialSector of spec, solved once per process.
+
+    Keyed on the exact spec (s is not rounded), and holding values only:
+    the operator pair and eigenvectors are dropped, so the memo stays small.
+    """
+    res = solve_radial_eigs(assemble_radial_operator(spec))
+    for arr in (res.eigenvalues, res.convergence):
+        arr.flags.writeable = False
+    return RadialSector(spec, res.eigenvalues, res.convergence)
+
+
 def radial_family(params, ell, K, oracle_budget=None):
-    """Radial eigenproblem for angular degree ell (effective d = N + 2*ell)."""
+    """Radial eigenproblem for angular degree ell (effective d = N + 2*ell).
+
+    With oracle_budget set, the stiffness gate runs on every call, memoised
+    sector or not, and a failing gate raises OracleMismatch.
+    """
     harmonic_multiplicity(params.N, ell)  # validates ell for this N
     spec = RadialBasisSpec(params.N + 2 * ell, params.s, K)
-    pair = assemble_radial_operator(spec, oracle_budget=oracle_budget)
-    return solve_radial_eigs(pair)
+    if oracle_budget is not None:
+        stiffness_oracle_gate(spec, stiffness_matrix(spec), oracle_budget)
+    return solve_sector(spec)
 
 
 def assemble_full_spectrum(params, ell_max, n_max, K, oracle_budget=None, jobs=1):

@@ -3,6 +3,13 @@ import pytest
 
 from fracball.params import ProblemParams
 from fracball.semilinear import NonlinearitySpec, solve_radial_sign_changing
+from fracball.spectrum import solve_sector
+
+
+@pytest.fixture(autouse=True)
+def cold_sector_memo():
+    """Every test starts with no memoised radial sector."""
+    solve_sector.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -140,6 +140,20 @@ def test_cli_eigs_writes_reports(tmp_path):
     assert (tmp_path / "out" / "eigs.csv").exists()
 
 
+def test_cli_provenance_counts_sector_memo(tmp_path):
+    # one N = 1 point: sectors ell = 0, 1 (the parity classes), both read
+    # again by the second-eigenvalue check; a second run reads them all
+    cfg = _write_config(tmp_path)
+    memo = []
+    for name in ("cold", "warm"):
+        out = tmp_path / name
+        assert cli.main(["eigs", "--config", cfg, "--out", str(out),
+                         "--format", "json"]) == 0
+        memo.append(json.loads((out / "eigs.json").read_text())
+                    ["provenance"]["sector-memo"])
+    assert memo == [{"hits": 2, "misses": 2}, {"hits": 4, "misses": 0}]
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.txt"
     cfg.write_text("grid.unknown = 1\n")

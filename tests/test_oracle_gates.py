@@ -11,7 +11,9 @@ import pytest
 from fracball import acceptance, morse, nonlocal_quadrature
 from fracball.basis import RadialBasisSpec, assemble_radial_operator
 from fracball.errors import OracleMismatch
+from fracball.params import ProblemParams
 from fracball.quadrature import ValueWithError
+from fracball.spectrum import radial_family
 
 NAN = ValueWithError(math.nan, math.nan)
 
@@ -24,6 +26,14 @@ def test_stiffness_gate_rejects_nan(monkeypatch):
     monkeypatch.setattr(nonlocal_quadrature, "stiffness_entry_oracle", _nan_oracle)
     with pytest.raises(OracleMismatch):
         assemble_radial_operator(RadialBasisSpec(2, 0.5, 4), oracle_budget=50_000)
+
+
+def test_memoised_sector_still_gated(monkeypatch):
+    params = ProblemParams(2, 0.5)
+    radial_family(params, 0, 4)
+    monkeypatch.setattr(nonlocal_quadrature, "stiffness_entry_oracle", _nan_oracle)
+    with pytest.raises(OracleMismatch):
+        radial_family(params, 0, 4, oracle_budget=50_000)
 
 
 def test_acceptance_oracle_gate_rejects_nan(monkeypatch):

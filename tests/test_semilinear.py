@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -194,3 +195,21 @@ def test_jacobian_formed_only_to_take_a_step(monkeypatch):
                                    NonlinearitySpec("power", 1.0, 2.5),
                                    target_nodes=2, K=24)
     assert len(calls) == 60
+
+
+@pytest.mark.parametrize("nonlin", [NonlinearitySpec("power", 1.0, 3.0),
+                                    NonlinearitySpec("linear", 10.0)],
+                         ids=["power", "linear"])
+def test_seed_eigenpair_from_one_eigh(monkeypatch, nonlin):
+    # the seed reads one eigenpair; the K-2 convergence re-solve is not run
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    solve_radial_sign_changing(ProblemParams(2, 0.6), nonlin, target_nodes=1,
+                               K=24)
+    assert len(calls) == 1

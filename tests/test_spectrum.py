@@ -1,7 +1,13 @@
+from collections import Counter
+
 import pytest
 
+from fracball import cli, spectrum
+from fracball.config import CampaignConfig
 from fracball.params import ProblemParams, harmonic_multiplicity
-from fracball.spectrum import (assemble_full_spectrum, second_eigenvalue,
+from fracball.report import render_json
+from fracball.spectrum import (assemble_full_spectrum, radial_family,
+                               second_eigenvalue, solve_sector,
                                verify_conjecture)
 
 
@@ -55,6 +61,7 @@ def test_one_dimensional_parity_decomposition_exhaustive():
 
 def test_parallel_assembly_matches_serial():
     serial = assemble_full_spectrum(ProblemParams(3, 0.6), 3, 3, 16, jobs=1)
+    solve_sector.cache_clear()  # else the pool only reads the memo
     parallel = assemble_full_spectrum(ProblemParams(3, 0.6), 3, 3, 16, jobs=4)
     assert [(e.ell, e.n, e.lam) for e in serial.entries] == \
         [(e.ell, e.n, e.lam) for e in parallel.entries]
@@ -66,3 +73,58 @@ def test_sentinel_truncation_flag():
     spec = assemble_full_spectrum(ProblemParams(2, 0.5), ell_max=1, n_max=8, K=16)
     assert not spec.truncation_safe
     assert spec.sentinel_lam < max(e.lam for e in spec.entries)
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """Counts the potential-free assemblies by spec."""
+    counts = Counter()
+    assemble = spectrum.assemble_radial_operator
+
+    def counted(spec):
+        counts[spec] += 1
+        return assemble(spec)
+
+    monkeypatch.setattr(spectrum, "assemble_radial_operator", counted)
+    return counts
+
+
+def test_sector_shared_across_dimension_split(assembled):
+    # N = 1, ell = 1 and N = 3, ell = 0 are the same radial problem, d = 3
+    a = radial_family(ProblemParams(1, 0.3), 1, 16)
+    b = radial_family(ProblemParams(3, 0.3), 0, 16)
+    assert sum(assembled.values()) == 1
+    assert a is b
+
+
+def test_eigs_point_solves_each_sector_once(assembled):
+    params = ProblemParams(2, 0.5)
+    assemble_full_spectrum(params, 2, 3, 20)
+    second_eigenvalue(params, 20)
+    # sectors ell = 0, 1, 2 and the sentinel ell = 3
+    assert sorted(spec.d for spec in assembled) == [2, 4, 6, 8]
+    assert set(assembled.values()) == {1}
+
+
+def test_sector_arrays_read_only():
+    res = radial_family(ProblemParams(2, 0.5), 0, 12)
+    for arr in (res.eigenvalues, res.convergence):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_eigs_and_conjecture_records_same_cold_and_warm():
+    cfg = CampaignConfig(grid_N=[1, 2, 3], grid_s=[0.3, 0.75], trunc_K=16,
+                         trunc_ell_max=2)
+
+    commands = (cli.cmd_eigs, cli.cmd_conjecture)
+    cold = []
+    for command in commands:
+        solve_sector.cache_clear()
+        cold.append(render_json(command(cfg, 1, None)[0]))
+    solve_sector.cache_clear()
+    for _ in range(2):  # the second pass solves nothing
+        misses = solve_sector.cache_info().misses
+        warm = [render_json(command(cfg, 1, None)[0]) for command in commands]
+        assert warm == cold
+    assert solve_sector.cache_info().misses == misses

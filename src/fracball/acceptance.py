@@ -18,11 +18,12 @@ import numpy as np
 
 from .basis import RadialBasisSpec, stiffness_matrix
 from .config import CampaignConfig
-from .errors import FracballError, TruncationUnsafe
+from .errors import FracballError
 from .nonlocal_quadrature import stiffness_entry_oracle
 from .params import ProblemParams
 from .report import render_json
 from .spectrum import assemble_full_spectrum, radial_family, verify_conjecture
+from .truncation import ELL_START, K_START, escalate_ell
 
 # Nonlinear campaign grid for the sign-changing solutions: per ambient
 # dimension, one fractional order above one half (case A1) and one at or
@@ -33,9 +34,6 @@ NONLINEAR_CASES = {
     "A2": {1: (0.5, 3.0), 2: (0.5, 3.0), 3: (0.5, 2.5)},
 }
 POHOZAEV_TOL = 1e-3
-# basis size of the criteria; the nonlinear cases start from it and raise it
-TRUNC_K = 24
-ELL_CAP = 8  # largest ell_max the Morse-index escalation tries
 MORSE_GRID_S = (0.25, 0.5, 0.75)
 ORACLE_GRID = [(d, s) for d in (1, 2, 3, 5) for s in (0.25, 0.5, 0.75)]
 
@@ -73,7 +71,7 @@ def conjecture_sweep(oracle_budget=None):
     passed = True
     for N in range(1, 7):
         for s in (0.1, 0.25, 0.5, 0.75, 0.9):
-            rep = verify_conjecture(ProblemParams(N, s), TRUNC_K,
+            rep = verify_conjecture(ProblemParams(N, s), K_START,
                                     oracle_budget=oracle_budget)
             ok = rep.verdict == "yes" and rep.gap > 5.0 * rep.error_bar
             passed = passed and ok
@@ -90,7 +88,7 @@ def monotonicity(oracle_budget=None):
     for s in MORSE_GRID_S:
         lam, conv = [], []
         for d in range(1, 11):
-            res = radial_family(ProblemParams(d, s), 0, TRUNC_K,
+            res = radial_family(ProblemParams(d, s), 0, K_START,
                                 oracle_budget=oracle_budget)
             lam.append(float(res.eigenvalues[0]))
             conv.append(float(res.convergence[0]))
@@ -114,15 +112,15 @@ def linear_morse_crosscheck(oracle_budget=None):
     for N in (1, 2, 3):
         for s in MORSE_GRID_S:
             params = ProblemParams(N, s)
-            lam = float(radial_family(params, 0, TRUNC_K,
+            lam = float(radial_family(params, 0, K_START,
                                       oracle_budget=oracle_budget).eigenvalues[1])
             sol = solve_radial_sign_changing(params,
                                              NonlinearitySpec("linear", lam),
-                                             target_nodes=1, K=TRUNC_K,
+                                             target_nodes=1, K=K_START,
                                              oracle_budget=oracle_budget)
-            rep = morse_index(params, sol, ell_max=3,
+            rep = morse_index(params, sol, ell_max=ELL_START,
                               oracle_budget=oracle_budget)
-            spec = assemble_full_spectrum(params, 3, 8, TRUNC_K,
+            spec = assemble_full_spectrum(params, ELL_START, 8, K_START,
                                           oracle_budget=oracle_budget)
             expected = spec.below(lam)
             # The count is trustworthy when no sector beyond ell_max can
@@ -135,31 +133,15 @@ def linear_morse_crosscheck(oracle_budget=None):
     return CriterionResult("linear-morse-crosscheck", passed, {"rows": rows})
 
 
-def _morse_with_escalation(params, sol, oracle_budget):
-    """Morse index, raising ell_max from 3 up to ELL_CAP until the top sector
-    is positive."""
-    from .morse import morse_index
-
-    ell_max = 3
-    while True:
-        try:
-            return morse_index(params, sol, ell_max=ell_max,
-                               oracle_budget=oracle_budget)
-        except TruncationUnsafe:
-            if ell_max >= ELL_CAP:
-                raise
-            ell_max += 1
-
-
 def solve_nonlinear_case(case, oracle_budget=None):
     """Converged 1-node solutions for one case of the nonlinear grid.
 
-    TRUNC_K is the starting basis size; each case raises it until its
-    coefficient tail is resolved (solve_radial_resolved) and its row reports
-    the K used.
-    Returns (results, solutions); solutions are reused by the linearization
-    criteria so the campaign solves each problem once.
+    Each case raises K from K_START until its coefficient tail is resolved
+    (solve_radial_resolved), and its row reports the K used.  Returns
+    (results, solutions), solutions mapping N to the MorseReport of its
+    solution, which the linearization criteria reuse.
     """
+    from .morse import morse_index
     from .semilinear import (NonlinearitySpec, pohozaev_residual,
                              solve_radial_resolved)
 
@@ -171,13 +153,14 @@ def solve_nonlinear_case(case, oracle_budget=None):
         nl = NonlinearitySpec("power", 1.0, p)
         row = {"N": N, "s": s, "p": p}
         try:
-            sol = solve_radial_resolved(params, nl, target_nodes=1, K=TRUNC_K,
+            sol = solve_radial_resolved(params, nl, target_nodes=1, K=K_START,
                                         newton_tol=1e-10,
                                         oracle_budget=oracle_budget)
             row["K"] = sol.spec.K
-            rep = _morse_with_escalation(params, sol, oracle_budget)
+            rep = escalate_ell(lambda ell_max: morse_index(
+                params, sol, ell_max=ell_max, oracle_budget=oracle_budget))
             _, _, rel = pohozaev_residual(sol)
-            solutions[N] = (params, nl, sol, rep)
+            solutions[N] = rep
             row.update({"nodal-count": sol.nodal_count, "pohozaev-rel": rel,
                         "theorem-check": rep.theorem_check,
                         "ok": rel < POHOZAEV_TOL
@@ -197,11 +180,11 @@ def first_eigen_negative(solutions):
 
     rows = []
     passed = bool(solutions)
-    for N, (params, nl, sol, rep) in sorted(solutions.items()):
-        lam1, ell, _, definite = first_linearized_eigen(params, sol)
+    for N, rep in sorted(solutions.items()):
+        lam1, ell, _, definite = first_linearized_eigen(rep)
         ok = lam1 < 0.0 and ell == 0 and definite
         passed = passed and ok
-        rows.append({"N": N, "s": params.s, "lambda1L": lam1, "ell": ell,
+        rows.append({"N": N, "s": rep.params.s, "lambda1L": lam1, "ell": ell,
                      "sign-definite": definite, "ok": ok})
     return CriterionResult("first-linearized-eigenvalue", passed,
                            {"rows": rows})
@@ -219,10 +202,9 @@ def test_function_signs(solutions):
             passed = False
             rows.append({"N": N, "error": "no converged solution"})
             continue
-        params, nl, sol, _ = solutions[N]
-        tfr = test_function_checks(params, sol)
+        tfr = test_function_checks(solutions[N])
         reports[N] = tfr
-        row = {"N": N, "s": params.s, "method": tfr.method}
+        row = {"N": N, "s": tfr.params.s, "method": tfr.method}
         checks = []
         for j, est in sorted(tfr.diag.items()):
             checks.append(est.value + 3.0 * est.error < 0.0)
@@ -260,11 +242,12 @@ def gradient_check(solutions=None):
                              solve_radial_sign_changing)
 
     if solutions and 2 in solutions:
-        params, nl, sol, _ = solutions[2]
+        sol = solutions[2].solution
+        params, nl = sol.params, sol.nonlin
     else:
         params = ProblemParams(2, 0.7)
         nl = NonlinearitySpec("power", 1.0, 3.0)
-        sol = solve_radial_sign_changing(params, nl, target_nodes=1, K=TRUNC_K)
+        sol = solve_radial_sign_changing(params, nl, target_nodes=1, K=K_START)
     h, tol = 1e-4, 1e-6
     spec, rule = sol.spec, (sol.quad_r, sol.quad_w)
     c0 = np.asarray(sol.coefficients, dtype=float)

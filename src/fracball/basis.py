@@ -11,7 +11,7 @@ closed-form coefficients are treated as untrusted input: assembly can be
 cross-checked entry by entry against the singular-kernel quadrature oracle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -166,7 +166,6 @@ class RadialOperatorPair:
     spec: RadialBasisSpec
     A: np.ndarray
     B: np.ndarray
-    potential_tag: str | None = None
 
     def __post_init__(self):
         scale = np.abs(self.A).max()
@@ -175,7 +174,7 @@ class RadialOperatorPair:
 
 
 def assemble_radial_operator(spec, potential=None, potential_breaks=(),
-                             potential_tag=None, oracle_budget=None):
+                             oracle_budget=None):
     """Assemble (A, B) for E_s minus an optional radial potential term.
 
     With oracle_budget set, the leading min(4, K)^2 block of the
@@ -193,8 +192,7 @@ def assemble_radial_operator(spec, potential=None, potential_breaks=(),
         A = A - sphere_area(spec.d) * radial_weighted_integrals(
             spec, potential, breaks=potential_breaks
         )
-        potential_tag = potential_tag or "radial-potential"
-    return RadialOperatorPair(spec, A, B, potential_tag=potential_tag)
+    return RadialOperatorPair(spec, A, B)
 
 
 def stiffness_oracle_gate(spec, A, budget):
@@ -226,7 +224,6 @@ class RadialEigenResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     convergence: np.ndarray
-    pair: RadialOperatorPair = field(repr=False, default=None)
 
 
 def generalized_eigh(pair):
@@ -250,7 +247,7 @@ def solve_radial_eigs(pair):
         sub = scipy.linalg.eigh(pair.A[: K - 2, : K - 2], pair.B[: K - 2, : K - 2],
                                 eigvals_only=True)
         conv[: K - 2] = np.abs(lam[: K - 2] - sub)
-    return RadialEigenResult(pair.spec, lam, vec, conv, pair=pair)
+    return RadialEigenResult(pair.spec, lam, vec, conv)
 
 
 class RadialProfile:

@@ -217,7 +217,7 @@ def cmd_morse(cfg, jobs, oracle_budget):
         records.append(make_record("morse", inputs, payload))
         if params.N <= 2 and not sol.linear_degenerate:
             try:
-                tfr = test_function_checks(params, sol, seed=cfg.seed or 20240824)
+                tfr = test_function_checks(rep, seed=cfg.seed or 20240824)
                 tf_payload = {
                     "method": tfr.method,
                     "sign-convention": tfr.sign_convention,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .params import ProblemParams
 from .semilinear import NonlinearitySpec
+from .truncation import ELL_START, K_START
 
 _NONLIN_RE = re.compile(r"^\s*([a-z-]+)\s*\(\s*([^)]*)\s*\)\s*$")
 
@@ -57,8 +58,8 @@ class CampaignConfig:
     grid_s: list = field(default_factory=lambda: [0.5])
     grid_nonlinearity: list = field(default_factory=lambda: ["power(1.0, 3.0)"])
     grid_target_nodes: int = 1
-    trunc_K: int = 24
-    trunc_ell_max: int = 3
+    trunc_K: int = K_START
+    trunc_ell_max: int = ELL_START
     trunc_n_max: int = 8
     tol_newton: float = 1e-10
     tol_oracle_budget: int | None = None

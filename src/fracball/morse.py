@@ -4,6 +4,7 @@ Because f'(u) is radial, L preserves each angular sector, so its spectrum
 splits into radial blocks in effective dimension N + 2*ell.  The block
 reduction is treated as a gated assumption: the ell = 0 and ell = 1 blocks
 are cross-checked against the singular-kernel quadrature oracle before use.
+morse_index solves each sector once; the later stages read its report.
 Alongside the index live the signed-derivative test functions d_j whose
 negative energy forces the lower bound index >= N + 1, together with the
 quadratic-form checks that reproduce that argument numerically.
@@ -25,6 +26,7 @@ from .nonlocal_quadrature import (SeparableFunction, angular_factor,
                                   radial_potential_integral)
 from .params import ProblemParams, harmonic_multiplicity, sphere_area
 from .quadrature import ValueWithError
+from .truncation import ELL_START, angular_sectors, coarse_K
 
 
 # ---------------------------------------------------------------------------
@@ -32,16 +34,11 @@ from .quadrature import ValueWithError
 
 
 _GATE_TOL_REL = 1e-4
-_gate_cache = set()
 
 
 def _gate_block(params, sol, ell, pair):
     """Validate a linearized block entry against the full singular-kernel
-    quadrature (once per (solution, ell) per process)."""
-    key = (params.N, params.s, ell, sol.spec.K,
-           hash(sol.coefficients.tobytes()))
-    if key in _gate_cache:
-        return
+    quadrature."""
     d = params.N + 2 * ell
     spec_d = pair.spec
     e0 = np.zeros(spec_d.K)
@@ -50,7 +47,6 @@ def _gate_block(params, sol, ell, pair):
     if ell == 0:
         v = SeparableFunction(profile=g, angular="constant",
                               label="first basis function")
-        block_val = pair.A[0, 0]
         conv = 1.0
     else:
         # ambient trial x_1 * g(|x|): separable profile r * g(r); the block
@@ -59,10 +55,9 @@ def _gate_block(params, sol, ell, pair):
         v = SeparableFunction(profile=lambda r: np.asarray(r) * np.asarray(g(r)),
                               angular="coordinate", j=1,
                               label="x1 times first basis function")
-        block_val = pair.A[0, 0]
         conv = angular_factor(params.N, 1) / sphere_area(d)
     est = quadratic_form_L(sol, v, v)
-    target = conv * block_val
+    target = conv * pair.A[0, 0]
     scale = max(abs(est.value), abs(target))
     tol = max(10.0 * est.error, _GATE_TOL_REL * scale)
     if not est.finite or abs(est.value - target) > tol:
@@ -70,20 +65,19 @@ def _gate_block(params, sol, ell, pair):
             f"linearized ell={ell} block entry {target:.10g} vs oracle "
             f"{est.value:.10g} +/- {est.error:.2g}"
         )
-    _gate_cache.add(key)
 
 
 def assemble_linearized(params, sol, ell, K, oracle_budget=None):
     """Radial operator pair for L in the angular sector ell.
 
     The ell = 0 and ell = 1 blocks are validated against the quadrature
-    oracle once per build (OracleMismatch on failure).
+    oracle on every assembly (OracleMismatch on failure).
     """
     harmonic_multiplicity(params.N, ell)  # validates ell for this N
     spec = RadialBasisSpec(params.N + 2 * ell, params.s, K)
     pair = assemble_radial_operator(
         spec, potential=sol.linearized_potential, potential_breaks=sol.breaks,
-        potential_tag=f"fprime({sol.nonlin.family})", oracle_budget=oracle_budget)
+        oracle_budget=oracle_budget)
     if ell <= 1:
         _gate_block(params, sol, ell, pair)
     return pair
@@ -106,39 +100,29 @@ class SectorCount:
 @dataclass
 class MorseReport:
     params: ProblemParams
-    solution_residual: float
+    solution: object  # the RadialSolution linearized about
+    sectors: list  # RadialEigenResult of L per ell, at the solution's K
     per_ell: list
     total_index: int
     marginal_total: int
     lambda1L: float
     lambda1L_is_radial: bool
     theorem_check: str  # 'passes' | 'fails' | 'not-applicable'
-    ell_max: int
-    K: int
 
 
-def _sector_eigs(params, sol, ell_max, oracle_budget):
-    """Eigen-results of L in the sectors ell = 0..ell_max, in order, at the
-    solution's basis size; for N = 1 the parity classes ell = 0, 1 are
-    exhaustive, so ell_max is clamped to 1.
-    """
-    if params.N == 1:
-        ell_max = min(ell_max, 1)
-    return [solve_radial_eigs(assemble_linearized(params, sol, ell, sol.spec.K,
-                                                  oracle_budget=oracle_budget))
-            for ell in range(ell_max + 1)]
-
-
-def morse_index(params, sol, ell_max=3, oracle_budget=None):
+def morse_index(params, sol, ell_max=ELL_START, oracle_budget=None):
     """Count negative eigenvalues of L per sector, weighted by multiplicity.
 
     An eigenvalue counts as negative only when value + convergence < 0;
     eigenvalues within their convergence estimate of zero are reported as
     marginal and never included in the total.  Raises TruncationUnsafe when
-    the sector beyond the last negative one still reaches below zero.
+    the top sector solved still reaches below zero and the sectors are not
+    exhaustive.
     """
-    sectors = _sector_eigs(params, sol, ell_max, oracle_budget)
-    ell_max = len(sectors) - 1
+    ells, sentinel = angular_sectors(params.N, ell_max)
+    sectors = [solve_radial_eigs(assemble_linearized(params, sol, ell, sol.spec.K,
+                                                     oracle_budget=oracle_budget))
+               for ell in ells]
     per_ell = []
     for ell, res in enumerate(sectors):
         lam = res.eigenvalues
@@ -155,8 +139,7 @@ def morse_index(params, sol, ell_max=3, oracle_budget=None):
                                    float(conv[0]),
                                    harmonic_multiplicity(params.N, ell)))
     last = per_ell[-1]
-    exhaustive = params.N == 1 and ell_max >= 1
-    if not exhaustive and last.smallest - last.convergence <= 0.0:
+    if sentinel is not None and last.smallest - last.convergence <= 0.0:
         raise TruncationUnsafe(
             f"sector ell={last.ell} still reaches {last.smallest:.3e}; raise ell_max"
         )
@@ -168,19 +151,20 @@ def morse_index(params, sol, ell_max=3, oracle_budget=None):
         check = "not-applicable"
     else:
         check = "passes" if total >= params.N + 1 else "fails"
-    return MorseReport(params, sol.residual, per_ell, total, marg, lam1,
-                       lam1_radial, check, ell_max, sectors[0].spec.K)
+    return MorseReport(params, sol, sectors, per_ell, total, marg, lam1,
+                       lam1_radial, check)
 
 
-def first_linearized_eigen(params, sol):
+def first_linearized_eigen(rep):
     """(lambda_{1,L}, sector, radial profile, sign-definite) of the first
-    eigenvalue of the linearized operator, over the sectors ell <= 3."""
-    sectors = _sector_eigs(params, sol, 3, None)
+    eigenvalue of the linearized operator, over the sectors of the
+    MorseReport rep."""
+    sectors = rep.sectors
     ell1 = min(range(len(sectors)), key=lambda ell: sectors[ell].eigenvalues[0])
     res = sectors[ell1]
     lam1 = float(res.eigenvalues[0])
     prof = RadialProfile(res.spec, res.eigenvectors[:, 0])
-    return lam1, ell1, prof, _sign_definite(prof, params.N)
+    return lam1, ell1, prof, _sign_definite(prof, rep.params.N)
 
 
 def _sign_definite(prof, N):
@@ -312,15 +296,17 @@ def _mc_quadratic_pair(u, v, params, M, seed):
     return ValueWithError(total + mc_remainder(u, v, N, s), math.sqrt(var_sum))
 
 
-def test_function_checks(params, sol, mc_samples=1_000_000, seed=20240824):
+def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
     """Numerical version of the negative-energy argument on span
-    {phi_{1,L}, d_1..d_N}: diagonal energies negative, cross terms zero,
-    weak-identity defect zero, Rayleigh bound negative.
+    {phi_{1,L}, d_1..d_N} for the solution of the MorseReport rep: diagonal
+    energies negative, cross terms zero, weak-identity defect zero, Rayleigh
+    bound negative.
 
     N = 1 evaluates all forms deterministically; N = 2 uses the stratified
     Monte-Carlo estimator for the nonlocal parts; N >= 3 is unsupported for
     the quadrature checks (morse_index itself works at any N).
     """
+    params, sol = rep.params, rep.solution
     if params.N > 2:
         raise DimensionUnsupported(
             f"direct quadratic-form checks support N <= 2, got N={params.N}"
@@ -342,8 +328,8 @@ def test_function_checks(params, sol, mc_samples=1_000_000, seed=20240824):
         it from the defect of a coarser re-solve."""
         est = weak_defect_at(sol)
         trunc = 0.0
-        K_c = sol.spec.K - max(6, sol.spec.K // 4)
-        if K_c >= 8 and not sol.linear_degenerate:
+        K_c = coarse_K(sol.spec.K)
+        if K_c is not None and not sol.linear_degenerate:
             from .semilinear import solve_radial_sign_changing
 
             # a typed failure of the coarse solve leaves no estimate; any
@@ -358,18 +344,11 @@ def test_function_checks(params, sol, mc_samples=1_000_000, seed=20240824):
     sign_conv = "psi0 >= 0" if sol.psi0_at_1 >= 0.0 else "psi0 < 0"
     r_star = fns[0].support_radius if abs(sol.psi0_at_1) > 1e-8 else None
 
-    # first linearized eigenpair (radial, ell = 0)
-    lam1, ell1, phi1L, _ = first_linearized_eigen(params, sol)
-
-    diag = {}
-    cross = {}
-    weak = {}
-    pairing = {}
+    diag, cross = {}, {}
     if params.N == 1:
         method = "deterministic"
         d1 = fns[0]
         diag[1] = quadratic_form_L(sol, d1, d1)
-        weak[(1, 1)] = weak_defect_with_truncation()
     else:
         method = "monte-carlo"
         for j in (1, 2):
@@ -380,19 +359,18 @@ def test_function_checks(params, sol, mc_samples=1_000_000, seed=20240824):
         # Monte-Carlo estimate of E_s is the whole of E_{s,L}(d_1, d_2)
         cross[(1, 2)] = _mc_quadratic_pair(fns[0], fns[1], params,
                                            mc_samples, seed + 11)
-        weak[(1, 1)] = weak_defect_with_truncation()
+    weak = {(1, 1): weak_defect_with_truncation()}
 
     # E_{s,L}(d_j, phi_{1,L}): exactly zero by angular parity (ell 1 vs 0)
-    for j in range(1, params.N + 1):
-        pairing[j] = ValueWithError(0.0, 0.0)
+    pairing = {j: ValueWithError(0.0, 0.0) for j in range(1, params.N + 1)}
 
     # Rayleigh bound on span {phi_{1,L}, d_1..d_N}: the Gram matrices are
     # block-diagonal by parity, so the max Rayleigh quotient over the span is
     # the max over the members
-    quotients = [lam1]
+    quotients = [rep.lambda1L]
     for j, est in diag.items():
         nrm = _l2_norm_sq(fns[j - 1], params)
         quotients.append(est.value / nrm.value)
     rayleigh = max(quotients)
     return TestFunctionReport(params, sign_conv, r_star, diag, cross, weak,
-                              pairing, rayleigh, lam1, method)
+                              pairing, rayleigh, rep.lambda1L, method)

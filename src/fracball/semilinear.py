@@ -16,14 +16,10 @@ import numpy as np
 from .basis import (RadialBasisSpec, RadialProfile, assemble_radial_operator,
                     basis_matrix, generalized_eigh, stiffness_matrix)
 from .errors import (NoConvergence, NotConverged, TrivialSolution,
-                     TruncationUnsafe, WrongNodalCount)
+                     WrongNodalCount)
 from .params import ProblemParams, sphere_area
 from .quadrature import kink_rule
-
-# Truncation control of solve_radial_resolved: K doubles until the last
-# coefficients fall below TAIL_TOL of the largest one, up to K_CAP.
-TAIL_TOL = 1e-4
-K_CAP = 192
+from .truncation import K_START, next_K
 
 
 @dataclass(frozen=True)
@@ -156,7 +152,7 @@ def _jacobian(nonlin, phi, w, c, ang):
     return ang * (phi * (w * nonlin.fprime(c @ phi))[None, :]) @ phi.T
 
 
-def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=24,
+def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
                                init="from-eigenfunction", newton_tol=1e-10,
                                max_iter=60, oracle_budget=None):
     """Newton-Galerkin solve of E_s(u, v) = int f(u) v for all basis v.
@@ -308,35 +304,22 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=24,
                           quad_r=r, quad_w=w, _profile=prof)
 
 
-def coefficient_tail(coeffs):
-    """Largest |c_n| among the last four coefficients, relative to max |c_n|:
-    the truncation indicator of a Jacobi expansion."""
-    a = np.abs(np.asarray(coeffs, dtype=float))
-    return float(a[-4:].max() / a.max())
-
-
-def solve_radial_resolved(params, nonlin, target_nodes=1, K=24,
+def solve_radial_resolved(params, nonlin, target_nodes=1, K=K_START,
                           newton_tol=1e-10, oracle_budget=None):
     """solve_radial_sign_changing with the truncation chosen by convergence.
 
-    Solves at K, then doubles K (capped at K_CAP) while the coefficient tail
-    exceeds TAIL_TOL.  Each re-solve is warm-started from the zero-padded
+    Solves at K, then re-solves at truncation.next_K while the coefficient
+    tail is unresolved.  Each re-solve is warm-started from the zero-padded
     coefficients, which is exact because the basis is nested: phi_n depends
     only on (d, s, n).  The basis size used is sol.spec.K.  Raises
-    TruncationUnsafe if the tail is still above TAIL_TOL at K_CAP.
+    TruncationUnsafe if the tail is still unresolved at the cap.
     """
     sol = solve_radial_sign_changing(params, nonlin, target_nodes, K=K,
                                      newton_tol=newton_tol,
                                      oracle_budget=oracle_budget)
-    while (tail := coefficient_tail(sol.coefficients)) > TAIL_TOL:
-        K_prev = sol.spec.K
-        if K_prev >= K_CAP:
-            raise TruncationUnsafe(
-                f"coefficient tail {tail:.2e} above {TAIL_TOL:g} at the "
-                f"cap K={K_CAP}")
-        K_next = min(2 * K_prev, K_CAP)
+    while (K_next := next_K(sol.coefficients)) is not None:
         init = np.zeros(K_next)
-        init[:K_prev] = sol.coefficients
+        init[:sol.spec.K] = sol.coefficients
         sol = solve_radial_sign_changing(params, nonlin, target_nodes,
                                          K=K_next, init=init,
                                          newton_tol=newton_tol,

@@ -16,7 +16,7 @@ its eigenvalues are solved once per process and memoised.
 
 import functools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .basis import (RadialBasisSpec, assemble_radial_operator,
                     solve_radial_eigs, stiffness_matrix, stiffness_oracle_gate)
 from .errors import TruncationUnsafe
 from .params import ProblemParams, harmonic_multiplicity
+from .truncation import angular_sectors
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class SpectrumLabeled:
     K: int
     truncation_safe: bool
     sentinel_lam: float
-    radial: dict = field(repr=False, default_factory=dict)
 
     def below(self, threshold):
         """Total multiplicity of eigenvalues strictly below threshold."""
@@ -98,21 +98,15 @@ def assemble_full_spectrum(params, ell_max, n_max, K, oracle_budget=None, jobs=1
     The truncation-safety flag is true when the smallest eigenvalue of the
     next angular sector beyond ell_max exceeds every reported eigenvalue, so
     (by monotonicity of the first radial eigenvalue in the effective
-    dimension) no low eigenvalue can hide above the truncation.  For N = 1
-    the parity decomposition is exhaustive at ell_max = 1.
+    dimension) no low eigenvalue can hide above the truncation.  With no
+    sentinel (truncation.angular_sectors: N = 1, ell_max >= 1) it is true.
     """
-    if params.N == 1:
-        ell_max = min(ell_max, 1)
-        ells = list(range(ell_max + 1))
-        sentinel_ell = None
-    else:
-        ells = list(range(ell_max + 1))
-        sentinel_ell = ell_max + 1
+    ells, sentinel_ell = angular_sectors(params.N, ell_max)
 
     def solve(ell):
         return ell, radial_family(params, ell, K, oracle_budget=oracle_budget)
 
-    todo = ells + ([sentinel_ell] if sentinel_ell is not None else [])
+    todo = list(ells) + ([] if sentinel_ell is None else [sentinel_ell])
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = dict(pool.map(solve, todo))
@@ -140,14 +134,11 @@ def assemble_full_spectrum(params, ell_max, n_max, K, oracle_budget=None, jobs=1
         flagged.append(SpectrumEntry(e.ell, e.n, e.lam, e.multiplicity,
                                      e.convergence, coincident=near))
 
-    if sentinel_ell is None:
-        safe = True
-        sentinel_lam = float("inf")
-    else:
-        sentinel_lam = float(results[sentinel_ell].eigenvalues[0])
-        safe = sentinel_lam > max(e.lam for e in flagged)
-    return SpectrumLabeled(params, flagged, ell_max, n_max, K, safe, sentinel_lam,
-                           radial=results)
+    sentinel_lam = (float("inf") if sentinel_ell is None
+                    else float(results[sentinel_ell].eigenvalues[0]))
+    safe = sentinel_lam > max(e.lam for e in flagged)
+    return SpectrumLabeled(params, flagged, ells[-1], n_max, K, safe,
+                           sentinel_lam)
 
 
 def second_eigenvalue(params, K, oracle_budget=None):

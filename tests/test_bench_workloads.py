@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fracball import cli
+from fracball import cli, truncation
 from fracball.config import parse_config_text
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -36,3 +36,9 @@ def test_workload_commands_parse_and_validate(workloads, tmp_path, monkeypatch):
                 cli._with_overrides(cfg, args)
                 checked += 1
     assert checked > 0
+
+
+def test_workload_escalation_cap_matches_policy(workloads):
+    # the benchmark retries a TruncationUnsafe morse point up to its own copy
+    # of the cap, which must be the package's
+    assert workloads.ELL_CAP == truncation.ELL_CAP

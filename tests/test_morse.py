@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fracball import morse
 from fracball.errors import DimensionUnsupported
 from fracball.morse import (assemble_linearized, build_test_functions,
                             first_linearized_eigen, morse_index)
@@ -8,6 +9,20 @@ from fracball.morse import test_function_checks as run_test_function_checks
 from fracball.params import ProblemParams
 from fracball.semilinear import NonlinearitySpec, solve_radial_sign_changing
 from fracball.spectrum import assemble_full_spectrum, radial_family
+from fracball.truncation import escalate_ell
+
+
+@pytest.fixture(scope="module")
+def morse_n1(cubic_n1):
+    params, _, sol = cubic_n1
+    return morse_index(params, sol)
+
+
+@pytest.fixture(scope="module")
+def morse_n2(cubic_n2):
+    # at K = 16 the ell = 3 sector still reaches below zero
+    params, _, sol = cubic_n2
+    return escalate_ell(lambda ell_max: morse_index(params, sol, ell_max=ell_max))
 
 
 def _linear_solution(params, K, level, target_nodes):
@@ -50,9 +65,8 @@ def test_morse_counts_respect_multiplicity():
                                   for sc in rep.per_ell)
 
 
-def test_first_linearized_eigen_radial_negative(cubic_n2):
-    params, _, sol = cubic_n2
-    lam1, ell, profile, definite = first_linearized_eigen(params, sol)
+def test_first_linearized_eigen_radial_negative(morse_n2):
+    lam1, ell, profile, definite = first_linearized_eigen(morse_n2)
     assert lam1 < 0.0
     assert ell == 0
     assert definite
@@ -87,9 +101,8 @@ def test_build_test_functions_structure(cubic_n2):
             assert np.allclose(vals, np.minimum(du(r_in), 0.0))
 
 
-def test_test_function_checks_one_dimensional(cubic_n1):
-    params, _, sol = cubic_n1
-    rep = run_test_function_checks(params, sol)
+def test_test_function_checks_one_dimensional(morse_n1):
+    rep = run_test_function_checks(morse_n1)
     assert rep.method == "deterministic"
     est = rep.diag[1]
     assert est.value + 3.0 * est.error < 0.0
@@ -100,9 +113,8 @@ def test_test_function_checks_one_dimensional(cubic_n1):
     assert abs(defect.value) <= 3.0 * defect.error
 
 
-def test_test_function_checks_monte_carlo_smoke(cubic_n2):
-    params, _, sol = cubic_n2
-    rep = run_test_function_checks(params, sol, mc_samples=40_000, seed=7)
+def test_test_function_checks_monte_carlo_smoke(morse_n2):
+    rep = run_test_function_checks(morse_n2, mc_samples=40_000, seed=7)
     assert rep.method == "monte-carlo"
     assert set(rep.diag) == {1, 2}
     assert (1, 2) in rep.cross
@@ -113,12 +125,23 @@ def test_test_function_checks_dimension_limit():
     params = ProblemParams(3, 0.5)
     _, sol = _linear_solution(params, 16, 1, 1)
     with pytest.raises(DimensionUnsupported):
-        run_test_function_checks(params, sol)
+        run_test_function_checks(morse_index(params, sol))
 
 
-def test_linearization_leaves_solution_profile_unchanged(cubic_n1):
-    # kink radii travel as sol.breaks; nothing is attached to the cached profile
+def test_linearization_leaves_solution_profile_unchanged(monkeypatch, cubic_n1):
+    # kink radii travel as sol.breaks; nothing is attached to the cached
+    # profile.  The sectors ell = 0, 1 are assembled once, by morse_index;
+    # the test-function checks read them from its report.
     params, _, sol = cubic_n1
-    morse_index(params, sol, ell_max=1, oracle_budget=50_000)
-    run_test_function_checks(params, sol)
+    assembled = []
+    assemble = morse.assemble_linearized
+
+    def counted(params, sol, ell, K, oracle_budget=None):
+        assembled.append(ell)
+        return assemble(params, sol, ell, K, oracle_budget=oracle_budget)
+
+    monkeypatch.setattr(morse, "assemble_linearized", counted)
+    rep = morse_index(params, sol, ell_max=1, oracle_budget=50_000)
+    run_test_function_checks(rep)
+    assert assembled == [0, 1]
     assert not hasattr(sol.profile, "breaks")

@@ -13,6 +13,7 @@ from fracball.basis import RadialBasisSpec, assemble_radial_operator
 from fracball.errors import OracleMismatch
 from fracball.params import ProblemParams
 from fracball.quadrature import ValueWithError
+from fracball.semilinear import NonlinearitySpec, solve_radial_sign_changing
 from fracball.spectrum import radial_family
 
 NAN = ValueWithError(math.nan, math.nan)
@@ -48,9 +49,27 @@ def test_linearized_block_gate_rejects_nan(monkeypatch, cubic_n1):
     # oracle, so that is what returns NaN here
     params, _, sol = cubic_n1
     monkeypatch.setattr(morse, "quadratic_form_L", _nan_oracle)
-    monkeypatch.setattr(morse, "_gate_cache", set())
     with pytest.raises(OracleMismatch):
         morse.assemble_linearized(params, sol, 0, sol.spec.K)
+
+
+def test_block_gate_runs_for_each_solution(monkeypatch):
+    # linear(5) and linear(50) return the same eigenvector coefficients but
+    # different linearized potentials, so each assembly is gated
+    gated = []
+    form = morse.quadratic_form_L
+
+    def counted(sol, u, v):
+        gated.append(sol.nonlin.lam)
+        return form(sol, u, v)
+
+    monkeypatch.setattr(morse, "quadratic_form_L", counted)
+    params = ProblemParams(2, 0.5)
+    for lam in (5.0, 50.0):
+        sol = solve_radial_sign_changing(params, NonlinearitySpec("linear", lam),
+                                         K=12)
+        morse.assemble_linearized(params, sol, 0, sol.spec.K)
+    assert gated == [5.0, 50.0]
 
 
 def test_value_with_error_finite():

@@ -4,14 +4,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracball import semilinear
+from fracball import semilinear, truncation
 from fracball.errors import NoConvergence, TruncationUnsafe
 from fracball.params import ProblemParams
-from fracball.semilinear import (TAIL_TOL, NonlinearitySpec,
-                                 check_subcriticality, coefficient_tail,
+from fracball.semilinear import (NonlinearitySpec, check_subcriticality,
                                  energy, energy_gradient, pohozaev_residual,
                                  solve_radial_resolved,
                                  solve_radial_sign_changing)
+from fracball.truncation import TAIL_TOL, coefficient_tail
 
 
 def test_power_family_requires_superlinear_exponent():
@@ -165,7 +165,7 @@ def test_resolved_solve_matches_cold_solve_at_chosen_K():
 
 def test_resolved_solve_raises_when_cap_too_small(monkeypatch):
     # N = 2, s = 1/2 needs K = 96; at K = 48 the tail is still ~2e-3.
-    monkeypatch.setattr(semilinear, "K_CAP", 48)
+    monkeypatch.setattr(truncation, "K_CAP", 48)
     with pytest.raises(TruncationUnsafe):
         solve_radial_resolved(ProblemParams(2, 0.5),
                               NonlinearitySpec("power", 1.0, 3.0),

@@ -69,10 +69,13 @@ def test_parallel_assembly_matches_serial():
 
 def test_sentinel_truncation_flag():
     # With a generous n_max the top reported eigenvalues exceed the first
-    # eigenvalue of the sector beyond ell_max, so the merge is flagged.
-    spec = assemble_full_spectrum(ProblemParams(2, 0.5), ell_max=1, n_max=8, K=16)
-    assert not spec.truncation_safe
-    assert spec.sentinel_lam < max(e.lam for e in spec.entries)
+    # eigenvalue of the sector beyond ell_max, so the merge is flagged.  At
+    # N = 1 and ell_max = 0 that sector is the odd parity class.
+    for N, ell_max, n_max, K in [(2, 1, 8, 16), (1, 0, 2, 24)]:
+        spec = assemble_full_spectrum(ProblemParams(N, 0.5), ell_max=ell_max,
+                                      n_max=n_max, K=K)
+        assert not spec.truncation_safe
+        assert spec.sentinel_lam < max(e.lam for e in spec.entries)
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ class TruncationUnsafe(FracballError):
 
 
 class NoConvergence(FracballError):
-    """Newton iteration hit its iteration cap without converging."""
+    """Newton iteration hit its iteration cap, or its line search found no decrease."""
 
 
 class WrongNodalCount(FracballError):

@@ -227,7 +227,9 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
         """Damped Newton at a fixed quadrature rule; returns (c, res, iters).
 
         The Jacobian is formed only to take a step: the stopping test and
-        the line search need the residual alone.
+        the line search need the residual alone.  Raises NoConvergence at
+        the iteration cap, or at once when no backtracking trial lowers the
+        residual norm.
         """
         it = 0
         res_norm = np.inf
@@ -238,7 +240,8 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
                 return c, res_norm, it
             it += 1
             step = np.linalg.solve(A0 - _jacobian(nl, phi, w, c, ang), R)
-            # backtracking damping on the residual norm
+            # backtracking damping on the residual norm; a direction that no
+            # damping makes a descent is a stall, not a step
             lam_step = 1.0
             for _ in range(30):
                 c_try = c - lam_step * step
@@ -246,7 +249,12 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
                 if float(np.linalg.norm(A0 @ c_try - load_t)) < res_norm:
                     break
                 lam_step *= 0.5
-            c = c - lam_step * step
+            else:
+                raise NoConvergence(
+                    f"Newton line search stalled at residual {res_norm:.2e} "
+                    f"in iteration {it} (tol {tol:g}, p={nl.p:g})"
+                )
+            c = c_try
         raise NoConvergence(
             f"Newton residual {res_norm:.2e} after {max_iter} iterations "
             f"(tol {tol:g}, p={nl.p:g})"

@@ -212,8 +212,6 @@ def test_function_signs(solutions):
         for (j, k), est in sorted(tfr.cross.items()):
             checks.append(abs(est.value) <= 3.0 * est.error)
             row[f"cross-{j}{k}"] = {"value": est.value, "err": est.error}
-        for j, est in sorted(tfr.first_eigen_pairing.items()):
-            checks.append(abs(est.value) <= 3.0 * est.error)
         if N == 1:
             checks.append(tfr.rayleigh_bound < 0.0)
             row["rayleigh-bound"] = tfr.rayleigh_bound

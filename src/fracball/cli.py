@@ -13,30 +13,15 @@ import sys
 import time
 
 from .config import format_nonlinearity, load_config
-from .errors import ConfigError, FracballError
+from .errors import FracballError
 from .params import ProblemParams
 from .report import (config_hash, make_document, make_record,
                      write_csv, write_json)
 
 
-def _resolve_jobs(args_jobs):
-    if args_jobs is not None:
-        return args_jobs
-    env = os.environ.get("FRACBALL_JOBS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(
-                f"FRACBALL_JOBS must be an integer, got {env!r}") from None
-    return 1
-
-
 def _with_overrides(cfg, args):
     """cfg with the command line's settings, validated as the file's are."""
-    jobs = _resolve_jobs(args.jobs if args.jobs is not None else
-                         (cfg.jobs if cfg.jobs > 1 else None))
-    overrides = {"seed": args.seed, "out_dir": args.out, "jobs": jobs,
+    overrides = {"seed": args.seed, "out_dir": args.out, "jobs": args.jobs,
                  "out_format": args.format, "tol_oracle_budget": args.oracle_budget}
     return dataclasses.replace(
         cfg, **{k: v for k, v in overrides.items() if v is not None})

@@ -7,7 +7,7 @@ Format: one `key = value` per line, `#` comments, values in JSON syntax
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .params import ProblemParams
@@ -107,23 +107,13 @@ class CampaignConfig:
         return "\n".join(lines) + "\n"
 
 
-_KEYS = {
-    "grid.N": "grid_N",
-    "grid.s": "grid_s",
-    "grid.nonlinearity": "grid_nonlinearity",
-    "grid.target-nodes": "grid_target_nodes",
-    "trunc.K": "trunc_K",
-    "trunc.ell-max": "trunc_ell_max",
-    "trunc.n-max": "trunc_n_max",
-    "tol.newton": "tol_newton",
-    "tol.oracle-budget": "tol_oracle_budget",
-    "seed": "seed",
-    "out.dir": "out_dir",
-    "out.format": "out_format",
-    "jobs": "jobs",
-}
-
-_LIST_KEYS = {"grid.N", "grid.s", "grid.nonlinearity"}
+# a field's key: its first "_" becomes "." and every later one "-"
+# (grid_target_nodes -> grid.target-nodes); list-valued keys also accept a
+# single value
+_KEYS = {f.name.replace("_", ".", 1).replace("_", "-"): f.name
+         for f in fields(CampaignConfig)}
+_LIST_KEYS = {key for key, attr in _KEYS.items()
+              if isinstance(getattr(CampaignConfig(), attr), list)}
 
 
 def parse_config_text(text):

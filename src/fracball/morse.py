@@ -248,7 +248,6 @@ class TestFunctionReport:
     diag: dict          # j -> ValueWithError for E_{s,L}(d_j, d_j)
     cross: dict         # (j, k) -> ValueWithError for E_{s,L}(d_j, d_k)
     weak_defect: dict   # (j, k) -> ValueWithError for E_s(v^j,d_k)-int f'(u)v^j d_k
-    first_eigen_pairing: dict  # j -> ValueWithError for E_{s,L}(d_j, phi_{1,L})
     rayleigh_bound: float
     lambda1L: float
     method: str         # 'deterministic' | 'monte-carlo'
@@ -302,9 +301,9 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
     energies negative, cross terms zero, weak-identity defect zero, Rayleigh
     bound negative.
 
-    N = 1 evaluates all forms deterministically; N = 2 uses the stratified
-    Monte-Carlo estimator for the nonlocal parts; N >= 3 is unsupported for
-    the quadrature checks (morse_index itself works at any N).
+    N = 1 evaluates all forms deterministically; N = 2 uses one run of the
+    stratified Monte-Carlo estimator for E_s(d_1, d_1); N >= 3 is unsupported
+    for the quadrature checks (morse_index itself works at any N).
     """
     params, sol = rep.params, rep.solution
     if params.N > 2:
@@ -344,33 +343,26 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
     sign_conv = "psi0 >= 0" if sol.psi0_at_1 >= 0.0 else "psi0 < 0"
     r_star = fns[0].support_radius if abs(sol.psi0_at_1) > 1e-8 else None
 
-    diag, cross = {}, {}
+    # u is radial, so E_{s,L}(d_j, d_j) does not depend on j (a rotation
+    # maps d_1 to d_j) and E_{s,L}(d_j, d_k), j != k, is zero by parity:
+    # one estimate on d_1 serves every j, and quadratic_form_L returns the
+    # cross terms as exact zeros
+    d1 = fns[0]
     if params.N == 1:
         method = "deterministic"
-        d1 = fns[0]
-        diag[1] = quadratic_form_L(sol, d1, d1)
+        est = quadratic_form_L(sol, d1, d1)
     else:
         method = "monte-carlo"
-        for j in (1, 2):
-            dj = fns[j - 1]
-            diag[j] = (_mc_quadratic_pair(dj, dj, params, mc_samples, seed + j)
-                       - linearized_potential_form(sol, dj, dj))
-        # cross term: potential part vanishes by angular parity, so the
-        # Monte-Carlo estimate of E_s is the whole of E_{s,L}(d_1, d_2)
-        cross[(1, 2)] = _mc_quadratic_pair(fns[0], fns[1], params,
-                                           mc_samples, seed + 11)
+        est = (_mc_quadratic_pair(d1, d1, params, mc_samples, seed + 1)
+               - linearized_potential_form(sol, d1, d1))
+    diag = {j: est for j in range(1, params.N + 1)}
+    cross = {(j, k): quadratic_form_L(sol, fns[j - 1], fns[k - 1])
+             for j in diag for k in diag if j < k}
     weak = {(1, 1): weak_defect_with_truncation()}
 
-    # E_{s,L}(d_j, phi_{1,L}): exactly zero by angular parity (ell 1 vs 0)
-    pairing = {j: ValueWithError(0.0, 0.0) for j in range(1, params.N + 1)}
-
     # Rayleigh bound on span {phi_{1,L}, d_1..d_N}: the Gram matrices are
-    # block-diagonal by parity, so the max Rayleigh quotient over the span is
-    # the max over the members
-    quotients = [rep.lambda1L]
-    for j, est in diag.items():
-        nrm = _l2_norm_sq(fns[j - 1], params)
-        quotients.append(est.value / nrm.value)
-    rayleigh = max(quotients)
+    # diagonal by parity (d_j against phi_{1,L} and d_k alike), so the max
+    # Rayleigh quotient over the span is the max over the members
+    rayleigh = max(rep.lambda1L, est.value / _l2_norm_sq(d1, params).value)
     return TestFunctionReport(params, sign_conv, r_star, diag, cross, weak,
-                              pairing, rayleigh, rep.lambda1L, method)
+                              rayleigh, rep.lambda1L, method)

@@ -24,8 +24,7 @@ def workloads():
     return mod
 
 
-def test_workload_commands_parse_and_validate(workloads, tmp_path, monkeypatch):
-    monkeypatch.delenv("FRACBALL_JOBS", raising=False)
+def test_workload_commands_parse_and_validate(workloads, tmp_path):
     parser = cli.build_parser()
     checked = 0
     for build in workloads.WORKLOADS.values():

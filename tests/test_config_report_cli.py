@@ -68,6 +68,26 @@ def test_config_roundtrip():
     assert parse_config_text(cfg.to_text()) == cfg
 
 
+def test_default_config_text_and_hash_pinned():
+    # the file format's key names, in order; config_hash is a digest of this
+    # text, so a renamed field would change every report's config hash
+    assert CampaignConfig().to_text() == (
+        'grid.N = [1]\n'
+        'grid.s = [0.5]\n'
+        'grid.nonlinearity = ["power(1.0, 3.0)"]\n'
+        'grid.target-nodes = 1\n'
+        'trunc.K = 24\n'
+        'trunc.ell-max = 3\n'
+        'trunc.n-max = 8\n'
+        'tol.newton = 1e-10\n'
+        'tol.oracle-budget = null\n'
+        'seed = 0\n'
+        'out.dir = "out"\n'
+        'out.format = "both"\n'
+        'jobs = 1\n')
+    assert config_hash(CampaignConfig()) == "c633b0f54f40eb6e"
+
+
 def test_grid_points_cartesian_order():
     cfg = CampaignConfig(grid_N=[1, 2], grid_s=[0.5],
                          grid_nonlinearity=["power(1, 3)"])
@@ -172,34 +192,33 @@ def test_cli_record_payloads_deterministic(tmp_path):
     assert render_json(docs[0]["records"]) == render_json(docs[1]["records"])
 
 
-def test_cli_jobs_env_fallback(monkeypatch):
-    monkeypatch.delenv("FRACBALL_JOBS", raising=False)
-    assert cli._resolve_jobs(None) == 1
+@pytest.mark.parametrize("text,flags,jobs", [
+    ("jobs = 1\n", [], 1),
+    ("jobs = 3\n", [], 3),
+    ("jobs = 3\n", ["--jobs", "2"], 2),
+    ("", ["--jobs", "4"], 4),
+])
+def test_cli_jobs_flag_overrides_config_key(monkeypatch, text, flags, jobs):
+    # --jobs overrides the file's jobs key as --seed overrides seed; the
+    # environment plays no part
     monkeypatch.setenv("FRACBALL_JOBS", "5")
-    assert cli._resolve_jobs(None) == 5
-    assert cli._resolve_jobs(3) == 3
-    monkeypatch.setenv("FRACBALL_JOBS", "junk")
-    with pytest.raises(ConfigError, match="FRACBALL_JOBS"):
-        cli._resolve_jobs(None)
+    args = cli.build_parser().parse_args(["eigs", "--config", "c"] + flags)
+    assert cli._with_overrides(parse_config_text(text), args).jobs == jobs
 
 
-@pytest.mark.parametrize("command,extra,flags,env", [
-    ("eigs", "trunc.ell-max = -1\n", [], None),
-    ("eigs", "trunc.n-max = -1\n", [], None),
-    ("solve", "grid.target-nodes = 50\n", [], None),
+@pytest.mark.parametrize("command,extra,flags", [
+    ("eigs", "trunc.ell-max = -1\n", []),
+    ("eigs", "trunc.n-max = -1\n", []),
+    ("solve", "grid.target-nodes = 50\n", []),
     ("solve", 'grid.nonlinearity = ["linear(5.0)"]\ngrid.target-nodes = -1\n',
-     [], None),
-    ("eigs", "tol.oracle-budget = -5\n", [], None),
-    ("eigs", "", ["--jobs", "0"], None),
-    ("eigs", "", [], "abc"),
-    ("eigs", "", ["--seed", "-1"], None),
+     []),
+    ("eigs", "tol.oracle-budget = -5\n", []),
+    ("eigs", "", ["--jobs", "0"]),
+    ("eigs", "", ["--seed", "-1"]),
 ], ids=["ell-max", "n-max", "target-nodes-above-K", "target-nodes-negative",
-        "oracle-budget", "jobs-flag", "jobs-env", "seed-flag"])
-def test_cli_rejects_out_of_range_settings(tmp_path, capsys, monkeypatch,
-                                           command, extra, flags, env):
-    monkeypatch.delenv("FRACBALL_JOBS", raising=False)
-    if env is not None:
-        monkeypatch.setenv("FRACBALL_JOBS", env)
+        "oracle-budget", "jobs-flag", "seed-flag"])
+def test_cli_rejects_out_of_range_settings(tmp_path, capsys, command, extra,
+                                           flags):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text('grid.N = [1]\ngrid.s = [0.5]\ntrunc.K = 12\n' + extra)
     out = tmp_path / "out"

@@ -7,6 +7,7 @@ from fracball.morse import (assemble_linearized, build_test_functions,
                             first_linearized_eigen, morse_index)
 from fracball.morse import test_function_checks as run_test_function_checks
 from fracball.params import ProblemParams
+from fracball.quadrature import ValueWithError
 from fracball.semilinear import NonlinearitySpec, solve_radial_sign_changing
 from fracball.spectrum import assemble_full_spectrum, radial_family
 from fracball.truncation import escalate_ell
@@ -101,13 +102,26 @@ def test_build_test_functions_structure(cubic_n2):
             assert np.allclose(vals, np.minimum(du(r_in), 0.0))
 
 
+def test_test_functions_rotate_into_each_other_and_are_odd(cubic_n2, rng):
+    # the identities that let one diagonal estimate serve every d_j and make
+    # the cross terms zero: d_2(R x) = d_1(x) for the quarter turn R, and
+    # d_1 is odd in x_1
+    _, _, sol = cubic_n2
+    d1, d2 = build_test_functions(sol)
+    x = rng.standard_normal((300, 2))
+    x *= (rng.random(300) / np.linalg.norm(x, axis=1))[:, None]
+    rotated = np.column_stack([-x[:, 1], x[:, 0]])
+    mirrored = np.column_stack([-x[:, 0], x[:, 1]])
+    assert np.count_nonzero(d1(x)) > 100
+    assert np.array_equal(d2(rotated), d1(x))
+    assert np.array_equal(d1(mirrored), -d1(x))
+
+
 def test_test_function_checks_one_dimensional(morse_n1):
     rep = run_test_function_checks(morse_n1)
     assert rep.method == "deterministic"
     est = rep.diag[1]
     assert est.value + 3.0 * est.error < 0.0
-    pairing = rep.first_eigen_pairing[1]
-    assert pairing.value == 0.0 and pairing.error == 0.0  # exact by parity
     assert rep.rayleigh_bound < 0.0
     defect = rep.weak_defect[(1, 1)]
     assert abs(defect.value) <= 3.0 * defect.error
@@ -119,6 +133,9 @@ def test_test_function_checks_monte_carlo_smoke(morse_n2):
     assert set(rep.diag) == {1, 2}
     assert (1, 2) in rep.cross
     assert all(np.isfinite(e.error) and e.error > 0.0 for e in rep.diag.values())
+    # one estimate serves both d_j (rotation); the cross term is an exact zero
+    assert rep.diag[2] == rep.diag[1]
+    assert rep.cross[(1, 2)] == ValueWithError(0.0, 0.0)
 
 
 def test_test_function_checks_dimension_limit():

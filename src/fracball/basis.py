@@ -19,6 +19,7 @@ from scipy.special import gammaln, roots_jacobi
 
 from .errors import MassNotPD, OracleMismatch, PotentialUnbounded
 from .quadrature import kink_rule
+from .roots import brentq
 
 
 @dataclass(frozen=True)
@@ -49,30 +50,41 @@ class RadialBasisSpec:
 def jacobi_all(K, a, b, x):
     """Values of P_0^{(a,b)} .. P_{K-1}^{(a,b)} at x via the three-term recurrence.
 
-    Returns an array of shape (K, len(x)).
+    Returns an array of shape (K, len(x)).  Each step is
+    P_n = (c2 P_{n-1} - c3 P_{n-2}) / c1 with c2 = (h-1) (h (h-2) x + a^2 - b^2),
+    run in place through two scratch rows, operation by operation in that
+    order.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     P = np.empty((K, x.size))
     P[0] = 1.0
     if K > 1:
         P[1] = 0.5 * (a + b + 2.0) * x + 0.5 * (a - b)
+    row, tmp = np.empty(x.size), np.empty(x.size)
     for n in range(2, K):
         h = 2.0 * n + a + b
         c1 = 2.0 * n * (n + a + b) * (h - 2.0)
-        c2 = (h - 1.0) * (h * (h - 2.0) * x + a * a - b * b)
         c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * h
-        P[n] = (c2 * P[n - 1] - c3 * P[n - 2]) / c1
+        np.multiply(h * (h - 2.0), x, out=row)
+        np.add(row, a * a, out=row)
+        np.subtract(row, b * b, out=row)
+        np.multiply(h - 1.0, row, out=row)
+        np.multiply(row, P[n - 1], out=row)
+        np.multiply(c3, P[n - 2], out=tmp)
+        np.subtract(row, tmp, out=P[n])
+        np.divide(P[n], c1, out=P[n])
     return P
 
 
 def jacobi_deriv_all(K, a, b, x):
     """Derivatives d/dx P_n^{(a,b)}(x) for n = 0 .. K-1, shape (K, len(x))."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    D = np.zeros((K, x.size))
+    D = np.empty((K, x.size))
+    D[0] = 0.0
     if K > 1:
-        shifted = jacobi_all(K - 1, a + 1.0, b + 1.0, x)
         n = np.arange(1, K, dtype=float)
-        D[1:] = 0.5 * (n + a + b + 1.0)[:, None] * shifted
+        np.multiply(0.5 * (n + a + b + 1.0)[:, None],
+                    jacobi_all(K - 1, a + 1.0, b + 1.0, x), out=D[1:])
     return D
 
 
@@ -318,17 +330,12 @@ class RadialProfile:
 
     def sign_change_radii(self):
         """Radii in (0, 1) where the polynomial factor changes sign, found by
-        a scan of 2048 cells and bisection."""
+        a scan of 2048 cells and Brent's method."""
         r = np.linspace(0.0, 1.0, 2049)
         q = self.poly_part(r)
         sign = np.sign(q)
         idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        roots = []
-        from scipy.optimize import brentq
-
-        for i in idx:
-            roots.append(brentq(self.poly_at, r[i], r[i + 1]))
-        return roots
+        return [brentq(self.poly_at, r[i], r[i + 1]) for i in idx]
 
     def nodal_count(self):
         """Number of sign changes of the profile on (0, 1)."""

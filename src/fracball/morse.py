@@ -20,12 +20,14 @@ from .basis import (RadialBasisSpec, RadialProfile, assemble_radial_operator,
 from .errors import (DimensionUnsupported, FracballError,
                      InadmissibleBoundaryData, OracleMismatch,
                      TruncationUnsafe)
-from .nonlocal_quadrature import (SeparableFunction, angular_factor,
+from .nonlocal_quadrature import (SeparableFunction, SignedPart,
+                                  angular_factor, bilinear_gram,
                                   linearized_potential_form, mc_offset_sample,
                                   mc_remainder, quadratic_form_L,
                                   radial_potential_integral)
 from .params import ProblemParams, harmonic_multiplicity, sphere_area
 from .quadrature import ValueWithError
+from .roots import brentq
 from .truncation import ELL_START, angular_sectors, coarse_K
 
 
@@ -188,16 +190,11 @@ def _sign_definite(prof, N):
 
 
 def _derivative_sign_radii(du):
-    """Sign-change radii of u' in (0, 1) by grid scan + bisection."""
-    from scipy.optimize import brentq
-
+    """Sign-change radii of u' in (0, 1) by grid scan + Brent's method."""
     r = np.linspace(0.0, 1.0, 4097)[1:-1]
-    vals = du(r)
-    roots = []
-    sgn = np.sign(vals)
-    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-        roots.append(brentq(lambda t: float(du(np.array([t]))[0]), r[i], r[i + 1]))
-    return roots
+    sgn = np.sign(du(r))
+    return [brentq(lambda t: float(du(np.array([t]))[0]), r[i], r[i + 1])
+            for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]]
 
 
 def build_test_functions(sol):
@@ -215,12 +212,7 @@ def build_test_functions(sol):
             f"psi0(1) = {psi0:.2e} ~ 0 with s = {params.s} <= 1/2"
         )
     du = sol.profile.derivative
-    positive_branch = psi0 >= 0.0
-
-    def w(r):
-        vals = np.asarray(du(np.atleast_1d(np.asarray(r, dtype=float))))
-        return np.maximum(vals, 0.0) if positive_branch else np.minimum(vals, 0.0)
-
+    w = SignedPart(du, positive=psi0 >= 0.0)
     roots = _derivative_sign_radii(du)
     # outermost radius beyond which the signed part vanishes
     r_star = None
@@ -312,20 +304,20 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
         )
     fns = build_test_functions(sol)
 
-    def weak_defect_at(sol_k):
-        """E_{s,L}(v^1, d_1) with v^1 = (x_1/|x|) u'(|x|), for one discrete
-        solution."""
-        d1_k = build_test_functions(sol_k)[0]
-        v1 = SeparableFunction(profile=sol_k.profile.derivative,
-                               angular="coordinate", j=1,
-                               breaks=d1_k.breaks, label="v^1")
-        return quadratic_form_L(sol_k, v1, d1_k)
+    def defect_forms(sol_k, d1_k):
+        """The E_s Gram over [v^1, d_1], v^1 = (x_1/|x|) u'(|x|), for one
+        discrete solution, and the weak defect E_{s,L}(v^1, d_1).  d_1's
+        profile is the signed part of u', so the Gram evaluates u' once per
+        engine node set."""
+        v1 = SeparableFunction(profile=d1_k.profile.base, angular="coordinate",
+                               j=1, breaks=d1_k.breaks, label="v^1")
+        E = bilinear_gram([v1, d1_k], sol_k.params)
+        return E, E[0][1] - linearized_potential_form(sol_k, v1, d1_k)
 
-    def weak_defect_with_truncation():
+    def weak_defect_with_truncation(est):
         """The identity holds for the continuum solution only, so the defect
-        of the discrete solution carries a truncation contribution; estimate
-        it from the defect of a coarser re-solve."""
-        est = weak_defect_at(sol)
+        est of the discrete solution carries a truncation contribution;
+        estimate it from the defect of a coarser re-solve."""
         trunc = 0.0
         K_c = coarse_K(sol.spec.K)
         if K_c is not None and not sol.linear_degenerate:
@@ -336,7 +328,8 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
             try:
                 sol_c = solve_radial_sign_changing(
                     params, sol.nonlin, sol.nodal_count, K=K_c)
-                trunc = abs(est.value - weak_defect_at(sol_c).value)
+                _, est_c = defect_forms(sol_c, build_test_functions(sol_c)[0])
+                trunc = abs(est.value - est_c.value)
             except FracballError:
                 trunc = 0.0
         return ValueWithError(est.value, est.error + trunc)
@@ -350,15 +343,19 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
     d1 = fns[0]
     if params.N == 1:
         method = "deterministic"
-        est = quadratic_form_L(sol, d1, d1)
+        E, defect = defect_forms(sol, d1)
+        est = E[1][1] - linearized_potential_form(sol, d1, d1)
     else:
+        # the Monte-Carlo run goes before the Gram builds the N = 2 engines,
+        # which keeps the process's peak memory lower
         method = "monte-carlo"
         est = (_mc_quadratic_pair(d1, d1, params, mc_samples, seed + 1)
                - linearized_potential_form(sol, d1, d1))
+        _, defect = defect_forms(sol, d1)
     diag = {j: est for j in range(1, params.N + 1)}
     cross = {(j, k): quadratic_form_L(sol, fns[j - 1], fns[k - 1])
              for j in diag for k in diag if j < k}
-    weak = {(1, 1): weak_defect_with_truncation()}
+    weak = {(1, 1): weak_defect_with_truncation(defect)}
 
     # Rayleigh bound on span {phi_{1,L}, d_1..d_N}: the Gram matrices are
     # diagonal by parity (d_j against phi_{1,L} and d_k alike), so the max

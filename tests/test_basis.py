@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from fracball.basis import (RadialBasisSpec, RadialProfile,
                             assemble_radial_operator, basis_matrix,
-                            dyda_factor, jacobi_at_one, mass_matrix,
-                            solve_radial_eigs, stiffness_matrix)
+                            dyda_factor, jacobi_all, jacobi_at_one,
+                            jacobi_deriv_all, mass_matrix, solve_radial_eigs,
+                            stiffness_matrix)
 
 
 def test_stiffness_is_positive_diagonal():
@@ -100,6 +101,48 @@ def test_poly_at_equals_the_array_evaluation(d):
             prof = RadialProfile(RadialBasisSpec(d, s, K), rng.standard_normal(K))
             for x in rng.random(100 if K <= 12 else 10).tolist():
                 assert prof.poly_at(x) == float(prof.poly_part(x)[0]), (s, K, x)
+
+
+def _jacobi_all_allocating(K, a, b, x):
+    """The recurrence as written before it ran in place: one new array per
+    operation."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    P = np.empty((K, x.size))
+    P[0] = 1.0
+    if K > 1:
+        P[1] = 0.5 * (a + b + 2.0) * x + 0.5 * (a - b)
+    for n in range(2, K):
+        h = 2.0 * n + a + b
+        c1 = 2.0 * n * (n + a + b) * (h - 2.0)
+        c2 = (h - 1.0) * (h * (h - 2.0) * x + a * a - b * b)
+        c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * h
+        P[n] = (c2 * P[n - 1] - c3 * P[n - 2]) / c1
+    return P
+
+
+def _jacobi_deriv_all_allocating(K, a, b, x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    D = np.zeros((K, x.size))
+    if K > 1:
+        shifted = _jacobi_all_allocating(K - 1, a + 1.0, b + 1.0, x)
+        n = np.arange(1, K, dtype=float)
+        D[1:] = 0.5 * (n + a + b + 1.0)[:, None] * shifted
+    return D
+
+
+@pytest.mark.parametrize("K", [2, 3, 12, 24, 48])
+def test_in_place_jacobi_recurrence_is_bit_identical(K):
+    # beta = d/2 - 1 runs over -1/2, 0, 1/2, .. 3, and t = 2 r^2 - 1 over
+    # [-1, 1] with both ends
+    rng = np.random.default_rng(K)
+    t = np.concatenate([[-1.0, 1.0], 2.0 * rng.random(997) ** 2 - 1.0])
+    for d in range(1, 9):
+        for s in (0.05, 0.3, 0.5, 0.75, 0.95):
+            a, b = s, d / 2.0 - 1.0
+            assert np.array_equal(jacobi_all(K, a, b, t),
+                                  _jacobi_all_allocating(K, a, b, t)), (d, s)
+            assert np.array_equal(jacobi_deriv_all(K, a, b, t),
+                                  _jacobi_deriv_all_allocating(K, a, b, t)), (d, s)
 
 
 def test_derivative_profile_matches_finite_differences():

@@ -111,3 +111,28 @@ def test_oracle_entries_equal_the_reduced_form(budget):
         ang = sphere_area(d)
         assert nq.stiffness_entry_oracle(d, s, m, n, budget) == ValueWithError(
             ang * ref.value, ang * ref.error), (m, n)
+
+
+@pytest.mark.parametrize("positive", [True, False])
+def test_profile_gram_equals_form_and_evaluates_each_base_once(positive):
+    # a signed part takes its values from its base's: u' is evaluated once
+    # per node set for itself and its part, and every entry is form's value
+    rng = np.random.default_rng(5)
+    prof = RadialProfile(RadialBasisSpec(3, 0.7, 8), rng.standard_normal(8))
+    calls = []
+
+    def du(r):
+        calls.append(np.size(r))
+        return prof.derivative(r)
+
+    part = nq.SignedPart(du, positive=positive)
+    profiles = [du, part, prof]
+    eng = nq.PairFormEngine(1, 0.7, 1, (0.4,), 5, 10)
+    G = eng.gram(profiles)
+    assert sum(calls) == eng.r_out.size + eng.rho.size
+    for m in range(3):
+        for n in range(3):
+            assert G[m, n] == eng.form(profiles[m], profiles[n]), (m, n)
+    assert np.array_equal(part(eng.r_out),
+                          np.maximum(du(eng.r_out), 0.0) if positive
+                          else np.minimum(du(eng.r_out), 0.0))

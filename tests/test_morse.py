@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from fracball import morse
+from fracball import morse, nonlocal_quadrature
+from fracball.basis import RadialProfile
 from fracball.errors import DimensionUnsupported
 from fracball.morse import (assemble_linearized, build_test_functions,
                             first_linearized_eigen, morse_index)
 from fracball.morse import test_function_checks as run_test_function_checks
+from fracball.nonlocal_quadrature import SeparableFunction, quadratic_form_L
 from fracball.params import ProblemParams
 from fracball.quadrature import ValueWithError
 from fracball.semilinear import NonlinearitySpec, solve_radial_sign_changing
@@ -125,6 +127,37 @@ def test_test_function_checks_one_dimensional(morse_n1):
     assert rep.rayleigh_bound < 0.0
     defect = rep.weak_defect[(1, 1)]
     assert abs(defect.value) <= 3.0 * defect.error
+
+
+def test_test_function_checks_evaluate_u_prime_once_per_engine(monkeypatch, morse_n1):
+    # the diagonal and the weak defect come from one Gram over [v^1, d_1]:
+    # bit for bit the two quadratic_form_L values, with u' evaluated once
+    # on each engine's inner nodes (the pairwise forms evaluate it three
+    # times).  No coarse re-solve, so the defect carries no truncation term.
+    sol = morse_n1.solution
+    d1 = build_test_functions(sol)[0]
+    v1 = SeparableFunction(profile=sol.profile.derivative, angular="coordinate",
+                           j=1, breaks=d1.breaks, label="v^1")
+    diag = quadratic_form_L(sol, d1, d1)
+    defect = quadratic_form_L(sol, v1, d1)
+    engines = nonlocal_quadrature._engine_pair(1, sol.params.s, 1, d1.breaks,
+                                               nonlocal_quadrature._FINE)
+
+    seen = []
+    derivative = RadialProfile.derivative
+
+    def recorded(self, r):
+        seen.append(np.array(r, dtype=float))
+        return derivative(self, r)
+
+    monkeypatch.setattr(RadialProfile, "derivative", recorded)
+    monkeypatch.setattr(morse, "coarse_K", lambda K: None)
+    rep = run_test_function_checks(morse_n1)
+    assert rep.diag[1] == diag
+    assert rep.weak_defect[(1, 1)] == defect
+    for eng in engines:
+        block = eng.rho[:nonlocal_quadrature._FORM_BLOCK]
+        assert sum(np.array_equal(r, block) for r in seen) == 1
 
 
 def test_test_function_checks_monte_carlo_smoke(morse_n2):

@@ -21,10 +21,9 @@ from .errors import (DimensionUnsupported, FracballError,
                      InadmissibleBoundaryData, OracleMismatch,
                      TruncationUnsafe)
 from .nonlocal_quadrature import (SeparableFunction, SignedPart,
-                                  angular_factor, bilinear_gram,
-                                  linearized_potential_form, mc_offset_sample,
-                                  mc_remainder, quadratic_form_L,
-                                  radial_potential_integral)
+                                  angular_factor, linearized_potential_form,
+                                  mc_offset_sample, mc_remainder,
+                                  quadratic_form_L, radial_potential_integral)
 from .params import ProblemParams, harmonic_multiplicity, sphere_area
 from .quadrature import ValueWithError
 from .roots import brentq
@@ -304,20 +303,19 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
         )
     fns = build_test_functions(sol)
 
-    def defect_forms(sol_k, d1_k):
-        """The E_s Gram over [v^1, d_1], v^1 = (x_1/|x|) u'(|x|), for one
-        discrete solution, and the weak defect E_{s,L}(v^1, d_1).  d_1's
-        profile is the signed part of u', so the Gram evaluates u' once per
-        engine node set."""
+    def weak_defect_at(sol_k, d1_k):
+        """E_{s,L}(v^1, d_1) with v^1 = (x_1/|x|) u'(|x|), for one discrete
+        solution.  d_1's profile is the signed part of v^1's, so each engine
+        evaluates u' once for both."""
         v1 = SeparableFunction(profile=d1_k.profile.base, angular="coordinate",
                                j=1, breaks=d1_k.breaks, label="v^1")
-        E = bilinear_gram([v1, d1_k], sol_k.params)
-        return E, E[0][1] - linearized_potential_form(sol_k, v1, d1_k)
+        return quadratic_form_L(sol_k, v1, d1_k)
 
-    def weak_defect_with_truncation(est):
+    def weak_defect_with_truncation():
         """The identity holds for the continuum solution only, so the defect
-        est of the discrete solution carries a truncation contribution;
-        estimate it from the defect of a coarser re-solve."""
+        of the discrete solution carries a truncation contribution; estimate
+        it from the defect of a coarser re-solve."""
+        est = weak_defect_at(sol, fns[0])
         trunc = 0.0
         K_c = coarse_K(sol.spec.K)
         if K_c is not None and not sol.linear_degenerate:
@@ -328,7 +326,7 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
             try:
                 sol_c = solve_radial_sign_changing(
                     params, sol.nonlin, sol.nodal_count, K=K_c)
-                _, est_c = defect_forms(sol_c, build_test_functions(sol_c)[0])
+                est_c = weak_defect_at(sol_c, build_test_functions(sol_c)[0])
                 trunc = abs(est.value - est_c.value)
             except FracballError:
                 trunc = 0.0
@@ -343,19 +341,15 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
     d1 = fns[0]
     if params.N == 1:
         method = "deterministic"
-        E, defect = defect_forms(sol, d1)
-        est = E[1][1] - linearized_potential_form(sol, d1, d1)
+        est = quadratic_form_L(sol, d1, d1)
     else:
-        # the Monte-Carlo run goes before the Gram builds the N = 2 engines,
-        # which keeps the process's peak memory lower
         method = "monte-carlo"
         est = (_mc_quadratic_pair(d1, d1, params, mc_samples, seed + 1)
                - linearized_potential_form(sol, d1, d1))
-        _, defect = defect_forms(sol, d1)
     diag = {j: est for j in range(1, params.N + 1)}
     cross = {(j, k): quadratic_form_L(sol, fns[j - 1], fns[k - 1])
              for j in diag for k in diag if j < k}
-    weak = {(1, 1): weak_defect_with_truncation(defect)}
+    weak = {(1, 1): weak_defect_with_truncation()}
 
     # Rayleigh bound on span {phi_{1,L}, d_1..d_N}: the Gram matrices are
     # diagonal by parity (d_j against phi_{1,L} and d_k alike), so the max

@@ -88,8 +88,8 @@ class SeparableFunction:
 class SignedPart:
     """The radial profile max(g, 0) (positive) or min(g, 0) of a profile g.
 
-    PairFormEngine.gram takes its values from g's, so a Gram over g and its
-    signed parts evaluates g once.
+    PairFormEngine.form(g, h) takes a signed part h of g from g's values, so
+    the form of g and its signed part evaluates g once.
     """
 
     base: object
@@ -254,9 +254,8 @@ class PairFormEngine:
     """Precomputed node/weight tables for one reduced bilinear form.
 
     form(g, h) returns the radial-reduced value; the full N-dimensional form
-    is angular_factor(N, ell) times that.  gram(profiles) and
-    stiffness_gram(spec) return form on every pair of a list of profiles, or
-    of a basis's first functions, at once.
+    is angular_factor(N, ell) times that.  stiffness_gram(spec) returns form
+    on every pair of a basis's first functions at once.
 
     Pair i couples the outer node r_out[idx[i]] with the inner node rho[i].
     The tables are built with arrays, segment by segment: the gap rules of
@@ -318,46 +317,24 @@ class PairFormEngine:
         return self.c * (0.5 * float(np.dot(self.kw, dg * dh))
                          + float(np.dot(self.wdiag, g_out * h_out)))
 
-    def _gram(self, outs, diffs):
-        """Matrix of _sum over every pair of profiles, given each at the
-        outer nodes (outs) and by its pair differences (diffs)."""
-        gram = np.empty((len(outs), len(outs)))
-        for m, n in itertools.combinations_with_replacement(range(len(outs)), 2):
-            gram[m, n] = gram[n, m] = self._sum(outs[m], diffs[m], outs[n], diffs[n])
-        return gram
-
     def form(self, g, h=None):
-        """Reduced bilinear form of two radial profiles (h defaults to g)."""
+        """Reduced bilinear form of two radial profiles (h defaults to g).
+
+        A SignedPart h of g takes its values from g's, so g is evaluated
+        once for both.
+        """
         g_out = np.asarray(g(self.r_out), dtype=float)
-        dg = g_out[self.idx] - self._inner(g)
+        g_in = self._inner(g)
+        dg = g_out[self.idx] - g_in
         if h is None or h is g:
             h_out, dh = g_out, dg
+        elif isinstance(h, SignedPart) and h.base is g:
+            h_out = h.part(g_out)
+            dh = h_out[self.idx] - h.part(g_in)
         else:
             h_out = np.asarray(h(self.r_out), dtype=float)
             dh = h_out[self.idx] - self._inner(h)
         return self._sum(g_out, dg, h_out, dh)
-
-    def gram(self, profiles):
-        """Matrix of form(g, h) over every pair of the radial profiles.
-
-        Each profile is evaluated once at the outer nodes and once at the
-        inner ones, and a SignedPart takes its values from its base's, so
-        the base is evaluated once for itself and all its parts.  Each entry
-        is summed as form sums it, so it equals form of its pair bit for bit.
-        """
-        values = {}
-        outs, diffs = [], []
-        for f in profiles:
-            base = f.base if isinstance(f, SignedPart) else f
-            if base not in values:
-                values[base] = (np.asarray(base(self.r_out), dtype=float),
-                                self._inner(base))
-            f_out, f_in = values[base]
-            if base is not f:
-                f_out, f_in = f.part(f_out), f.part(f_in)
-            outs.append(f_out)
-            diffs.append(f_out[self.idx] - f_in)
-        return self._gram(outs, diffs)
 
     def stiffness_gram(self, spec):
         """K x K matrix of form(phi_m, phi_n) over the basis functions
@@ -373,7 +350,10 @@ class PairFormEngine:
             for lo in range(0, self.rho.size, _FORM_BLOCK):
                 hi = lo + _FORM_BLOCK
                 D[:, lo:hi] = phi[:, self.idx[lo:hi]] - basis_matrix(spec, self.rho[lo:hi])
-            self._grams[spec] = self._gram(phi, D)
+            gram = np.empty((spec.K, spec.K))
+            for m, n in itertools.combinations_with_replacement(range(spec.K), 2):
+                gram[m, n] = gram[n, m] = self._sum(phi[m], D[m], phi[n], D[n])
+            self._grams[spec] = gram
         return self._grams[spec]
 
 
@@ -466,32 +446,6 @@ def bilinear_form(u, v, params):
     est = reduced_form(N, s, ell, u.profile, v.profile, breaks, _FINE)
     ang = angular_factor(N, ell)
     return ValueWithError(ang * est.value, ang * est.error)
-
-
-def bilinear_gram(fns, params):
-    """E_s over every pair of the separable functions fns, which share one
-    angular class: a nested list of ValueWithError, E[m][n] = E_s(fns[m],
-    fns[n]).
-
-    One PairFormEngine.gram per ladder engine, on the union of the
-    functions' breaks; where the functions share their breaks, each entry
-    equals bilinear_form of its pair bit for bit.
-    """
-    u = fns[0]
-    if not all(_check_compat(u, v) for v in fns):
-        raise ValueError("bilinear_gram needs functions of one angular class")
-    N, s, ell = params.N, params.s, u.ell
-    breaks = tuple(sorted(set().union(*(f.breaks for f in fns))))
-    fine, coarse = _engine_pair(N, s, ell, breaks, _FINE)
-    profiles = [f.profile for f in fns]
-    G_fine, G_coarse = fine.gram(profiles), coarse.gram(profiles)
-    ang = angular_factor(N, ell)
-
-    def entry(m, n):
-        est = _two_resolution(float(G_fine[m, n]), float(G_coarse[m, n]))
-        return ValueWithError(ang * est.value, ang * est.error)
-
-    return [[entry(m, n) for n in range(len(fns))] for m in range(len(fns))]
 
 
 def radial_potential_integral(fn, pu, pv, N, breaks=()):

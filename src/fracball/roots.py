@@ -2,22 +2,25 @@
 
 brentq is a port of SciPy's brentq.c to Python floats: the same inverse
 quadratic extrapolation, secant interpolation and bisection rules, the same
-tolerances and the same defaults, so it returns the root that
-scipy.optimize.brentq returns, bit for bit, without importing
-scipy.optimize and the modules that come with it.
+tolerances as SciPy's defaults, so it returns the root that
+scipy.optimize.brentq returns with its defaults, bit for bit, without
+importing scipy.optimize and the modules that come with it.
 """
 
 import math
 
 _EPS = 2.220446049250313e-16  # numpy.finfo(float).eps
+_XTOL = 2e-12
+_RTOL = 4.0 * _EPS
+_MAXITER = 100
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=4.0 * _EPS, maxiter=100):
+def brentq(f, a, b):
     """A root of the scalar function f in [a, b], where f(a) and f(b) have
-    opposite signs, to within xtol + rtol * |root|.
+    opposite signs, to within _XTOL + _RTOL * |root|.
 
     Raises ValueError when f(a) and f(b) have the same sign or f returns
-    NaN, and RuntimeError when maxiter steps do not converge.
+    NaN, and RuntimeError when _MAXITER steps do not converge.
     """
     xpre, xcur = float(a), float(b)
     fpre, fcur = _value(f, xpre), _value(f, xcur)
@@ -28,7 +31,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=4.0 * _EPS, maxiter=100):
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -37,7 +40,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=4.0 * _EPS, maxiter=100):
             # keep the best point in xcur; the bracket is [xcur, xblk]
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -65,7 +68,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=4.0 * _EPS, maxiter=100):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = _value(f, xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations, "
                        f"value is {xcur}")
 
 

@@ -114,9 +114,9 @@ def test_oracle_entries_equal_the_reduced_form(budget):
 
 
 @pytest.mark.parametrize("positive", [True, False])
-def test_profile_gram_equals_form_and_evaluates_each_base_once(positive):
-    # a signed part takes its values from its base's: u' is evaluated once
-    # per node set for itself and its part, and every entry is form's value
+def test_form_takes_a_signed_part_from_its_base(positive):
+    # form(g, SignedPart(g)) evaluates g once per node set and equals, bit
+    # for bit, the form of g and a plain function for the signed part
     rng = np.random.default_rng(5)
     prof = RadialProfile(RadialBasisSpec(3, 0.7, 8), rng.standard_normal(8))
     calls = []
@@ -125,14 +125,14 @@ def test_profile_gram_equals_form_and_evaluates_each_base_once(positive):
         calls.append(np.size(r))
         return prof.derivative(r)
 
+    def plain(r):
+        vals = prof.derivative(r)
+        return np.maximum(vals, 0.0) if positive else np.minimum(vals, 0.0)
+
     part = nq.SignedPart(du, positive=positive)
-    profiles = [du, part, prof]
     eng = nq.PairFormEngine(1, 0.7, 1, (0.4,), 5, 10)
-    G = eng.gram(profiles)
+    value = eng.form(du, part)
     assert sum(calls) == eng.r_out.size + eng.rho.size
-    for m in range(3):
-        for n in range(3):
-            assert G[m, n] == eng.form(profiles[m], profiles[n]), (m, n)
-    assert np.array_equal(part(eng.r_out),
-                          np.maximum(du(eng.r_out), 0.0) if positive
-                          else np.minimum(du(eng.r_out), 0.0))
+    assert value == eng.form(prof.derivative, plain)
+    assert np.array_equal(part(eng.r_out), plain(eng.r_out))
+    assert eng.form(part) == eng.form(plain)

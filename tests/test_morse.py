@@ -129,11 +129,13 @@ def test_test_function_checks_one_dimensional(morse_n1):
     assert abs(defect.value) <= 3.0 * defect.error
 
 
-def test_test_function_checks_evaluate_u_prime_once_per_engine(monkeypatch, morse_n1):
-    # the diagonal and the weak defect come from one Gram over [v^1, d_1]:
-    # bit for bit the two quadratic_form_L values, with u' evaluated once
-    # on each engine's inner nodes (the pairwise forms evaluate it three
-    # times).  No coarse re-solve, so the defect carries no truncation term.
+def test_test_function_checks_evaluate_u_prime_once_per_form(monkeypatch, morse_n1):
+    # the diagonal E_{s,L}(d_1, d_1) and the weak defect E_{s,L}(v^1, d_1)
+    # are the two quadratic_form_L values, bit for bit.  d_1's profile is a
+    # signed part of u', so each form evaluates u' once on each engine's
+    # inner nodes: twice in all (three times when d_1's profile evaluated
+    # u' on its own).  No coarse re-solve, so the defect carries no
+    # truncation term.
     sol = morse_n1.solution
     d1 = build_test_functions(sol)[0]
     v1 = SeparableFunction(profile=sol.profile.derivative, angular="coordinate",
@@ -157,7 +159,7 @@ def test_test_function_checks_evaluate_u_prime_once_per_engine(monkeypatch, mors
     assert rep.weak_defect[(1, 1)] == defect
     for eng in engines:
         block = eng.rho[:nonlocal_quadrature._FORM_BLOCK]
-        assert sum(np.array_equal(r, block) for r in seen) == 1
+        assert sum(np.array_equal(r, block) for r in seen) == 2
 
 
 def test_test_function_checks_monte_carlo_smoke(morse_n2):

@@ -115,7 +115,7 @@ def linear_morse_crosscheck(oracle_budget=None):
             lam = float(radial_family(params, 0, K_START,
                                       oracle_budget=oracle_budget).eigenvalues[1])
             sol = solve_radial_sign_changing(params,
-                                             NonlinearitySpec("linear", lam),
+                                             NonlinearitySpec(lam),
                                              target_nodes=1, K=K_START,
                                              oracle_budget=oracle_budget)
             rep = morse_index(params, sol, ell_max=ELL_START,
@@ -150,7 +150,7 @@ def solve_nonlinear_case(case, oracle_budget=None):
     passed = True
     for N, (s, p) in NONLINEAR_CASES[case].items():
         params = ProblemParams(N, s)
-        nl = NonlinearitySpec("power", 1.0, p)
+        nl = NonlinearitySpec(1.0, p)
         row = {"N": N, "s": s, "p": p}
         try:
             sol = solve_radial_resolved(params, nl, target_nodes=1, K=K_START,
@@ -244,7 +244,7 @@ def gradient_check(solutions=None):
         params, nl = sol.params, sol.nonlin
     else:
         params = ProblemParams(2, 0.7)
-        nl = NonlinearitySpec("power", 1.0, 3.0)
+        nl = NonlinearitySpec(1.0, 3.0)
         sol = solve_radial_sign_changing(params, nl, target_nodes=1, K=K_START)
     h, tol = 1e-4, 1e-6
     spec, rule = sol.spec, (sol.quad_r, sol.quad_w)
@@ -286,13 +286,13 @@ def determinism():
     for _ in range(2):
         chunks = []
         for command in (cli.cmd_conjecture, cli.cmd_solve, cli.cmd_morse):
-            records, _, _ = command(cfg, jobs=1, oracle_budget=None)
+            records, _, _ = command(cfg)
             chunks.append(render_json(records))
         payloads.append("".join(chunks))
     reports_identical = payloads[0] == payloads[1]
 
     params = ProblemParams(2, 0.7)
-    sol = solve_radial_sign_changing(params, NonlinearitySpec("power", 1.0, 3.0),
+    sol = solve_radial_sign_changing(params, NonlinearitySpec(1.0, 3.0),
                                      target_nodes=1, K=16)
     d1 = build_test_functions(sol)[0]
     mc = [_mc_quadratic_pair(d1, d1, params, 20_000, 20240824) for _ in range(2)]

@@ -27,13 +27,12 @@ def _with_overrides(cfg, args):
         cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _point_inputs(params, nl=None, cfg=None):
+def _point_inputs(cfg, params, nl=None):
     inputs = {"N": params.N, "s": params.s}
     if nl is not None:
         inputs["nonlinearity"] = format_nonlinearity(nl)
-    if cfg is not None:
-        inputs["K"] = cfg.trunc_K
-        inputs["seed"] = cfg.seed
+    inputs["K"] = cfg.trunc_K
+    inputs["seed"] = cfg.seed
     return inputs
 
 
@@ -41,18 +40,19 @@ def _error_row(exc):
     return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def cmd_eigs(cfg, jobs, oracle_budget):
+def cmd_eigs(cfg):
     from .spectrum import assemble_full_spectrum, second_eigenvalue
 
     records = []
     rows = []
     for params in (ProblemParams(int(N), float(s))
                    for N in cfg.grid_N for s in cfg.grid_s):
-        inputs = _point_inputs(params, cfg=cfg)
+        inputs = _point_inputs(cfg, params)
         try:
             spec = assemble_full_spectrum(params, cfg.trunc_ell_max,
                                           cfg.trunc_n_max, cfg.trunc_K,
-                                          oracle_budget=oracle_budget, jobs=jobs)
+                                          oracle_budget=cfg.tol_oracle_budget,
+                                          jobs=cfg.jobs)
             lam2, label, gap = second_eigenvalue(params, cfg.trunc_K)
             payload = {
                 "entries": [
@@ -78,7 +78,7 @@ def cmd_eigs(cfg, jobs, oracle_budget):
     return records, [table], 0
 
 
-def cmd_conjecture(cfg, jobs, oracle_budget):
+def cmd_conjecture(cfg):
     from .spectrum import verify_conjecture
 
     records = []
@@ -86,10 +86,10 @@ def cmd_conjecture(cfg, jobs, oracle_budget):
     tally = {"yes": 0, "no": 0, "inconclusive": 0, "error": 0}
     for params in (ProblemParams(int(N), float(s))
                    for N in cfg.grid_N for s in cfg.grid_s):
-        inputs = _point_inputs(params, cfg=cfg)
+        inputs = _point_inputs(cfg, params)
         try:
             rep = verify_conjecture(params, cfg.trunc_K,
-                                    oracle_budget=oracle_budget)
+                                    oracle_budget=cfg.tol_oracle_budget)
             payload = {
                 "lambda-antisymmetric": {"value": rep.lam_antisymmetric,
                                          "err": rep.error_bar},
@@ -117,13 +117,13 @@ def cmd_conjecture(cfg, jobs, oracle_budget):
     return records, [table], 0
 
 
-def _solve_point(cfg, params, nl, oracle_budget):
+def _solve_point(cfg, params, nl):
     from .semilinear import (check_subcriticality, energy, pohozaev_residual,
                              solve_radial_sign_changing)
 
     sol = solve_radial_sign_changing(params, nl, cfg.grid_target_nodes,
                                      K=cfg.trunc_K, newton_tol=cfg.tol_newton,
-                                     oracle_budget=oracle_budget)
+                                     oracle_budget=cfg.tol_oracle_budget)
     sub = check_subcriticality(nl, params)
     payload = {
         "coefficients": list(sol.coefficients),
@@ -141,13 +141,13 @@ def _solve_point(cfg, params, nl, oracle_budget):
     return sol, payload
 
 
-def cmd_solve(cfg, jobs, oracle_budget):
+def cmd_solve(cfg):
     records = []
     rows = []
     for params, nl in cfg.grid_points():
-        inputs = _point_inputs(params, nl, cfg)
+        inputs = _point_inputs(cfg, params, nl)
         try:
-            _, payload = _solve_point(cfg, params, nl, oracle_budget)
+            _, payload = _solve_point(cfg, params, nl)
             rows.append({"N": params.N, "s": params.s,
                          "nonlinearity": format_nonlinearity(nl),
                          "nodal_count": payload["nodal-count"],
@@ -166,17 +166,17 @@ def cmd_solve(cfg, jobs, oracle_budget):
     return records, [table], 0
 
 
-def cmd_morse(cfg, jobs, oracle_budget):
+def cmd_morse(cfg):
     from .morse import morse_index, test_function_checks
 
     records = []
     rows = []
     for params, nl in cfg.grid_points():
-        inputs = _point_inputs(params, nl, cfg)
+        inputs = _point_inputs(cfg, params, nl)
         try:
-            sol, sol_payload = _solve_point(cfg, params, nl, oracle_budget)
+            sol, sol_payload = _solve_point(cfg, params, nl)
             rep = morse_index(params, sol, ell_max=cfg.trunc_ell_max,
-                              oracle_budget=oracle_budget)
+                              oracle_budget=cfg.tol_oracle_budget)
             payload = {
                 "solution": sol_payload,
                 "per-ell": [
@@ -224,10 +224,10 @@ def cmd_morse(cfg, jobs, oracle_budget):
     return records, [table], 0
 
 
-def cmd_verify_all(cfg, jobs, oracle_budget):
+def cmd_verify_all(cfg):
     from . import acceptance
 
-    results = acceptance.run_all(oracle_budget=oracle_budget)
+    results = acceptance.run_all(oracle_budget=cfg.tol_oracle_budget)
     records = []
     rows = []
     any_fail = False
@@ -273,8 +273,7 @@ def main(argv=None):
         cfg = _with_overrides(load_config(args.config), args)
         t0 = time.time()
         memo0 = solve_sector.cache_info()
-        records, tables, exit_code = _COMMANDS[args.command](
-            cfg, cfg.jobs, cfg.tol_oracle_budget)
+        records, tables, exit_code = _COMMANDS[args.command](cfg)
         memo = solve_sector.cache_info()
         doc = make_document(cfg, records, wall_time=round(time.time() - t0, 3),
                             sector_memo={"hits": memo.hits - memo0.hits,

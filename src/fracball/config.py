@@ -15,10 +15,12 @@ from .semilinear import NonlinearitySpec
 from .truncation import ELL_START, K_START
 
 _NONLIN_RE = re.compile(r"^\s*([a-z-]+)\s*\(\s*([^)]*)\s*\)\s*$")
+# each family's argument count: linear(lam) is power(lam, 2)
+_NONLIN_ARITY = {"linear": 1, "power": 2}
 
 
 def parse_nonlinearity(text):
-    """'power(1.0, 3.0)' | 'linear(5.0)' | 'shifted-linear(1.0, 0.5)'."""
+    """'power(1.0, 3.0)' | 'linear(5.0)', the latter meaning power(5.0, 2)."""
     m = _NONLIN_RE.match(text)
     if not m:
         raise ConfigError(f"malformed nonlinearity descriptor {text!r}")
@@ -27,27 +29,21 @@ def parse_nonlinearity(text):
         args = [float(a) for a in m.group(2).split(",") if a.strip()]
     except ValueError as exc:
         raise ConfigError(f"malformed nonlinearity arguments in {text!r}") from exc
+    if family not in _NONLIN_ARITY:
+        raise ConfigError(f"unknown nonlinearity family {family!r}")
+    if len(args) != _NONLIN_ARITY[family]:
+        raise ConfigError(f"{family} takes {_NONLIN_ARITY[family]} "
+                          f"argument(s), got {text!r}")
     try:
-        if family == "linear":
-            (lam,) = args
-            return NonlinearitySpec("linear", lam)
-        if family == "power":
-            lam, p = args
-            return NonlinearitySpec("power", lam, p)
-        if family == "shifted-linear":
-            lam, c0 = args
-            return NonlinearitySpec("shifted-linear", lam, c0=c0)
+        return NonlinearitySpec(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown nonlinearity family {family!r}")
 
 
 def format_nonlinearity(nl):
-    if nl.family == "linear":
+    if nl.p == 2.0:
         return f"linear({nl.lam:g})"
-    if nl.family == "power":
-        return f"power({nl.lam:g}, {nl.p:g})"
-    return f"shifted-linear({nl.lam:g}, {nl.c0:g})"
+    return f"power({nl.lam:g}, {nl.p:g})"
 
 
 @dataclass

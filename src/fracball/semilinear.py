@@ -24,51 +24,32 @@ from .truncation import K_START, next_K
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """f(t) for the right-hand side: linear, odd power, or shifted linear.
+    """f(t) = lam |t|^{p-2} t with p >= 2 (C^1); p = 2 is the linear f = lam t."""
 
-    power: f(t) = lam |t|^{p-2} t with p >= 2 (C^1); linear: f(t) = lam t;
-    shifted-linear: f(t) = lam t + c0.
-    """
-
-    family: str
     lam: float = 1.0
     p: float = 2.0
-    c0: float = 0.0
 
     def __post_init__(self):
-        if self.family not in ("linear", "power", "shifted-linear"):
-            raise ValueError(f"unknown nonlinearity family {self.family!r}")
-        if self.family == "power" and self.p < 2.0:
+        if self.p < 2.0:
             raise ValueError("power family requires p >= 2 so that f is C^1")
 
     def f(self, t):
         t = np.asarray(t, dtype=float)
-        if self.family == "linear":
-            return self.lam * t
-        if self.family == "shifted-linear":
-            return self.lam * t + self.c0
         return self.lam * np.abs(t) ** (self.p - 2.0) * t
 
     def fprime(self, t):
         t = np.asarray(t, dtype=float)
-        if self.family in ("linear", "shifted-linear"):
-            return np.full_like(t, self.lam)
         return self.lam * (self.p - 1.0) * np.abs(t) ** (self.p - 2.0)
 
     def F(self, t):
         t = np.asarray(t, dtype=float)
-        if self.family == "linear":
-            return 0.5 * self.lam * t**2
-        if self.family == "shifted-linear":
-            return 0.5 * self.lam * t**2 + self.c0 * t
         return self.lam * np.abs(t) ** self.p / self.p
 
 
 @dataclass
 class SubcriticalityResult:
     satisfied: bool
-    threshold: float  # power-family exponent threshold 2N/(N-2s) (inf if N <= 2s)
-    witness: float | None = None  # a t where the inequality fails, if any
+    threshold: float  # exponent threshold 2N/(N-2s) (inf if N <= 2s)
 
     def __bool__(self):
         return self.satisfied
@@ -77,23 +58,11 @@ class SubcriticalityResult:
 def check_subcriticality(nonlin, params):
     """Does F(t) > ((N-2s)/(2N)) t f(t) hold for all t != 0?
 
-    Closed form for the linear and power families; otherwise tested on a
-    sign-aware log grid with the failing witness reported.
+    For the power family it does exactly when lam > 0 and p < 2N/(N-2s).
     """
     N, s = params.N, params.s
     thresh = float("inf") if N <= 2.0 * s else 2.0 * N / (N - 2.0 * s)
-    if nonlin.family == "linear":
-        return SubcriticalityResult(nonlin.lam > 0.0, thresh,
-                                    None if nonlin.lam > 0 else 1.0)
-    if nonlin.family == "power":
-        ok = nonlin.lam > 0.0 and nonlin.p < thresh
-        return SubcriticalityResult(ok, thresh, None if ok else 1.0)
-    grid = np.concatenate([-np.logspace(-6, 3, 200)[::-1], np.logspace(-6, 3, 200)])
-    margin = nonlin.F(grid) - ((N - 2.0 * s) / (2.0 * N)) * grid * nonlin.f(grid)
-    bad = np.nonzero(margin <= 0.0)[0]
-    if bad.size:
-        return SubcriticalityResult(False, thresh, float(grid[bad[0]]))
-    return SubcriticalityResult(True, thresh, None)
+    return SubcriticalityResult(nonlin.lam > 0.0 and nonlin.p < thresh, thresh)
 
 
 @dataclass
@@ -153,14 +122,13 @@ def _jacobian(nonlin, phi, w, c, ang):
 
 
 def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
-                               init="from-eigenfunction", newton_tol=1e-10,
+                               init=None, newton_tol=1e-10,
                                max_iter=60, oracle_budget=None):
     """Newton-Galerkin solve of E_s(u, v) = int f(u) v for all basis v.
 
-    init is either 'from-eigenfunction' (amplitude-matched radial
-    eigenfunction with target_nodes sign changes) or an explicit coefficient
-    vector.  For the linear family (and power p = 2, which is linear on each
-    sign pattern ray) the scaled eigenfunction itself is returned, flagged
+    init is an explicit coefficient vector, or None for the amplitude-matched
+    radial eigenfunction with target_nodes sign changes.  At p = 2 (the
+    linear f = lam t) the scaled eigenfunction itself is returned, flagged
     linear-degenerate.
     """
     sub = check_subcriticality(nonlin, params)
@@ -174,11 +142,8 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
     pair = assemble_radial_operator(spec, oracle_budget=oracle_budget)
     A0, B = pair.A, pair.B
 
-    degenerate = nonlin.family in ("linear",) or (
-        nonlin.family == "power" and nonlin.p == 2.0
-    )
-    explicit = not (isinstance(init, str) and init == "from-eigenfunction")
-    if degenerate or not explicit:
+    degenerate = nonlin.p == 2.0
+    if degenerate or init is None:
         lam, vec = generalized_eigh(pair)
         lam_lin = float(lam[target_nodes])
         v_lin = vec[:, target_nodes]
@@ -191,7 +156,7 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
                               linear_degenerate=True)
 
     ang = sphere_area(params.N)
-    if explicit:
+    if init is not None:
         c = np.asarray(init, dtype=float).copy()
         if c.shape != (K,):
             raise ValueError("explicit initial guess must have length K")
@@ -200,28 +165,21 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
         p_path = [nonlin.p]
     else:
         seed_breaks = RadialProfile(spec, v_lin).sign_change_radii()
-        # amplitude matching: the scaled eigenfunction alpha*v solves the
-        # power problem to leading order when
-        # alpha^{p-2} = lam_lin <v,v>_B / (lam * int |v|^p)
-        r, w = _interior_rule(spec, seed_breaks)
-        phi_seed = basis_matrix(spec, r)
-        u_lin = v_lin @ phi_seed
-
-        def amplitude_seed(nl):
-            p = nl.p
-            ip = ang * float(np.dot(w, np.abs(u_lin) ** p))
-            nb = float(v_lin @ B @ v_lin)
-            alpha = (lam_lin * nb / (nl.lam * ip)) ** (1.0 / (p - 2.0))
-            return alpha * v_lin
-
         # continuation in the exponent: far from p = 2 the amplitude-matched
         # eigenfunction can fall outside Newton's basin, so walk p up from
         # near 2, warm-starting each step
-        c = amplitude_seed(nonlin)
         p_path = [nonlin.p]
         if nonlin.p > 2.6:
             p_path = list(np.arange(2.5, nonlin.p, 0.25)) + [nonlin.p]
-            c = amplitude_seed(NonlinearitySpec("power", nonlin.lam, p_path[0]))
+        # amplitude matching: the scaled eigenfunction alpha*v solves the
+        # power problem at the first exponent p0 to leading order when
+        # alpha^{p0-2} = lam_lin <v,v>_B / (lam * int |v|^p0)
+        p0 = p_path[0]
+        r, w = _interior_rule(spec, seed_breaks)
+        u_lin = v_lin @ basis_matrix(spec, r)
+        ip = ang * float(np.dot(w, np.abs(u_lin) ** p0))
+        nb = float(v_lin @ B @ v_lin)
+        c = (lam_lin * nb / (nonlin.lam * ip)) ** (1.0 / (p0 - 2.0)) * v_lin
 
     def newton_phase(nl, c, tol, w, phi):
         """Damped Newton at a fixed quadrature rule; returns (c, res, iters).
@@ -271,7 +229,7 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
     p_prev = None
     for p_step in p_path:
         nl_step = nonlin if p_step == nonlin.p else NonlinearitySpec(
-            "power", nonlin.lam, p_step)
+            nonlin.lam, p_step)
         if p_prev is not None and p_step != p_prev:
             # amplitude A solves A^{p-2} ~ lam_lin/lam; carry that scaling
             # to the new exponent: A -> A^{(p_prev-2)/(p_step-2)}

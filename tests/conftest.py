@@ -16,7 +16,7 @@ def cold_sector_memo():
 def cubic_n1():
     """Converged 1-node cubic-power solution at N=1, shared across modules."""
     params = ProblemParams(1, 0.75)
-    nonlin = NonlinearitySpec("power", 1.0, 3.0)
+    nonlin = NonlinearitySpec(1.0, 3.0)
     sol = solve_radial_sign_changing(params, nonlin, target_nodes=1, K=24)
     return params, nonlin, sol
 
@@ -25,7 +25,7 @@ def cubic_n1():
 def cubic_n2():
     """Converged 1-node cubic-power solution at N=2, shared across modules."""
     params = ProblemParams(2, 0.5)
-    nonlin = NonlinearitySpec("power", 1.0, 3.0)
+    nonlin = NonlinearitySpec(1.0, 3.0)
     sol = solve_radial_sign_changing(params, nonlin, target_nodes=1, K=16)
     return params, nonlin, sol
 

@@ -15,23 +15,24 @@ from fracball.report import (config_hash, fmt_float, make_document,
 
 def test_parse_nonlinearity_families():
     nl = parse_nonlinearity("power(2.0, 3.5)")
-    assert (nl.family, nl.lam, nl.p) == ("power", 2.0, 3.5)
+    assert (nl.lam, nl.p) == (2.0, 3.5)
     nl = parse_nonlinearity("linear(4.25)")
-    assert (nl.family, nl.lam) == ("linear", 4.25)
-    nl = parse_nonlinearity("shifted-linear(1.0, 0.5)")
-    assert (nl.family, nl.lam, nl.c0) == ("shifted-linear", 1.0, 0.5)
+    assert (nl.lam, nl.p) == (4.25, 2.0)
+    assert nl == parse_nonlinearity("power(4.25, 2)")
 
 
 @pytest.mark.parametrize("text", ["power()", "power(1)", "cubic(1, 3)",
-                                  "power(1, x)", "power 1 3"])
+                                  "power(1, x)", "power 1 3",
+                                  "linear(1, 2)", "power(1, 1.5)"])
 def test_parse_nonlinearity_rejects_malformed(text):
     with pytest.raises(ConfigError):
         parse_nonlinearity(text)
 
 
 def test_nonlinearity_format_roundtrip():
-    for text in ("power(2, 3.5)", "linear(4.25)", "shifted-linear(1, 0.5)"):
+    for text in ("power(2, 3.5)", "linear(4.25)"):
         assert format_nonlinearity(parse_nonlinearity(text)) == text
+    assert format_nonlinearity(parse_nonlinearity("power(1, 2)")) == "linear(1)"
 
 
 def test_parse_config_defaults_and_comments():
@@ -215,8 +216,11 @@ def test_cli_jobs_flag_overrides_config_key(monkeypatch, text, flags, jobs):
     ("eigs", "tol.oracle-budget = -5\n", []),
     ("eigs", "", ["--jobs", "0"]),
     ("eigs", "", ["--seed", "-1"]),
+    ("solve", 'grid.nonlinearity = ["shifted-linear(1.0, 0.5)"]\n', []),
+    ("morse", 'grid.nonlinearity = ["shifted-linear(1.0, 0.5)"]\n', []),
 ], ids=["ell-max", "n-max", "target-nodes-above-K", "target-nodes-negative",
-        "oracle-budget", "jobs-flag", "seed-flag"])
+        "oracle-budget", "jobs-flag", "seed-flag", "unknown-family-solve",
+        "unknown-family-morse"])
 def test_cli_rejects_out_of_range_settings(tmp_path, capsys, command, extra,
                                            flags):
     cfg = tmp_path / "cfg.txt"
@@ -233,7 +237,7 @@ def test_cli_solve_surfaces_subcriticality_warning():
     cfg = CampaignConfig(grid_N=[3], grid_s=[0.5],
                          grid_nonlinearity=["power(1.0, 5.0)"], trunc_K=12)
     with pytest.warns(UserWarning, match="not subcritical"):
-        records, _, _ = cli.cmd_solve(cfg, 1, None)
+        records, _, _ = cli.cmd_solve(cfg)
     assert len(records) == 1
 
 
@@ -243,7 +247,7 @@ def test_cli_morse_testfn_failure_is_a_testfn_row():
     cfg = CampaignConfig(grid_N=[2], grid_s=[0.75],
                          grid_nonlinearity=["power(1.0, 3.0)"], trunc_K=12,
                          trunc_ell_max=4)
-    records, _, _ = cli.cmd_morse(cfg, 1, None)
+    records, _, _ = cli.cmd_morse(cfg)
     assert [r["kind"] for r in records] == ["morse", "testfn"]
     assert "total-index" in records[0]["payload"]
     assert records[1]["payload"]["error"] == "DimensionUnsupported"

@@ -30,7 +30,7 @@ def morse_n2(cubic_n2):
 
 def _linear_solution(params, K, level, target_nodes):
     lam = float(radial_family(params, 0, K).eigenvalues[level])
-    sol = solve_radial_sign_changing(params, NonlinearitySpec("linear", lam),
+    sol = solve_radial_sign_changing(params, NonlinearitySpec(lam),
                                      target_nodes=target_nodes, K=K)
     return lam, sol
 

@@ -66,7 +66,7 @@ def test_block_gate_runs_for_each_solution(monkeypatch):
     monkeypatch.setattr(morse, "quadratic_form_L", counted)
     params = ProblemParams(2, 0.5)
     for lam in (5.0, 50.0):
-        sol = solve_radial_sign_changing(params, NonlinearitySpec("linear", lam),
+        sol = solve_radial_sign_changing(params, NonlinearitySpec(lam),
                                          K=12)
         morse.assemble_linearized(params, sol, 0, sol.spec.K)
     assert gated == [5.0, 50.0]

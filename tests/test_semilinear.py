@@ -18,15 +18,13 @@ from fracball.truncation import TAIL_TOL, coefficient_tail
 
 def test_power_family_requires_superlinear_exponent():
     with pytest.raises(ValueError):
-        NonlinearitySpec("power", 1.0, 1.5)
+        NonlinearitySpec(1.0, 1.5)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-5.0, 5.0))
 def test_nonlinearity_derivative_consistency(t):
-    for nl in (NonlinearitySpec("power", 2.0, 3.0),
-               NonlinearitySpec("linear", 1.5),
-               NonlinearitySpec("shifted-linear", 1.0, c0=0.3)):
+    for nl in (NonlinearitySpec(2.0, 3.0), NonlinearitySpec(1.5)):
         h = 1e-6 * (1.0 + abs(t))
         f_fd = (nl.F(t + h) - nl.F(t - h)) / (2.0 * h)
         fp_fd = (nl.f(t + h) - nl.f(t - h)) / (2.0 * h)
@@ -34,20 +32,32 @@ def test_nonlinearity_derivative_consistency(t):
         assert nl.fprime(t) == pytest.approx(fp_fd, rel=1e-5, abs=1e-4)
 
 
+def test_linear_is_the_power_family_at_p_2_bit_for_bit():
+    # linear(lam) is power(lam, 2): f, f' and F equal the linear expressions
+    rng = np.random.default_rng(7)
+    for lam in rng.uniform(-20.0, 20.0, 40):
+        t = rng.standard_normal(50) * 10.0 ** rng.uniform(-8.0, 8.0, 50)
+        t[0] = 0.0
+        nl = NonlinearitySpec(lam)
+        assert np.array_equal(nl.f(t), lam * t)
+        assert np.array_equal(nl.fprime(t), np.full_like(t, lam))
+        assert np.array_equal(nl.F(t), 0.5 * lam * t**2)
+
+
 def test_subcriticality_power_threshold():
     # 2N/(N-2s) = 3 exactly at N = 3, s = 1/2, so p = 3 is critical there.
-    res = check_subcriticality(NonlinearitySpec("power", 1.0, 3.0),
+    res = check_subcriticality(NonlinearitySpec(1.0, 3.0),
                                ProblemParams(3, 0.5))
     assert res.threshold == pytest.approx(3.0)
     assert not res.satisfied
-    res2 = check_subcriticality(NonlinearitySpec("power", 1.0, 3.0),
+    res2 = check_subcriticality(NonlinearitySpec(1.0, 3.0),
                                 ProblemParams(2, 0.5))
     assert res2.threshold == pytest.approx(4.0)
     assert res2.satisfied
 
 
 def test_subcriticality_low_dimension_unrestricted():
-    res = check_subcriticality(NonlinearitySpec("power", 1.0, 7.0),
+    res = check_subcriticality(NonlinearitySpec(1.0, 7.0),
                                ProblemParams(1, 0.5))
     assert res.satisfied and res.threshold == np.inf
 
@@ -57,7 +67,7 @@ def test_linear_family_returns_scaled_eigenfunction():
     from fracball.spectrum import radial_family
 
     lam = float(radial_family(params, 0, 16).eigenvalues[1])
-    sol = solve_radial_sign_changing(params, NonlinearitySpec("linear", lam),
+    sol = solve_radial_sign_changing(params, NonlinearitySpec(lam),
                                      target_nodes=1, K=16)
     assert sol.linear_degenerate
     assert sol.nodal_count == 1
@@ -86,9 +96,9 @@ def test_boundary_ratio_classification(cubic_n2):
 def test_scaling_covariance_of_power_solutions():
     # u_lam = lam^{-1/(p-2)} u_1 maps solutions between coefficients lam.
     params = ProblemParams(2, 0.5)
-    sol1 = solve_radial_sign_changing(params, NonlinearitySpec("power", 1.0, 3.0),
+    sol1 = solve_radial_sign_changing(params, NonlinearitySpec(1.0, 3.0),
                                       target_nodes=1, K=12)
-    sol4 = solve_radial_sign_changing(params, NonlinearitySpec("power", 4.0, 3.0),
+    sol4 = solve_radial_sign_changing(params, NonlinearitySpec(4.0, 3.0),
                                       target_nodes=1, K=12)
     c1 = np.asarray(sol1.coefficients)
     c4 = np.asarray(sol4.coefficients)
@@ -97,7 +107,7 @@ def test_scaling_covariance_of_power_solutions():
 
 def test_pohozaev_residual_decreases_with_truncation():
     params = ProblemParams(2, 0.5)
-    nl = NonlinearitySpec("power", 1.0, 3.0)
+    nl = NonlinearitySpec(1.0, 3.0)
     rels = []
     for K in (12, 18, 24):
         sol = solve_radial_sign_changing(params, nl, target_nodes=1, K=K)
@@ -108,7 +118,7 @@ def test_pohozaev_residual_decreases_with_truncation():
 
 def test_pohozaev_identity_near_machine_for_fine_truncation():
     params = ProblemParams(1, 0.9)
-    nl = NonlinearitySpec("power", 1.0, 3.0)
+    nl = NonlinearitySpec(1.0, 3.0)
     sol = solve_radial_sign_changing(params, nl, target_nodes=1, K=24)
     lhs, rhs, rel = pohozaev_residual(sol)
     assert lhs > 0.0 and rhs > 0.0
@@ -151,7 +161,7 @@ def test_nodal_count_stable_under_grid_refinement(cubic_n1):
 def test_no_convergence_raised_on_iteration_cap(case):
     params, p, nodes, K, max_iter, message = case
     with pytest.raises(NoConvergence, match=message) as info:
-        solve_radial_sign_changing(params, NonlinearitySpec("power", 1.0, p),
+        solve_radial_sign_changing(params, NonlinearitySpec(1.0, p),
                                    target_nodes=nodes, K=K, max_iter=max_iter)
     # the benchmark tags known failures by this class name
     assert type(info.value) is NoConvergence
@@ -161,7 +171,7 @@ def test_resolved_solve_matches_cold_solve_at_chosen_K():
     # The warm start pads the K = 24 coefficients with zeros; the refined
     # solution must be the one a cold solve finds at the same K.
     params = ProblemParams(1, 0.5)
-    nl = NonlinearitySpec("power", 1.0, 3.0)
+    nl = NonlinearitySpec(1.0, 3.0)
     sol = solve_radial_resolved(params, nl, target_nodes=1, K=24)
     assert sol.spec.K == 48
     assert coefficient_tail(sol.coefficients) <= TAIL_TOL
@@ -176,7 +186,7 @@ def test_resolved_solve_raises_when_cap_too_small(monkeypatch):
     monkeypatch.setattr(truncation, "K_CAP", 48)
     with pytest.raises(TruncationUnsafe):
         solve_radial_resolved(ProblemParams(2, 0.5),
-                              NonlinearitySpec("power", 1.0, 3.0),
+                              NonlinearitySpec(1.0, 3.0),
                               target_nodes=1, K=24)
 
 
@@ -190,7 +200,7 @@ def test_jacobian_formed_only_to_take_a_step(monkeypatch):
 
     monkeypatch.setattr(semilinear, "_jacobian", counted)
     sol = solve_radial_sign_changing(ProblemParams(2, 0.6),
-                                     NonlinearitySpec("power", 1.0, 3.0),
+                                     NonlinearitySpec(1.0, 3.0),
                                      target_nodes=1, K=24)
     assert len(calls) == sol.newton_iterations > 0
     # the roots carried from the last phase are those of the returned profile
@@ -200,14 +210,14 @@ def test_jacobian_formed_only_to_take_a_step(monkeypatch):
     calls.clear()
     with pytest.raises(NoConvergence, match="line search stalled") as info:
         solve_radial_sign_changing(ProblemParams(3, 0.6),
-                                   NonlinearitySpec("power", 1.0, 2.5),
+                                   NonlinearitySpec(1.0, 2.5),
                                    target_nodes=2, K=24)
     stalled_at = int(re.search(r"in iteration (\d+) ", str(info.value))[1])
     assert len(calls) == stalled_at == 10
 
 
-@pytest.mark.parametrize("nonlin", [NonlinearitySpec("power", 1.0, 3.0),
-                                    NonlinearitySpec("linear", 10.0)],
+@pytest.mark.parametrize("nonlin", [NonlinearitySpec(1.0, 3.0),
+                                    NonlinearitySpec(10.0)],
                          ids=["power", "linear"])
 def test_seed_eigenpair_from_one_eigh(monkeypatch, nonlin):
     # the seed reads one eigenpair; the K-2 convergence re-solve is not run

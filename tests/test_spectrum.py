@@ -124,10 +124,10 @@ def test_eigs_and_conjecture_records_same_cold_and_warm():
     cold = []
     for command in commands:
         solve_sector.cache_clear()
-        cold.append(render_json(command(cfg, 1, None)[0]))
+        cold.append(render_json(command(cfg)[0]))
     solve_sector.cache_clear()
     for _ in range(2):  # the second pass solves nothing
         misses = solve_sector.cache_info().misses
-        warm = [render_json(command(cfg, 1, None)[0]) for command in commands]
+        warm = [render_json(command(cfg)[0]) for command in commands]
         assert warm == cold
     assert solve_sector.cache_info().misses == misses

@@ -266,18 +266,25 @@ def build_parser():
 
 
 def main(argv=None):
+    from . import nonlocal_quadrature
     from .spectrum import solve_sector
 
+    # the process-wide memos whose hits and misses the provenance reports
+    memos = {"sector-memo": solve_sector,
+             "engine-memo": nonlocal_quadrature._engine}
     args = build_parser().parse_args(argv)
     try:
         cfg = _with_overrides(load_config(args.config), args)
         t0 = time.time()
-        memo0 = solve_sector.cache_info()
+        before = {name: memo.cache_info() for name, memo in memos.items()}
         records, tables, exit_code = _COMMANDS[args.command](cfg)
-        memo = solve_sector.cache_info()
+        counts = {}
+        for name, memo in memos.items():
+            now, then = memo.cache_info(), before[name]
+            counts[name] = {"hits": now.hits - then.hits,
+                            "misses": now.misses - then.misses}
         doc = make_document(cfg, records, wall_time=round(time.time() - t0, 3),
-                            sector_memo={"hits": memo.hits - memo0.hits,
-                                         "misses": memo.misses - memo0.misses})
+                            memos=counts)
     except FracballError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

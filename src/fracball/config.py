@@ -40,10 +40,17 @@ def parse_nonlinearity(text):
         raise ConfigError(str(exc)) from exc
 
 
+def _shortest(x):
+    """The shortest text that reads back as x, without a trailing '.0'."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def format_nonlinearity(nl):
+    """The descriptor parse_nonlinearity reads back as nl."""
     if nl.p == 2.0:
-        return f"linear({nl.lam:g})"
-    return f"power({nl.lam:g}, {nl.p:g})"
+        return f"linear({_shortest(nl.lam)})"
+    return f"power({_shortest(nl.lam)}, {_shortest(nl.p)})"
 
 
 @dataclass

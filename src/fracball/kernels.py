@@ -30,6 +30,8 @@ at the sampled d <= 9 and x in [2^-79, 1].  The table matches the rule to
 2e-14 relative for d = 2..9.
 """
 
+import functools
+
 import numpy as np
 from scipy.special import roots_legendre
 
@@ -125,26 +127,21 @@ def _kappa_fallback(r, rho, h, d, s):
     return k
 
 
-_TABLES = {}
-
-
+@functools.cache
 def _table(d, s):
     """Chebyshev coefficients of F = x^{1+2s} (K_0, K_diff), built on first use.
 
     Shape (_DEGREE + 1, 2, _PANELS): coefficient index, moment, panel.
     """
-    key = (d, s)
-    if key not in _TABLES:
-        n = _DEGREE + 1
-        theta = np.pi * (np.arange(n) + 0.5) / n
-        # first-kind Chebyshev nodes of every panel, x = 2^{-k} (t + 3) / 4
-        x = np.ldexp((np.cos(theta) + 3.0) / 4.0, -np.arange(_PANELS)[:, None])
-        k0, kd = _kappa_rule(np.ones(x.size), 1.0 - x.ravel(), x.ravel(), d, s)
-        F = np.stack([k0, kd]).reshape(2, _PANELS, n) * x ** (1.0 + 2.0 * s)
-        T = (2.0 / n) * np.cos(np.outer(np.arange(n), theta))
-        T[0] /= 2.0
-        _TABLES[key] = np.ascontiguousarray(np.einsum("jn,mkn->jmk", T, F))
-    return _TABLES[key]
+    n = _DEGREE + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    # first-kind Chebyshev nodes of every panel, x = 2^{-k} (t + 3) / 4
+    x = np.ldexp((np.cos(theta) + 3.0) / 4.0, -np.arange(_PANELS)[:, None])
+    k0, kd = _kappa_rule(np.ones(x.size), 1.0 - x.ravel(), x.ravel(), d, s)
+    F = np.stack([k0, kd]).reshape(2, _PANELS, n) * x ** (1.0 + 2.0 * s)
+    T = (2.0 / n) * np.cos(np.outer(np.arange(n), theta))
+    T[0] /= 2.0
+    return np.ascontiguousarray(np.einsum("jn,mkn->jmk", T, F))
 
 
 def _kappa_table(coef, x):

@@ -46,16 +46,14 @@ def _gate_block(params, sol, ell, pair):
     e0[0] = 1.0
     g = RadialProfile(spec_d, e0)
     if ell == 0:
-        v = SeparableFunction(profile=g, angular="constant",
-                              label="first basis function")
+        v = SeparableFunction(profile=g, angular="constant")
         conv = 1.0
     else:
         # ambient trial x_1 * g(|x|): separable profile r * g(r); the block
         # matrix lives in the full-measure convention of dimension d = N + 2,
         # the ambient form carries angular_factor(N, 1)
         v = SeparableFunction(profile=lambda r: np.asarray(r) * np.asarray(g(r)),
-                              angular="coordinate", j=1,
-                              label="x1 times first basis function")
+                              angular="coordinate", j=1)
         conv = angular_factor(params.N, 1) / sphere_area(d)
     est = quadratic_form_L(sol, v, v)
     target = conv * pair.A[0, 0]
@@ -222,8 +220,7 @@ def build_test_functions(sol):
         fns.append(SeparableFunction(
             profile=w, angular="coordinate", j=j,
             breaks=tuple(roots),
-            support_radius=r_star if r_star is not None else 1.0,
-            label=f"d_{j}"))
+            support_radius=r_star if r_star is not None else 1.0))
     return fns
 
 
@@ -308,7 +305,7 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
         solution.  d_1's profile is the signed part of v^1's, so each engine
         evaluates u' once for both."""
         v1 = SeparableFunction(profile=d1_k.profile.base, angular="coordinate",
-                               j=1, breaks=d1_k.breaks, label="v^1")
+                               j=1, breaks=d1_k.breaks)
         return quadratic_form_L(sol_k, v1, d1_k)
 
     def weak_defect_with_truncation():

@@ -18,8 +18,14 @@ by tensor panels geometrically graded into the diagonal, with the innermost
 panel a Gauss-Jacobi rule absorbing the |r - rho|^{1-2s} near-diagonal
 behavior exactly.  Everything is deterministic; a Monte-Carlo estimator of
 the unreduced 2N-dimensional integral is provided as an independent check.
+
+The ell = 1 tail constant C(N, s) (kdiff_total) is a closed form.  The
+engines that hold one form's pair tables are built once per process for
+each exact (N, s, ell, breaks, n, lev), by functools.cache on _engine;
+get_engine is the public entry point.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,11 +34,10 @@ import numpy as np
 
 from .basis import RadialBasisSpec, basis_matrix
 from .errors import DimensionUnsupported, SingularityTooClose
-from .kernels import kappa_ell, kappa_moments
+from .kernels import kappa_ell
 from .params import frac_constant, sphere_area
 from .quadrature import (ValueWithError, graded_rule, jacobi_panel,
-                         join_rules, kink_points, kink_rule, legendre_panel,
-                         segment_rule)
+                         join_rules, kink_points, kink_rule, segment_rule)
 
 _RATIO = 0.35
 _LEV_DIAG = 16  # geometric levels into the diagonal before the Jacobi panel
@@ -60,7 +65,6 @@ class SeparableFunction:
     j: int = 1
     breaks: tuple = ()
     support_radius: float = 1.0
-    label: str = ""
 
     def __post_init__(self):
         if self.angular not in ANGULAR_KINDS:
@@ -177,46 +181,24 @@ def _interleave(pieces):
     return out
 
 
-_KDIFF_CACHE = {}
-
-
 def kdiff_total(N, s):
     """C(N, s) = int_0^inf kappa_diff(1, rho) rho^{N-1} drho.
 
     By kernel homogeneity the same integral centered at radius r equals
-    C(N, s) r^{-2s}; this is the ell = 1 tail contribution.
+    C(N, s) r^{-2s}; this is the ell = 1 tail contribution.  Closed form,
+    from Dyda's formula for (-Delta)^s |x|^{-a} at a = 1 and the dimension
+    shift x_1 f(|x|) in R^N <-> f(|z|) in R^{N+2}:
+
+        C(N, s) = pi^{(N-1)/2} G(s + 1/2) G((N+1)/2) G(1 - s)
+                  / (s G((N+1)/2 - s) G(N/2 + s)),
+
+    which is 1/s at N = 1 (returned as exactly that).
     """
-    key = (N, round(s, 12))
-    if key in _KDIFF_CACHE:
-        return _KDIFF_CACHE[key]
     if N == 1:
-        val = 1.0 / s
-        _KDIFF_CACHE[key] = val
-        return val
-    rho_l, h_l, w_l = [], [], []
-    x, w = legendre_panel(0.0, 0.5, 16)
-    rho_l.append(x)
-    h_l.append(1.0 - x)
-    w_l.append(w)
-    # both sides of the diagonal rho = 1 in the gap coordinate: left reaches
-    # down to rho = 0.5, right up to rho = 2 where the 1/rho tail takes over
-    for sgn, reach in ((-1.0, 0.5), (1.0, 1.0)):
-        d, wd = graded_rule(0.0, reach, "left", 30, _RATIO, 12, gamma=1.0 - 2.0 * s)
-        rho_l.append(1.0 + sgn * d)
-        h_l.append(d)
-        w_l.append(wd)
-    rho = np.concatenate(rho_l)
-    h = np.concatenate(h_l)
-    w = np.concatenate(w_l)
-    _, kd = kappa_moments(np.ones_like(rho), rho, h, N, s)
-    val = float(np.dot(w * rho ** (N - 1), kd))
-    # tail rho in (2, inf) via t = 1/rho with the t^{2s-1} weight absorbed
-    tj, wtj = jacobi_panel(0.0, 0.5, 2.0 * s - 1.0, 16, "left")
-    rho_t = 1.0 / tj
-    _, kdt = kappa_moments(np.ones_like(rho_t), rho_t, rho_t - 1.0, N, s)
-    val += float(np.dot(wtj * tj ** (-(N + 2.0 * s)), kdt))
-    _KDIFF_CACHE[key] = val
-    return val
+        return 1.0 / s
+    g = math.gamma
+    return (math.pi ** ((N - 1) / 2) * g(s + 0.5) * g((N + 1) / 2) * g(1.0 - s)
+            / (s * g((N + 1) / 2 - s) * g(N / 2 + s)))
 
 
 def exterior_tail(r, N, s, ell=0):
@@ -357,8 +339,6 @@ class PairFormEngine:
         return self._grams[spec]
 
 
-_ENGINE_CACHE = {}
-
 # (n, lev) resolution ladder; each entry's error partner is the one before it
 _LADDER = [(5, 10), (7, 16), (10, 22), (13, 26), (16, 28)]
 _FINE = 2  # ladder position of bilinear_form and of an unset oracle budget
@@ -367,11 +347,14 @@ _FINE = 2  # ladder position of bilinear_form and of an unset oracle budget
 _GRAM_K = 4
 
 
+@functools.cache
+def _engine(N, s, ell, breaks, n, lev):
+    return PairFormEngine(N, s, ell, breaks, n, lev)
+
+
 def get_engine(N, s, ell, breaks, n, lev):
-    key = (N, round(s, 12), ell, tuple(round(float(b), 12) for b in breaks), n, lev)
-    if key not in _ENGINE_CACHE:
-        _ENGINE_CACHE[key] = PairFormEngine(N, s, ell, breaks, n, lev)
-    return _ENGINE_CACHE[key]
+    """The PairFormEngine of these exact arguments, built once per process."""
+    return _engine(N, s, ell, tuple(float(b) for b in breaks), n, lev)
 
 
 def _ladder_pos_for_budget(budget):

@@ -3,9 +3,11 @@
 All singular integrals in the toolkit are handled by composite Gauss rules on
 panels that are geometrically graded into algebraic singularities, plus
 Gauss-Jacobi panels that absorb a known |h|^gamma weight exactly; every radial
-rule is built by graded_rule or kink_rule.
+rule is built by graded_rule or kink_rule.  The Gauss rules on (0, 1) are
+memoised per process by functools.cache on their exact (n, gamma).
 """
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,26 +42,19 @@ class QuadratureRule:
     seed: int
 
 
-_LEGENDRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_JACOBI_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _legendre01(n):
     """Gauss-Legendre nodes/weights on (0, 1)."""
-    if n not in _LEGENDRE_CACHE:
-        x, w = roots_legendre(n)
-        _LEGENDRE_CACHE[n] = ((x + 1.0) / 2.0, w / 2.0)
-    return _LEGENDRE_CACHE[n]
+    x, w = roots_legendre(n)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
+@functools.cache
 def _jacobi01(n, gamma):
     """Nodes/weights for integrals int_0^1 t^gamma f(t) dt, gamma > -1."""
-    key = (n, round(gamma, 14))
-    if key not in _JACOBI_CACHE:
-        x, w = roots_jacobi(n, 0.0, gamma)
-        # weight on [-1,1] is (1+x)^gamma; map t = (1+x)/2
-        _JACOBI_CACHE[key] = ((x + 1.0) / 2.0, w / 2.0 ** (gamma + 1.0))
-    return _JACOBI_CACHE[key]
+    x, w = roots_jacobi(n, 0.0, gamma)
+    # weight on [-1,1] is (1+x)^gamma; map t = (1+x)/2
+    return (x + 1.0) / 2.0, w / 2.0 ** (gamma + 1.0)
 
 
 def legendre_panel(a, b, n):

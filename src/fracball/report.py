@@ -76,16 +76,17 @@ def make_record(kind, inputs, payload):
     return {"kind": kind, "inputs": inputs, "payload": payload}
 
 
-def make_document(cfg, records, wall_time, sector_memo=None):
+def make_document(cfg, records, wall_time, memos=None):
     """Full report: deterministic records plus a provenance block.
 
-    Only the provenance block (wall-time, and the sector-memo hits and
-    misses, which depend on what the process solved before) varies between
-    identical runs; the records themselves are byte-identical given the
-    same config/seed.
+    memos maps a memo's name ("sector-memo", "engine-memo") to its hits and
+    misses during the command.  Only the provenance block (wall-time and
+    those counts, which depend on what the process computed before) varies
+    between identical runs; the records themselves are byte-identical given
+    the same config/seed.
     """
     provenance = {"version": SCHEMA_VERSION, "config-hash": config_hash(cfg),
-                  "wall-time": wall_time, "sector-memo": sector_memo}
+                  "wall-time": wall_time, **(memos or {})}
     return {"provenance": provenance, "records": records}
 
 

@@ -30,7 +30,8 @@ def test_parse_nonlinearity_rejects_malformed(text):
 
 
 def test_nonlinearity_format_roundtrip():
-    for text in ("power(2, 3.5)", "linear(4.25)"):
+    for text in ("power(2, 3.5)", "linear(4.25)", "power(1, 2.0000001)",
+                 "linear(4.123456789)", "power(1, 2.5)", "power(1, 3)"):
         assert format_nonlinearity(parse_nonlinearity(text)) == text
     assert format_nonlinearity(parse_nonlinearity("power(1, 2)")) == "linear(1)"
 
@@ -144,9 +145,9 @@ def test_write_csv_formats_floats(tmp_path):
     assert "0.33333333333333331" in body
 
 
-def _write_config(tmp_path, extra=""):
+def _write_config(tmp_path, extra="", s=0.5):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text('grid.N = [1]\ngrid.s = [0.5]\n'
+    cfg.write_text(f'grid.N = [1]\ngrid.s = [{s}]\n'
                    'grid.nonlinearity = ["power(1.0, 3.0)"]\n'
                    'trunc.K = 12\n' + extra)
     return str(cfg)
@@ -163,16 +164,34 @@ def test_cli_eigs_writes_reports(tmp_path):
 
 def test_cli_provenance_counts_sector_memo(tmp_path):
     # one N = 1 point: sectors ell = 0, 1 (the parity classes), both read
-    # again by the second-eigenvalue check; a second run reads them all
+    # again by the second-eigenvalue check; a second run reads them all.
+    # Without an oracle budget no engine is asked for.
     cfg = _write_config(tmp_path)
     memo = []
     for name in ("cold", "warm"):
         out = tmp_path / name
         assert cli.main(["eigs", "--config", cfg, "--out", str(out),
                          "--format", "json"]) == 0
+        prov = json.loads((out / "eigs.json").read_text())["provenance"]
+        memo.append((prov["sector-memo"], prov["engine-memo"]))
+    none = {"hits": 0, "misses": 0}
+    assert memo == [({"hits": 2, "misses": 2}, none),
+                    ({"hits": 4, "misses": 0}, none)]
+
+
+def test_cli_provenance_counts_engine_memo(tmp_path):
+    # the gated oracle entries of one N = 1 point read the ladder engines of
+    # d = 1 and d = 3; a second run finds all of them built.  s = 0.37 is
+    # used by no other test, so the first run starts cold.
+    cfg = _write_config(tmp_path, s=0.37)
+    memo = []
+    for name in ("cold", "warm"):
+        out = tmp_path / name
+        assert cli.main(["eigs", "--config", cfg, "--out", str(out),
+                         "--format", "json", "--oracle-budget", "40000"]) == 0
         memo.append(json.loads((out / "eigs.json").read_text())
-                    ["provenance"]["sector-memo"])
-    assert memo == [{"hits": 2, "misses": 2}, {"hits": 4, "misses": 0}]
+                    ["provenance"]["engine-memo"])
+    assert memo == [{"hits": 36, "misses": 4}, {"hits": 40, "misses": 0}]
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

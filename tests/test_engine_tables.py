@@ -136,3 +136,20 @@ def test_form_takes_a_signed_part_from_its_base(positive):
     assert value == eng.form(prof.derivative, plain)
     assert np.array_equal(part(eng.r_out), plain(eng.r_out))
     assert eng.form(part) == eng.form(plain)
+
+
+def test_engines_keyed_by_exact_breaks():
+    # breaks 1e-13 apart get engines of their own, so a form's value does
+    # not depend on which of the two was asked for first.  g oscillates
+    # fast enough that the 1e-13 shift of the nodes shows in its form.
+    s, a, b = 0.43, (0.5,), (0.5 + 1e-13,)
+
+    def g(r):
+        return np.where(r < 1.0, (1.0 - r) * np.sin(1e5 * r), 0.0)
+
+    first = nq.get_engine(1, s, 0, a, 5, 10)
+    second = nq.get_engine(1, s, 0, b, 5, 10)
+    assert second is not first
+    assert second is nq.get_engine(1, s, 0, b, 5, 10)
+    assert second.form(g) == nq.PairFormEngine(1, s, 0, b, 5, 10).form(g)
+    assert second.form(g) != first.form(g)

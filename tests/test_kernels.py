@@ -132,10 +132,13 @@ def test_kappa_below_finest_panel_uses_rule():
 
 
 def test_kappa_tables_built_lazily():
+    # one table, for (3, 0.5): asking for that key again is a hit
     code = ("import fracball.cli, fracball.kernels as k; "
-            "assert not k._TABLES; "
+            "assert k._table.cache_info().currsize == 0; "
             "k.kappa_moments(0.5, 0.6, 0.1, 3, 0.5); "
-            "assert list(k._TABLES) == [(3, 0.5)]")
+            "assert k._table.cache_info()[:] == (0, 1, None, 1); "
+            "k._table(3, 0.5); "
+            "assert k._table.cache_info()[:] == (1, 1, None, 1)")
     src = str(Path(fracball.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})

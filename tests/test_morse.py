@@ -89,7 +89,7 @@ def test_build_test_functions_structure(cubic_n2):
     assert len(fns) == params.N
     du = sol.profile.derivative
     for j, fn in enumerate(fns, start=1):
-        assert fn.j == j and fn.ell == 1 and fn.label == f"d_{j}"
+        assert fn.j == j and fn.ell == 1
         assert 0.0 < fn.support_radius < 1.0
         r_out = np.linspace(fn.support_radius + 1e-9, 1.0, 64)
         assert np.allclose(fn.profile(r_out), 0.0)
@@ -139,7 +139,7 @@ def test_test_function_checks_evaluate_u_prime_once_per_form(monkeypatch, morse_
     sol = morse_n1.solution
     d1 = build_test_functions(sol)[0]
     v1 = SeparableFunction(profile=sol.profile.derivative, angular="coordinate",
-                           j=1, breaks=d1.breaks, label="v^1")
+                           j=1, breaks=d1.breaks)
     diag = quadratic_form_L(sol, d1, d1)
     defect = quadratic_form_L(sol, v1, d1)
     engines = nonlocal_quadrature._engine_pair(1, sol.params.s, 1, d1.breaks,

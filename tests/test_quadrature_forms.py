@@ -6,7 +6,8 @@ from fracball.basis import (RadialBasisSpec, RadialProfile, dyda_factor,
 from fracball.errors import DimensionUnsupported, SingularityTooClose
 from fracball.nonlocal_quadrature import (SeparableFunction, _mc_bilinear,
                                           angular_factor, bilinear_form,
-                                          exterior_tail, pointwise_flap,
+                                          exterior_tail, kdiff_total,
+                                          pointwise_flap,
                                           pointwise_flap_radial_reduced,
                                           radial_potential_integral,
                                           stiffness_entry_oracle)
@@ -121,6 +122,34 @@ def test_coordinate_form_matches_closed_form(N, s):
             est = bilinear_form(coord[m], coord[n], params)
             bound = 1e-8 * conv * np.sqrt(A[m, m] * A[n, n])
             assert abs(est.value - conv * A[m, n]) <= bound
+
+
+def _kdiff_by_quad(N, s):
+    """C(N, s) by scipy's adaptive quadrature of rho^{N-1} kappa_diff(1, rho).
+
+    rho = 1 -+ t^k with k = 1/(2 - 2s) on (0, 2) turns the |1 - rho|^{1-2s}
+    behaviour at the diagonal into a bounded integrand; the gap t^k is passed
+    as such, so it keeps full precision."""
+    from scipy.integrate import quad
+
+    from fracball.kernels import kappa_moments
+
+    def f(rho, h):
+        return rho ** (N - 1) * float(kappa_moments(1.0, rho, h, N, s)[1])
+
+    k = 1.0 / (2.0 - 2.0 * s)
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    near = sum(quad(lambda t: k * t ** (k - 1.0) * f(1.0 + sgn * t ** k, t ** k),
+                    0.0, 1.0, **opts)[0] for sgn in (-1.0, 1.0))
+    return near + quad(lambda rho: f(rho, rho - 1.0), 2.0, np.inf, **opts)[0]
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.7, 0.9])
+def test_kdiff_total_closed_form_matches_quad(s):
+    assert kdiff_total(1, s) == 1.0 / s
+    for N in range(2, 10):
+        assert kdiff_total(N, s) == pytest.approx(_kdiff_by_quad(N, s),
+                                                  rel=1e-12, abs=0.0), N
 
 
 def test_exterior_tail_positive_decreasing():

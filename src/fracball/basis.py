@@ -262,6 +262,30 @@ def solve_radial_eigs(pair):
     return RadialEigenResult(pair.spec, lam, vec, conv)
 
 
+# points per block when a RadialProfile is evaluated: bounds its K x block
+# Jacobi matrices, as kernels._CHUNK bounds the kernel's temporaries, and
+# keeps them in cache
+_PROFILE_BLOCK = 8192
+
+
+def _in_blocks(fn, r):
+    """fn on the 1-D points r, _PROFILE_BLOCK points at a time.
+
+    Every value is computed as fn on all of r computes it: the recurrence is
+    elementwise and each point's sum sum_n c_n P_n(t) is one gemv row.  A
+    remainder of fewer than four points joins the block before it, because
+    OpenBLAS's gemv sums a matrix of fewer than four rows in another order.
+    """
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    if r.size < _PROFILE_BLOCK + 4:
+        return fn(r)
+    out = np.empty(r.shape)
+    starts = list(range(0, r.size - 3, _PROFILE_BLOCK)) + [r.size]
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        out[lo:hi] = fn(r[lo:hi])
+    return out
+
+
 class RadialProfile:
     """Radial function u(r) = (1-r^2)^s * sum_n c_n P_n(2r^2-1), zero outside.
 
@@ -278,7 +302,10 @@ class RadialProfile:
 
     def poly_part(self, r):
         """q(r) with u = (1-r^2)^s q; defined on all of [0, 1]."""
-        t = 2.0 * np.atleast_1d(np.asarray(r, dtype=float)) ** 2 - 1.0
+        return _in_blocks(self._poly_part, r)
+
+    def _poly_part(self, r):
+        t = 2.0 * r ** 2 - 1.0
         P = jacobi_all(self.spec.K, self.spec.alpha, self.spec.beta, t)
         return self.coeffs @ P
 
@@ -305,14 +332,18 @@ class RadialProfile:
         return float((self.coeffs @ np.array(P).reshape(K, 1))[0])
 
     def __call__(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
+        return _in_blocks(self._values, r)
+
+    def _values(self, r):
         out = np.where(r < 1.0, np.abs(1.0 - r**2) ** self.spec.s, 0.0)
-        return out * self.poly_part(r)
+        return out * self._poly_part(r)
 
     def derivative(self, r):
         """u'(r) on [0, 1) via the factored form
         (1-r^2)^{s-1} [ (1-r^2) q'(r) - 2 s r q(r) ]."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
+        return _in_blocks(self._derivative, r)
+
+    def _derivative(self, r):
         t = 2.0 * r**2 - 1.0
         P = jacobi_all(self.spec.K, self.spec.alpha, self.spec.beta, t)
         D = jacobi_deriv_all(self.spec.K, self.spec.alpha, self.spec.beta, t)

@@ -53,5 +53,9 @@ class DimensionUnsupported(FracballError):
     """Direct quadrature checks only implemented for N in {1, 2}."""
 
 
+class EngineTooLarge(FracballError):
+    """An oracle engine would hold more pairs than its int32 tables allow."""
+
+
 class ConfigError(FracballError):
     """Malformed or unknown entries in a campaign configuration."""

@@ -22,11 +22,12 @@ importing the module builds none.  The gap h is passed in explicitly, so x and
 the h^{-1-2s} blow-up keep full precision near the diagonal.
 
 The direct rule `_kappa_rule` is a fixed 144-node quadrature in the half-angle
-variable.  It generates the tables, serves the points with x below the finest
-panel (through `_kappa_fallback`, which rescales by homogeneity the points
-where the rule would overflow), and is the oracle the tests hold the table
-against.  Against a 30-digit adaptive quadrature it is within 6e-14 relative
-at the sampled d <= 9 and x in [2^-79, 1].  The table matches the rule to
+variable.  It generates the tables and serves the points with x below the
+finest panel, both through `_kappa_fallback`, which sums the same nodes in log
+space at the points where the plain integrand overflows or sin^{d-2} phi
+underflows, and it is the oracle the tests hold the table against.  Against a
+30-digit adaptive quadrature it is within 6e-14 relative at the sampled
+d <= 9 and x in [2^-79, 1].  The table matches the rule to
 2e-14 relative for d = 2..9.
 """
 
@@ -58,6 +59,8 @@ _WB = np.concatenate(
 )
 
 _HALF_PI = np.pi / 2.0
+# log of the smallest normal double: a power below it has lost digits
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
 
 # table layout: panel k covers x in [2^{-k-1}, 2^{-k}]
 _PANELS = 50
@@ -67,20 +70,39 @@ _X_MIN = 2.0**-_PANELS
 _CHUNK = 8192
 
 
-def _kappa_rule(r, rho, h, d, s):
-    """(kappa_0, kappa_diff) by the direct half-angle rule on 1-D arrays."""
-    pref = 2.0 ** (d - 1) * sphere_area(d - 1)
-    p = (d + 2.0 * s) / 2.0
+def _turning_angle(r, rho, h):
+    """(4 r rho, phi0): the half angle phi0 = arcsin(h / sqrt(4 r rho)) (pi/2
+    once that exceeds 1) where the rule's integrand turns over."""
     rr4 = 4.0 * r * rho
     with np.errstate(divide="ignore", invalid="ignore"):
         u0 = np.where(rr4 > 0.0, h / np.sqrt(np.where(rr4 > 0.0, rr4, 1.0)), 2.0)
     phi0 = np.arcsin(np.minimum(u0, 1.0))
-    phi0 = np.maximum(phi0, 1e-300)
+    return rr4, np.maximum(phi0, 1e-300)
+
+
+def _kappa_rule(r, rho, h, d, s, log_space=False):
+    """(kappa_0, kappa_diff) by the direct half-angle rule on 1-D arrays.
+
+    With log_space each node's term (sin phi cos phi)^{d-2}
+    (h^2 + 4 r rho sin^2 phi)^{-(d+2s)/2} jac is formed as the exp of its
+    log, so no factor overflows or underflows on its own.
+    """
+    pref = 2.0 ** (d - 1) * sphere_area(d - 1)
+    p = (d + 2.0 * s) / 2.0
+    rr4, phi0 = _turning_angle(r, rho, h)
 
     def moments(phi, jac):
         # phi, jac shape (npts, nquad)
         sp = np.sin(phi)
         cp = np.cos(phi)
+        if log_space:
+            log_sp = np.log(sp)
+            log_f = ((d - 2) * (log_sp + np.log(cp)) + np.log(jac)
+                     - p * np.logaddexp(2.0 * np.log(h)[:, None],
+                                        np.log(rr4)[:, None] + 2.0 * log_sp))
+            m0 = np.sum(np.exp(log_f), axis=1)
+            md = np.sum(np.exp(log_f + (np.log(2.0) + 2.0 * log_sp)), axis=1)
+            return m0, md
         base = (h[:, None] ** 2 + rr4[:, None] * sp**2) ** (-p)
         f0 = (sp * cp) ** (d - 2) * base
         m0 = np.sum(f0 * jac, axis=1)
@@ -106,24 +128,20 @@ def _kappa_rule(r, rho, h, d, s):
 
 
 def _kappa_fallback(r, rho, h, d, s):
-    """The direct rule, shape (2, npts), rescaled where it overflows.
+    """The direct rule, shape (2, npts), summed in log space where the plain
+    integrand loses its digits.
 
-    Its integrand (h^2 + 4 r rho sin^2 phi)^{-(d+2s)/2} overflows once h is
-    below about 2^{-1024/(d+2s)}.  Those points are evaluated at
-    lam (r, rho, h), lam = 1/sqrt(h max(r, rho)), where the gap becomes
-    sqrt(x), and scaled back by homogeneity: kappa = lam^{d+2s} kappa(lam .).
-    Points where the rule is finite keep its value.  The factor
-    sin^{d-2} phi does not scale, so below x of about 2^{-1022/(d-2)} it
-    underflows either way.
+    (h^2 + 4 r rho sin^2 phi)^{-(d+2s)/2} overflows once x = h / max(r, rho)
+    is below about 2^{-1024/(d+2s)}, and sin^{d-2} phi at the rule's first
+    node underflows below about 2^{-1022/(d-2)}.  Those points take the
+    log-space rule; every other point keeps the plain rule's value.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         k = np.stack(_kappa_rule(r, rho, h, d, s))
-    bad = ~np.isfinite(k).all(axis=0) & (h > 0.0)
+        first = np.sin(_turning_angle(r, rho, h)[1] * _XA[0])
+        bad = (~np.isfinite(k).all(axis=0) | ((d - 2) * np.log(first) < _LOG_TINY)) & (h > 0.0)
     if bad.any():
-        r, rho, h = r[bad], rho[bad], h[bad]
-        lam = 1.0 / np.sqrt(h * np.maximum(r, rho))
-        half = lam ** ((d + 2.0 * s) / 2.0)  # lam^{d+2s} may overflow alone
-        k[:, bad] = np.stack(_kappa_rule(lam * r, lam * rho, lam * h, d, s)) * half * half
+        k[:, bad] = np.stack(_kappa_rule(r[bad], rho[bad], h[bad], d, s, log_space=True))
     return k
 
 
@@ -137,7 +155,7 @@ def _table(d, s):
     theta = np.pi * (np.arange(n) + 0.5) / n
     # first-kind Chebyshev nodes of every panel, x = 2^{-k} (t + 3) / 4
     x = np.ldexp((np.cos(theta) + 3.0) / 4.0, -np.arange(_PANELS)[:, None])
-    k0, kd = _kappa_rule(np.ones(x.size), 1.0 - x.ravel(), x.ravel(), d, s)
+    k0, kd = _kappa_fallback(np.ones(x.size), 1.0 - x.ravel(), x.ravel(), d, s)
     F = np.stack([k0, kd]).reshape(2, _PANELS, n) * x ** (1.0 + 2.0 * s)
     T = (2.0 / n) * np.cos(np.outer(np.arange(n), theta))
     T[0] /= 2.0

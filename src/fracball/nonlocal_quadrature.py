@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import RadialBasisSpec, basis_matrix
-from .errors import DimensionUnsupported, SingularityTooClose
+from .errors import DimensionUnsupported, EngineTooLarge, SingularityTooClose
 from .kernels import kappa_ell
 from .params import frac_constant, sphere_area
 from .quadrature import (ValueWithError, graded_rule, jacobi_panel,
@@ -41,8 +41,15 @@ from .quadrature import (ValueWithError, graded_rule, jacobi_panel,
 
 _RATIO = 0.35
 _LEV_DIAG = 16  # geometric levels into the diagonal before the Jacobi panel
-# points per block when profiles are evaluated at an engine's inner nodes
+# pairs per block of an engine's elementwise work: building, weighting and
+# scattering its pairs, and the profiles and products of form and
+# stiffness_gram.  An engine keeps int32 idx, float rho and kw, 20 B per
+# pair.  Only elementwise work is blocked: every sum is one np.dot over the
+# full pair arrays in their fixed order, so the block size changes no result
 _FORM_BLOCK = 65_536
+# an engine holds at most this many pairs, and so fewer outer nodes than
+# its int32 idx can index
+_MAX_PAIRS = 2**31
 # pointwise_flap refuses points closer than this to the boundary
 _FLAP_MARGIN = 1e-3
 
@@ -155,30 +162,54 @@ def _far_segment_rule(p, q, lev_p, lev_q, n):
                       graded_rule(mid, q, "right", lev_q, _RATIO, n))
 
 
-def _interleave(pieces):
-    """Flatten pieces (key, rows, *columns) into the engine's pair order.
+def _pair_pieces(r_out, pts, sing, s, n, lev):
+    """The engine's pairs in pieces (key, rows, width, columns), segment by
+    segment.
 
-    Each piece holds one row of inner nodes for each outer node in rows (a
-    column may also be one row shared by all of them).  The flat order is
-    outer node by outer node, and within one outer node by key.  Returns the
-    outer-node index of every pair and the flattened columns.
+    A piece holds width inner nodes for each outer node in rows.
+    columns(i), for outer nodes i taken from rows, returns their (rho,
+    |rho - r|, inner weights), one row of width nodes each (a column may
+    also be one row shared by all of them).  Nothing pair-length is held
+    until columns is called.
     """
-    owner = np.concatenate([rows for _, rows, *_ in pieces])
-    key = np.concatenate([np.full(rows.size, k) for k, rows, *_ in pieces])
-    width = np.concatenate([np.full(rows.size, np.shape(cols[0])[-1])
-                            for _, rows, *cols in pieces])
+    pieces = []
+    for k, (p, q) in enumerate(zip(pts[:-1], pts[1:])):
+        inside = (p < r_out) & (r_out < q)
+        for j, (sgn, end) in enumerate(((1.0, q), (-1.0, p))):
+            def gap(i, sgn=sgn, end=end):
+                r = r_out[i, None]
+                delta, w = _gap_rule(np.abs(end - r[:, 0]), s, n, lev, end in sing)
+                return r + sgn * delta, delta, w
+            # a gap rule's node count does not depend on the gap
+            width = _gap_rule(np.ones(1), s, n, lev, end in sing)[0].shape[-1]
+            pieces.append((2 * k + j, np.flatnonzero(inside), width, gap))
+        far = np.flatnonzero(~inside)
+        levels = [_far_levels(r_out[i], p, q, lev, sing) for i in far]
+        for lp_lq in set(levels):
+            rho, w = _far_segment_rule(p, q, *lp_lq, n)
+            pieces.append((2 * k, far[[lv == lp_lq for lv in levels]], rho.size,
+                           lambda i, rho=rho, w=w: (rho, np.abs(rho - r_out[i, None]), w)))
+    return pieces
+
+
+def _pair_starts(pieces):
+    """Where each piece's rows start in the engine's pair order, and the
+    number of pairs.
+
+    The order is outer node by outer node, and within one outer node by
+    key.  Raises EngineTooLarge above _MAX_PAIRS pairs, which also bounds
+    the int32 outer-node indices.
+    """
+    owner = np.concatenate([rows for _, rows, _, _ in pieces])
+    key = np.concatenate([np.full(rows.size, k) for k, rows, _, _ in pieces])
+    width = np.concatenate([np.full(rows.size, w) for _, rows, w, _ in pieces])
+    total = int(width.sum())
+    if total > _MAX_PAIRS:
+        raise EngineTooLarge(f"{total} pairs exceed the engine limit of {_MAX_PAIRS}")
     order = np.lexsort((key, owner))
     start = np.empty_like(width)
     start[order] = np.cumsum(width[order]) - width[order]
-    total = int(width.sum())
-    out = [np.empty(total, dtype=np.intp)] + [np.empty(total) for _ in pieces[0][2:]]
-    lo = 0
-    for _, rows, *cols in pieces:
-        dst = start[lo:lo + rows.size, None] + np.arange(np.shape(cols[0])[-1])
-        lo += rows.size
-        for arr, col in zip(out, (rows[:, None], *cols)):
-            arr[dst] = col
-    return out
+    return np.split(start, np.cumsum([rows.size for _, rows, _, _ in pieces])[:-1]), total
 
 
 def kdiff_total(N, s):
@@ -241,11 +272,19 @@ class PairFormEngine:
 
     Pair i couples the outer node r_out[idx[i]] with the inner node rho[i].
     The tables are built with arrays, segment by segment: the gap rules of
-    all outer nodes inside a segment come from one graded_rule call per
-    side, and a far-segment rule, which depends on the outer node only
-    through its two grading depths, is built once per depths and shared.
-    The pairs are ordered outer node by outer node, then by segment: form
-    sums in that order, so the order fixes its floating-point result.
+    the outer nodes inside a segment come from one graded_rule call per
+    side and block, and a far-segment rule, which depends on the outer node
+    only through its two grading depths, is built once per depths and
+    shared.  The pairs are ordered outer node by outer node, then by
+    segment: form sums in that order, so the order fixes its floating-point
+    result.
+
+    Kept per pair: int32 idx, float rho and kw, 20 B.  Only elementwise
+    work is blocked, _FORM_BLOCK pairs at a time: the pairs are built,
+    weighted and scattered into the kept tables block by block, with no
+    other pair-length buffer, and form and stiffness_gram evaluate their
+    profiles by blocks.  Every sum is one np.dot over the full pair arrays
+    in the fixed order.
     """
 
     def __init__(self, N, s, ell, breaks, n, lev):
@@ -257,24 +296,27 @@ class PairFormEngine:
         mpow = N - 1
         self.r_out, self.w_out = segment_rule(pts, n, grade=sing, levels=lev,
                                               ratio=_RATIO)
-        pieces = []  # (key, outer-node rows, rho, |rho - r|, inner weights)
-        for k, (p, q) in enumerate(zip(pts[:-1], pts[1:])):
-            inside = (p < self.r_out) & (self.r_out < q)
-            rows = np.flatnonzero(inside)
-            r = self.r_out[rows, None]
-            for j, (sgn, end) in enumerate(((1.0, q), (-1.0, p))):
-                delta, w = _gap_rule(np.abs(end - r[:, 0]), s, n, lev, end in sing)
-                pieces.append((2 * k + j, rows, r + sgn * delta, delta, w))
-            far = np.flatnonzero(~inside)
-            levels = [_far_levels(self.r_out[i], p, q, lev, sing) for i in far]
-            for lp_lq in set(levels):
-                rows = far[[lv == lp_lq for lv in levels]]
-                rho, w = _far_segment_rule(p, q, *lp_lq, n)
-                pieces.append((2 * k, rows, rho, np.abs(rho - self.r_out[rows, None]), w))
-        self.idx, self.rho, h, win = _interleave(pieces)
-        kap = kappa_ell(self.r_out[self.idx], self.rho, h, N, s, ell)
-        meas = (self.r_out[self.idx] * self.rho) ** mpow if mpow else 1.0
-        self.kw = self.w_out[self.idx] * win * kap * meas
+        # kw = w_out[idx] * win * kappa * (r rho)^{N-1}, over the inner
+        # weights win
+        pieces = _pair_pieces(self.r_out, pts, sing, s, n, lev)
+        starts, total = _pair_starts(pieces)
+        self.idx = np.empty(total, dtype=np.int32)
+        self.rho = np.empty(total)
+        self.kw = np.empty(total)
+        for (_, rows, width, columns), start in zip(pieces, starts):
+            step = max(1, _FORM_BLOCK // width)
+            for lo in range(0, rows.size, step):
+                i = rows[lo:lo + step]
+                rho, h, win = columns(i)
+                r = self.r_out[i, None]
+                kw = self.w_out[i, None] * win
+                kw *= kappa_ell(r, rho, h, N, s, ell)
+                if mpow:
+                    kw *= (r * rho) ** mpow
+                dst = start[lo:lo + step, None] + np.arange(width)
+                self.idx[dst] = i[:, None]
+                self.rho[dst] = rho
+                self.kw[dst] = kw
         # diagonal tail weights (per unit kernel constant)
         tail = exterior_tail(self.r_out, N, s, ell=ell)
         if ell == 1:
@@ -286,37 +328,42 @@ class PairFormEngine:
     def n_pairs(self):
         return self.kw.size
 
-    def _inner(self, f):
-        """f at the inner nodes, evaluated in blocks to bound f's temporaries."""
-        out = np.empty_like(self.rho)
-        for lo in range(0, out.size, _FORM_BLOCK):
-            out[lo:lo + _FORM_BLOCK] = f(self.rho[lo:lo + _FORM_BLOCK])
-        return out
-
-    def _sum(self, g_out, dg, h_out, dh):
-        """The form from the profiles at the outer nodes and their pair
-        differences g(r_out[idx]) - g(rho)."""
-        return self.c * (0.5 * float(np.dot(self.kw, dg * dh))
+    def _sum(self, g_out, h_out, prod):
+        """The form from the profiles at the outer nodes and the pair
+        products (g(r_out[idx]) - g(rho)) (h(r_out[idx]) - h(rho))."""
+        return self.c * (0.5 * float(np.dot(self.kw, prod))
                          + float(np.dot(self.wdiag, g_out * h_out)))
 
     def form(self, g, h=None):
         """Reduced bilinear form of two radial profiles (h defaults to g).
 
-        A SignedPart h of g takes its values from g's, so g is evaluated
-        once for both.
+        The profiles are evaluated at the inner nodes _FORM_BLOCK at a time,
+        into one pair-length product array.  A SignedPart h of g takes its
+        values from g's, so g is evaluated once for both.
         """
         g_out = np.asarray(g(self.r_out), dtype=float)
-        g_in = self._inner(g)
-        dg = g_out[self.idx] - g_in
-        if h is None or h is g:
-            h_out, dh = g_out, dg
-        elif isinstance(h, SignedPart) and h.base is g:
+        same = h is None or h is g
+        signed = isinstance(h, SignedPart) and h.base is g
+        if same:
+            h_out = g_out
+        elif signed:
             h_out = h.part(g_out)
-            dh = h_out[self.idx] - h.part(g_in)
         else:
             h_out = np.asarray(h(self.r_out), dtype=float)
-            dh = h_out[self.idx] - self._inner(h)
-        return self._sum(g_out, dg, h_out, dh)
+        prod = np.empty_like(self.rho)
+        for lo in range(0, prod.size, _FORM_BLOCK):
+            sl = slice(lo, lo + _FORM_BLOCK)
+            idx = self.idx[sl]
+            g_in = np.asarray(g(self.rho[sl]), dtype=float)
+            dg = g_out[idx] - g_in
+            if same:
+                dh = dg
+            elif signed:
+                dh = h_out[idx] - h.part(g_in)
+            else:
+                dh = h_out[idx] - np.asarray(h(self.rho[sl]), dtype=float)
+            np.multiply(dg, dh, out=prod[sl])
+        return self._sum(g_out, h_out, prod)
 
     def stiffness_gram(self, spec):
         """K x K matrix of form(phi_m, phi_n) over the basis functions
@@ -334,7 +381,7 @@ class PairFormEngine:
                 D[:, lo:hi] = phi[:, self.idx[lo:hi]] - basis_matrix(spec, self.rho[lo:hi])
             gram = np.empty((spec.K, spec.K))
             for m, n in itertools.combinations_with_replacement(range(spec.K), 2):
-                gram[m, n] = gram[n, m] = self._sum(phi[m], D[m], phi[n], D[n])
+                gram[m, n] = gram[n, m] = self._sum(phi[m], phi[n], D[m] * D[n])
             self._grams[spec] = gram
         return self._grams[spec]
 

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +147,52 @@ def test_in_place_jacobi_recurrence_is_bit_identical(K):
                                   _jacobi_all_allocating(K, a, b, t)), (d, s)
             assert np.array_equal(jacobi_deriv_all(K, a, b, t),
                                   _jacobi_deriv_all_allocating(K, a, b, t)), (d, s)
+
+
+# RadialProfile's blocked evaluations against the one-shot formulas.  Run with
+# one BLAS thread: with more, OpenBLAS splits a gemv's rows between threads at
+# a point that depends on the row count, so even two one-shot evaluations of
+# overlapping point sets can differ in the last bit.
+_PROFILE_BLOCKS_CHECK = """
+import numpy as np
+from fracball.basis import (RadialBasisSpec, RadialProfile, _PROFILE_BLOCK,
+                            jacobi_all, jacobi_deriv_all)
+
+rng = np.random.default_rng(11)
+B = _PROFILE_BLOCK
+for K in (12, 96):
+    for d in (1, 3):
+        spec = RadialBasisSpec(d, 0.7, K)
+        c = rng.standard_normal(K)
+        prof = RadialProfile(spec, c)
+        for n in (B, B + 1, B + 3, B + 4, 3 * B + 5):
+            r = np.sort(rng.random(n))
+            r[-1] = 1.0
+            t = 2.0 * r**2 - 1.0
+            q = c @ jacobi_all(K, spec.alpha, spec.beta, t)
+            dq = (c @ jacobi_deriv_all(K, spec.alpha, spec.beta, t)) * 4.0 * r
+            omr2 = 1.0 - r**2
+            with np.errstate(divide="ignore"):
+                du = np.where(r < 1.0, np.abs(omr2) ** (spec.s - 1.0), 0.0)
+            du = du * (omr2 * dq - 2.0 * spec.s * r * q)
+            u = np.where(r < 1.0, np.abs(1.0 - r**2) ** spec.s, 0.0) * q
+            for name, got, want in (("poly_part", prof.poly_part(r), q),
+                                    ("__call__", prof(r), u),
+                                    ("derivative", prof.derivative(r), du)):
+                assert np.array_equal(got, want), (K, d, n, name)
+print("ok")
+"""
+
+
+def test_profile_blocks_equal_the_one_shot_formula():
+    # one block, one block plus one point (the remainder joins the block
+    # before it), the first split, and several blocks, at K = 12 and 96
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _PROFILE_BLOCKS_CHECK], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ok"]
 
 
 def test_derivative_profile_matches_finite_differences():

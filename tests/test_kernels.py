@@ -167,7 +167,36 @@ def test_kappa_fallback_rescales_only_overflowing_points():
     got = kernels._kappa_fallback(r, rho, h, d, s)
     np.testing.assert_array_equal(got[:, 0], rule[:, 0])
     # near the diagonal kappa_0 ~ h^{-1-2s} and kappa_diff ~ h^{1-2s}: the
-    # rescaled point continues the finite one along those power laws
+    # log-space point continues the finite one along those power laws
     scale = (h[1] / h[0]) ** np.array([-1.0 - 2.0 * s, 1.0 - 2.0 * s])
     np.testing.assert_allclose(got[:, 1], rule[:, 0] * scale, rtol=1e-6)
 
+
+
+def test_kappa_fallback_where_the_sine_power_underflows():
+    # at d = 14, x = 2^-90 the plain rule is finite but sin^{12} phi at its
+    # first nodes is below the smallest normal double; before the log-space
+    # sum the fallback gave 0.47 times kappa_0 there
+    d, s = 14, 0.75
+    h = np.array([2.0**-60, 2.0**-90])
+    r = np.ones(2)
+    got = kernels._kappa_fallback(r, r - h, h, d, s)
+    assert np.isfinite(got).all()
+    cont = got[0, 0] * (h[1] / h[0]) ** (-1.0 - 2.0 * s)
+    assert abs(got[0, 1] / cont - 1.0) <= 1e-12
+
+
+def test_gate_holds_where_the_table_overflowed():
+    # d + 2s > 20.5: the finest table panels overflowed in the plain rule and
+    # the (0, 0) oracle entry was nan; every entry of the stiffness gate now
+    # agrees with the closed form within the gate's tolerance
+    from fracball.basis import RadialBasisSpec, assemble_radial_operator, stiffness_matrix
+    from fracball.nonlocal_quadrature import stiffness_entry_oracle
+
+    assert np.isfinite(kernels._table(24, 0.75)).all()
+    spec = RadialBasisSpec(24, 0.75, 4)
+    A = stiffness_matrix(spec)
+    est = stiffness_entry_oracle(24, 0.75, 0, 0, budget=40_000)
+    assert est.finite
+    assert abs(est.value - A[0, 0]) <= max(10.0 * est.error, 1e-4 * np.abs(A).max())
+    assemble_radial_operator(spec, oracle_budget=40_000)

@@ -118,7 +118,7 @@ def linear_morse_crosscheck(oracle_budget=None):
                                              NonlinearitySpec(lam),
                                              target_nodes=1, K=K_START,
                                              oracle_budget=oracle_budget)
-            rep = morse_index(params, sol, ell_max=ELL_START,
+            rep = morse_index(sol, ell_max=ELL_START,
                               oracle_budget=oracle_budget)
             spec = assemble_full_spectrum(params, ELL_START, 8, K_START,
                                           oracle_budget=oracle_budget)
@@ -158,7 +158,7 @@ def solve_nonlinear_case(case, oracle_budget=None):
                                         oracle_budget=oracle_budget)
             row["K"] = sol.spec.K
             rep = escalate_ell(lambda ell_max: morse_index(
-                params, sol, ell_max=ell_max, oracle_budget=oracle_budget))
+                sol, ell_max=ell_max, oracle_budget=oracle_budget))
             _, _, rel = pohozaev_residual(sol)
             solutions[N] = rep
             row.update({"nodal-count": sol.nodal_count, "pohozaev-rel": rel,
@@ -184,7 +184,7 @@ def first_eigen_negative(solutions):
         lam1, ell, _, definite = first_linearized_eigen(rep)
         ok = lam1 < 0.0 and ell == 0 and definite
         passed = passed and ok
-        rows.append({"N": N, "s": rep.params.s, "lambda1L": lam1, "ell": ell,
+        rows.append({"N": N, "s": rep.solution.params.s, "lambda1L": lam1, "ell": ell,
                      "sign-definite": definite, "ok": ok})
     return CriterionResult("first-linearized-eigenvalue", passed,
                            {"rows": rows})

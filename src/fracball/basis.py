@@ -18,6 +18,7 @@ import scipy.linalg
 from scipy.special import gammaln, roots_jacobi
 
 from .errors import MassNotPD, OracleMismatch, PotentialUnbounded
+from .params import harmonic_multiplicity, sphere_area
 from .quadrature import kink_rule
 from .roots import brentq
 
@@ -45,6 +46,13 @@ class RadialBasisSpec:
     @property
     def beta(self):
         return self.d / 2.0 - 1.0
+
+
+def sector_spec(params, ell, K):
+    """The RadialBasisSpec of the angular sector ell of params: effective
+    dimension N + 2*ell.  ell is validated for N by harmonic_multiplicity."""
+    harmonic_multiplicity(params.N, ell)
+    return RadialBasisSpec(params.N + 2 * ell, params.s, K)
 
 
 def jacobi_all(K, a, b, x):
@@ -136,8 +144,6 @@ def stiffness_matrix(spec):
     generalized eigenvalues are measure-convention independent.  Diagonal in
     this basis: A0_nn = |S^{d-1}| mu_n g_n.
     """
-    from .params import sphere_area
-
     return sphere_area(spec.d) * np.diag(dyda_factor(spec) * jacobi_norm_radial(spec))
 
 
@@ -146,8 +152,6 @@ def mass_matrix(spec):
 
     Exact by Gauss-Jacobi in t = 2r^2 - 1.
     """
-    from .params import sphere_area
-
     d, s = spec.d, spec.s
     nq = spec.K + 2
     t, w = roots_jacobi(nq, 2.0 * s, d / 2.0 - 1.0)
@@ -196,23 +200,23 @@ def assemble_radial_operator(spec, potential=None, potential_breaks=(),
     """
     A = stiffness_matrix(spec)
     B = mass_matrix(spec)
-    if oracle_budget is not None:
-        stiffness_oracle_gate(spec, A, oracle_budget)
+    stiffness_oracle_gate(spec, oracle_budget)
     if potential is not None:
-        from .params import sphere_area
-
         A = A - sphere_area(spec.d) * radial_weighted_integrals(
             spec, potential, breaks=potential_breaks
         )
     return RadialOperatorPair(spec, A, B)
 
 
-def stiffness_oracle_gate(spec, A, budget):
-    """Check the leading min(4, K)^2 block of the potential-free stiffness A
-    against the singular-kernel oracle; raise OracleMismatch on a mismatch
-    or a non-finite estimate."""
+def stiffness_oracle_gate(spec, budget):
+    """Check the leading min(4, K)^2 block of stiffness_matrix(spec) against
+    the singular-kernel oracle at this budget; raise OracleMismatch on a
+    mismatch or a non-finite estimate.  No check when budget is None."""
+    if budget is None:
+        return
     from .nonlocal_quadrature import stiffness_entry_oracle
 
+    A = stiffness_matrix(spec)
     m = min(4, spec.K)
     scale = np.abs(A[:m, :m]).max()
     for i in range(m):
@@ -367,7 +371,3 @@ class RadialProfile:
         sign = np.sign(q)
         idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
         return [brentq(self.poly_at, r[i], r[i + 1]) for i in idx]
-
-    def nodal_count(self):
-        """Number of sign changes of the profile on (0, 1)."""
-        return len(self.sign_change_radii())

@@ -175,7 +175,7 @@ def cmd_morse(cfg):
         inputs = _point_inputs(cfg, params, nl)
         try:
             sol, sol_payload = _solve_point(cfg, params, nl)
-            rep = morse_index(params, sol, ell_max=cfg.trunc_ell_max,
+            rep = morse_index(sol, ell_max=cfg.trunc_ell_max,
                               oracle_budget=cfg.tol_oracle_budget)
             payload = {
                 "solution": sol_payload,

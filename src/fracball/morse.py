@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (RadialBasisSpec, RadialProfile, assemble_radial_operator,
+from .basis import (RadialProfile, assemble_radial_operator, sector_spec,
                     solve_radial_eigs)
 from .errors import (DimensionUnsupported, FracballError,
                      InadmissibleBoundaryData, OracleMismatch,
@@ -37,10 +37,9 @@ from .truncation import ELL_START, angular_sectors, coarse_K
 _GATE_TOL_REL = 1e-4
 
 
-def _gate_block(params, sol, ell, pair):
-    """Validate a linearized block entry against the full singular-kernel
-    quadrature."""
-    d = params.N + 2 * ell
+def _gate_block(sol, ell, pair):
+    """Validate the (0, 0) entry of the linearized block pair of sector ell
+    against the full singular-kernel quadrature about the solution sol."""
     spec_d = pair.spec
     e0 = np.zeros(spec_d.K)
     e0[0] = 1.0
@@ -54,7 +53,7 @@ def _gate_block(params, sol, ell, pair):
         # the ambient form carries angular_factor(N, 1)
         v = SeparableFunction(profile=lambda r: np.asarray(r) * np.asarray(g(r)),
                               angular="coordinate", j=1)
-        conv = angular_factor(params.N, 1) / sphere_area(d)
+        conv = angular_factor(sol.params.N, 1) / sphere_area(spec_d.d)
     est = quadratic_form_L(sol, v, v)
     target = conv * pair.A[0, 0]
     scale = max(abs(est.value), abs(target))
@@ -66,19 +65,19 @@ def _gate_block(params, sol, ell, pair):
         )
 
 
-def assemble_linearized(params, sol, ell, K, oracle_budget=None):
-    """Radial operator pair for L in the angular sector ell.
+def assemble_linearized(sol, ell, oracle_budget=None):
+    """Radial operator pair for L in the angular sector ell, at the
+    solution's problem and truncation K.
 
     The ell = 0 and ell = 1 blocks are validated against the quadrature
     oracle on every assembly (OracleMismatch on failure).
     """
-    harmonic_multiplicity(params.N, ell)  # validates ell for this N
-    spec = RadialBasisSpec(params.N + 2 * ell, params.s, K)
+    spec = sector_spec(sol.params, ell, sol.spec.K)
     pair = assemble_radial_operator(
         spec, potential=sol.linearized_potential, potential_breaks=sol.breaks,
         oracle_budget=oracle_budget)
     if ell <= 1:
-        _gate_block(params, sol, ell, pair)
+        _gate_block(sol, ell, pair)
     return pair
 
 
@@ -98,7 +97,6 @@ class SectorCount:
 
 @dataclass
 class MorseReport:
-    params: ProblemParams
     solution: object  # the RadialSolution linearized about
     sectors: list  # RadialEigenResult of L per ell, at the solution's K
     per_ell: list
@@ -109,8 +107,9 @@ class MorseReport:
     theorem_check: str  # 'passes' | 'fails' | 'not-applicable'
 
 
-def morse_index(params, sol, ell_max=ELL_START, oracle_budget=None):
-    """Count negative eigenvalues of L per sector, weighted by multiplicity.
+def morse_index(sol, ell_max=ELL_START, oracle_budget=None):
+    """Count negative eigenvalues of L about the solution sol per sector,
+    weighted by multiplicity.
 
     An eigenvalue counts as negative only when value + convergence < 0;
     eigenvalues within their convergence estimate of zero are reported as
@@ -118,8 +117,9 @@ def morse_index(params, sol, ell_max=ELL_START, oracle_budget=None):
     the top sector solved still reaches below zero and the sectors are not
     exhaustive.
     """
+    params = sol.params
     ells, sentinel = angular_sectors(params.N, ell_max)
-    sectors = [solve_radial_eigs(assemble_linearized(params, sol, ell, sol.spec.K,
+    sectors = [solve_radial_eigs(assemble_linearized(sol, ell,
                                                      oracle_budget=oracle_budget))
                for ell in ells]
     per_ell = []
@@ -150,8 +150,8 @@ def morse_index(params, sol, ell_max=ELL_START, oracle_budget=None):
         check = "not-applicable"
     else:
         check = "passes" if total >= params.N + 1 else "fails"
-    return MorseReport(params, sol, sectors, per_ell, total, marg, lam1,
-                       lam1_radial, check)
+    return MorseReport(sol, sectors, per_ell, total, marg, lam1, lam1_radial,
+                       check)
 
 
 def first_linearized_eigen(rep):
@@ -163,7 +163,7 @@ def first_linearized_eigen(rep):
     res = sectors[ell1]
     lam1 = float(res.eigenvalues[0])
     prof = RadialProfile(res.spec, res.eigenvectors[:, 0])
-    return lam1, ell1, prof, _sign_definite(prof, rep.params.N)
+    return lam1, ell1, prof, _sign_definite(prof, rep.solution.params.N)
 
 
 def _sign_definite(prof, N):
@@ -186,6 +186,10 @@ def _sign_definite(prof, N):
 # test functions d_j
 
 
+# |psi0(1)| below this counts as a vanishing boundary ratio
+_PSI0_ZERO = 1e-8
+
+
 def _derivative_sign_radii(du):
     """Sign-change radii of u' in (0, 1) by grid scan + Brent's method."""
     r = np.linspace(0.0, 1.0, 4097)[1:-1]
@@ -204,7 +208,7 @@ def build_test_functions(sol):
     """
     params = sol.params
     psi0 = sol.psi0_at_1
-    if abs(psi0) < 1e-8 and params.s <= 0.5:
+    if abs(psi0) < _PSI0_ZERO and params.s <= 0.5:
         raise InadmissibleBoundaryData(
             f"psi0(1) = {psi0:.2e} ~ 0 with s = {params.s} <= 1/2"
         )
@@ -213,7 +217,7 @@ def build_test_functions(sol):
     roots = _derivative_sign_radii(du)
     # outermost radius beyond which the signed part vanishes
     r_star = None
-    if abs(psi0) > 1e-8:
+    if abs(psi0) > _PSI0_ZERO:
         r_star = max(roots) if roots else 0.0
     fns = []
     for j in range(1, params.N + 1):
@@ -293,7 +297,8 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
     stratified Monte-Carlo estimator for E_s(d_1, d_1); N >= 3 is unsupported
     for the quadrature checks (morse_index itself works at any N).
     """
-    params, sol = rep.params, rep.solution
+    sol = rep.solution
+    params = sol.params
     if params.N > 2:
         raise DimensionUnsupported(
             f"direct quadratic-form checks support N <= 2, got N={params.N}"
@@ -329,7 +334,7 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
                 trunc = 0.0
         return ValueWithError(est.value, est.error + trunc)
     sign_conv = "psi0 >= 0" if sol.psi0_at_1 >= 0.0 else "psi0 < 0"
-    r_star = fns[0].support_radius if abs(sol.psi0_at_1) > 1e-8 else None
+    r_star = fns[0].support_radius if abs(sol.psi0_at_1) > _PSI0_ZERO else None
 
     # u is radial, so E_{s,L}(d_j, d_j) does not depend on j (a rotation
     # maps d_1 to d_j) and E_{s,L}(d_j, d_k), j != k, is zero by parity:

@@ -53,8 +53,6 @@ _MAX_PAIRS = 2**31
 # pointwise_flap refuses points closer than this to the boundary
 _FLAP_MARGIN = 1e-3
 
-ANGULAR_KINDS = ("constant", "coordinate")
-
 
 @dataclass(frozen=True)
 class SeparableFunction:
@@ -74,7 +72,7 @@ class SeparableFunction:
     support_radius: float = 1.0
 
     def __post_init__(self):
-        if self.angular not in ANGULAR_KINDS:
+        if self.angular not in ("constant", "coordinate"):
             raise ValueError(f"unknown angular kind {self.angular!r}")
         if self.j < 1:
             raise ValueError("coordinate index j must be >= 1")
@@ -419,9 +417,10 @@ def _ladder_pos_for_budget(budget):
 
 
 def _engine_pair(N, s, ell, breaks, pos):
-    """The engines at ladder position pos and at its error partner below."""
+    """The engines at ladder position pos >= 1 and at its error partner
+    below."""
     return (get_engine(N, s, ell, breaks, *_LADDER[pos]),
-            get_engine(N, s, ell, breaks, *_LADDER[max(pos - 1, 0)]))
+            get_engine(N, s, ell, breaks, *_LADDER[pos - 1]))
 
 
 def _two_resolution(fine, coarse):
@@ -479,12 +478,14 @@ def bilinear_form(u, v, params):
 
 
 def radial_potential_integral(fn, pu, pv, N, breaks=()):
-    """int_0^1 fn(r) pu(r) pv(r) r^{N-1} dr with kink-aware graded panels."""
-    vals = []
-    for r, w in (kink_rule(breaks, 12, 22, _RATIO), kink_rule(breaks, 8, 14, _RATIO)):
-        vals.append(float(np.dot(w * r ** (N - 1),
-                                 np.asarray(fn(r)) * np.asarray(pu(r)) * np.asarray(pv(r)))))
-    return ValueWithError(vals[0], abs(vals[0] - vals[1]) + 1e-15 * abs(vals[0]))
+    """int_0^1 fn(r) pu(r) pv(r) r^{N-1} dr with kink-aware graded panels,
+    its error the difference from a coarser rule (_two_resolution)."""
+    def integral(r, w):
+        return float(np.dot(w * r ** (N - 1),
+                            np.asarray(fn(r)) * np.asarray(pu(r)) * np.asarray(pv(r))))
+
+    return _two_resolution(integral(*kink_rule(breaks, 12, 22, _RATIO)),
+                           integral(*kink_rule(breaks, 8, 14, _RATIO)))
 
 
 def linearized_potential_form(sol, v, w):

@@ -128,8 +128,9 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
 
     init is an explicit coefficient vector, or None for the amplitude-matched
     radial eigenfunction with target_nodes sign changes.  At p = 2 (the
-    linear f = lam t) the scaled eigenfunction itself is returned, flagged
-    linear-degenerate.
+    linear f = lam t) the B-normalised radial eigenvector with target_nodes
+    sign changes is returned, flagged linear-degenerate, with residual
+    ||A0 c - lam B c||: zero up to rounding only when lam is its eigenvalue.
     """
     sub = check_subcriticality(nonlin, params)
     if not sub.satisfied:
@@ -149,26 +150,26 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
         v_lin = vec[:, target_nodes]
     if degenerate:
         prof = RadialProfile(spec, v_lin)
+        res_lin = float(np.linalg.norm(A0 @ v_lin - nonlin.lam * (B @ v_lin)))
         return RadialSolution(params, nonlin, spec, v_lin.copy(),
                               tuple(prof.sign_change_radii()),
-                              prof.boundary_ratio(), residual=0.0,
+                              prof.boundary_ratio(), residual=res_lin,
                               newton_iterations=0, newton_tol=newton_tol,
                               linear_degenerate=True)
 
     ang = sphere_area(params.N)
+    p_path = [nonlin.p]
     if init is not None:
         c = np.asarray(init, dtype=float).copy()
         if c.shape != (K,):
             raise ValueError("explicit initial guess must have length K")
         # the first rule splits at the guess's own sign changes
         seed_breaks = RadialProfile(spec, c).sign_change_radii()
-        p_path = [nonlin.p]
     else:
         seed_breaks = RadialProfile(spec, v_lin).sign_change_radii()
         # continuation in the exponent: far from p = 2 the amplitude-matched
         # eigenfunction can fall outside Newton's basin, so walk p up from
         # near 2, warm-starting each step
-        p_path = [nonlin.p]
         if nonlin.p > 2.6:
             p_path = list(np.arange(2.5, nonlin.p, 0.25)) + [nonlin.p]
         # amplitude matching: the scaled eigenfunction alpha*v solves the
@@ -224,8 +225,6 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
     # phase, so the Jacobian is exact for the discrete system actually solved)
     breaks = tuple(seed_breaks)
     total_it = 0
-    res_norm = np.inf
-    r = w = phi = None
     p_prev = None
     for p_step in p_path:
         nl_step = nonlin if p_step == nonlin.p else NonlinearitySpec(

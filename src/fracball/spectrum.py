@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (RadialBasisSpec, assemble_radial_operator,
-                    solve_radial_eigs, stiffness_matrix, stiffness_oracle_gate)
+from .basis import (RadialBasisSpec, assemble_radial_operator, sector_spec,
+                    solve_radial_eigs, stiffness_oracle_gate)
 from .errors import TruncationUnsafe
-from .params import ProblemParams, harmonic_multiplicity
+from .params import harmonic_multiplicity
 from .truncation import angular_sectors
 
 
@@ -36,18 +36,15 @@ class SpectrumEntry:
     lam: float
     multiplicity: int
     convergence: float
-    coincident: bool = False
+    coincident: bool
 
 
 @dataclass
 class SpectrumLabeled:
     """Merged, ascending eigenvalue list with truncation bookkeeping."""
 
-    params: ProblemParams
     entries: list
     ell_max: int
-    n_max: int
-    K: int
     truncation_safe: bool
     sentinel_lam: float
 
@@ -85,10 +82,8 @@ def radial_family(params, ell, K, oracle_budget=None):
     With oracle_budget set, the stiffness gate runs on every call, memoised
     sector or not, and a failing gate raises OracleMismatch.
     """
-    harmonic_multiplicity(params.N, ell)  # validates ell for this N
-    spec = RadialBasisSpec(params.N + 2 * ell, params.s, K)
-    if oracle_budget is not None:
-        stiffness_oracle_gate(spec, stiffness_matrix(spec), oracle_budget)
+    spec = sector_spec(params, ell, K)
+    stiffness_oracle_gate(spec, oracle_budget)
     return solve_sector(spec)
 
 
@@ -113,42 +108,37 @@ def assemble_full_spectrum(params, ell_max, n_max, K, oracle_budget=None, jobs=1
     else:
         results = dict(solve(ell) for ell in todo)
 
-    entries = []
-    for ell in ells:
-        res = results[ell]
-        mult = harmonic_multiplicity(params.N, ell)
-        for n in range(min(n_max + 1, K)):
-            entries.append(SpectrumEntry(ell, n, float(res.eigenvalues[n]), mult,
-                                         float(res.convergence[n])))
-    entries.sort(key=lambda e: e.lam)
+    # (ell, n, lam, convergence), stably sorted by lam
+    rows = sorted(((ell, n, float(results[ell].eigenvalues[n]),
+                    float(results[ell].convergence[n]))
+                   for ell in ells for n in range(min(n_max + 1, K))),
+                  key=lambda row: row[2])
 
-    # flag accidental near-coincidences across sectors instead of merging them
-    flagged = []
-    for i, e in enumerate(entries):
-        near = False
-        for k in (i - 1, i + 1):
-            if 0 <= k < len(entries) and entries[k].ell != e.ell:
-                tol = e.convergence + entries[k].convergence
-                if abs(entries[k].lam - e.lam) <= tol:
-                    near = True
-        flagged.append(SpectrumEntry(e.ell, e.n, e.lam, e.multiplicity,
-                                     e.convergence, coincident=near))
+    def coincident(i):
+        """An accidental near-coincidence with a neighbour of another
+        sector, flagged instead of merged."""
+        ell, _, lam, conv = rows[i]
+        return any(0 <= k < len(rows) and rows[k][0] != ell
+                   and abs(rows[k][2] - lam) <= conv + rows[k][3]
+                   for k in (i - 1, i + 1))
 
+    entries = [SpectrumEntry(ell, n, lam, harmonic_multiplicity(params.N, ell),
+                             conv, coincident(i))
+               for i, (ell, n, lam, conv) in enumerate(rows)]
     sentinel_lam = (float("inf") if sentinel_ell is None
                     else float(results[sentinel_ell].eigenvalues[0]))
-    safe = sentinel_lam > max(e.lam for e in flagged)
-    return SpectrumLabeled(params, flagged, ells[-1], n_max, K, safe,
-                           sentinel_lam)
+    safe = sentinel_lam > max(e.lam for e in entries)
+    return SpectrumLabeled(entries, ells[-1], safe, sentinel_lam)
 
 
-def second_eigenvalue(params, K, oracle_budget=None):
+def second_eigenvalue(params, K):
     """(lambda_2, label, gap) with gap = lambda_{N,1} - lambda_{N+2,0}.
 
     Reports which of the two candidates wins; it does not assume the
     antisymmetric one does.  Raises TruncationUnsafe when the convergence
     estimates exceed half the gap.
     """
-    rep = verify_conjecture(params, K, oracle_budget=oracle_budget)
+    rep = verify_conjecture(params, K)
     gap = rep.gap
     if rep.error_bar > abs(gap) / 2.0:
         raise TruncationUnsafe(
@@ -164,8 +154,6 @@ def second_eigenvalue(params, K, oracle_budget=None):
 class ConjectureReport:
     """Outcome of the second-eigenvalue ordering check for one (N, s)."""
 
-    params: ProblemParams
-    K: int
     lam_antisymmetric: float  # lambda_{N+2,0}
     lam_radial_excited: float  # lambda_{N,1}
     gap: float
@@ -196,8 +184,6 @@ def verify_conjecture(params, K, oracle_budget=None):
     else:
         verdict = "inconclusive"
     return ConjectureReport(
-        params=params,
-        K=K,
         lam_antisymmetric=lam_anti,
         lam_radial_excited=lam_rad,
         gap=gap,

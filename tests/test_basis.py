@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracball.basis import (RadialBasisSpec, RadialProfile,
-                            assemble_radial_operator, basis_matrix,
-                            dyda_factor, jacobi_all, jacobi_at_one,
-                            jacobi_deriv_all, mass_matrix, solve_radial_eigs,
-                            stiffness_matrix)
+from fracball.basis import (RadialBasisSpec, RadialOperatorPair,
+                            RadialProfile, assemble_radial_operator,
+                            basis_matrix, dyda_factor, generalized_eigh,
+                            jacobi_all, jacobi_at_one, jacobi_deriv_all,
+                            mass_matrix, radial_weighted_integrals,
+                            solve_radial_eigs, stiffness_matrix)
+from fracball.errors import MassNotPD, PotentialUnbounded
 
 
 def test_stiffness_is_positive_diagonal():
@@ -85,11 +87,24 @@ def test_boundary_ratio_matches_pointwise_limit():
     assert limit == pytest.approx(prof.boundary_ratio(), rel=1e-5)
 
 
+def test_non_finite_potential_raises_potential_unbounded():
+    spec = RadialBasisSpec(2, 0.5, 16)
+    with pytest.raises(PotentialUnbounded):
+        radial_weighted_integrals(spec, lambda r: np.full_like(r, np.inf))
+
+
+def test_indefinite_mass_raises_mass_not_pd():
+    spec = RadialBasisSpec(2, 0.5, 16)
+    pair = RadialOperatorPair(spec, stiffness_matrix(spec), -mass_matrix(spec))
+    with pytest.raises(MassNotPD):
+        generalized_eigh(pair)
+
+
 def test_second_radial_eigenfunction_has_one_node():
     res = solve_radial_eigs(assemble_radial_operator(RadialBasisSpec(3, 0.5, 20)))
     prof = RadialProfile(res.spec, res.eigenvectors[:, 1])
     roots = prof.sign_change_radii()
-    assert prof.nodal_count() == 1 and len(roots) == 1
+    assert len(roots) == 1
     assert 0.0 < roots[0] < 1.0
     assert abs(float(prof(np.array([roots[0]]))[0])) < 1e-10
 

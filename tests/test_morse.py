@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fracball import morse, nonlocal_quadrature
 from fracball.basis import RadialProfile
-from fracball.errors import DimensionUnsupported
+from fracball.errors import DimensionUnsupported, InadmissibleBoundaryData
 from fracball.morse import (assemble_linearized, build_test_functions,
                             first_linearized_eigen, morse_index)
 from fracball.morse import test_function_checks as run_test_function_checks
@@ -17,15 +19,14 @@ from fracball.truncation import escalate_ell
 
 @pytest.fixture(scope="module")
 def morse_n1(cubic_n1):
-    params, _, sol = cubic_n1
-    return morse_index(params, sol)
+    return morse_index(cubic_n1[2])
 
 
 @pytest.fixture(scope="module")
 def morse_n2(cubic_n2):
     # at K = 16 the ell = 3 sector still reaches below zero
-    params, _, sol = cubic_n2
-    return escalate_ell(lambda ell_max: morse_index(params, sol, ell_max=ell_max))
+    sol = cubic_n2[2]
+    return escalate_ell(lambda ell_max: morse_index(sol, ell_max=ell_max))
 
 
 def _linear_solution(params, K, level, target_nodes):
@@ -38,7 +39,7 @@ def _linear_solution(params, K, level, target_nodes):
 def test_ground_state_linear_family_no_negative_directions():
     params = ProblemParams(1, 0.5)
     _, sol = _linear_solution(params, 16, 0, 0)
-    rep = morse_index(params, sol, ell_max=1)
+    rep = morse_index(sol, ell_max=1)
     assert rep.total_index == 0
     assert rep.marginal_total == 1  # the solution itself is the zero mode
     assert rep.theorem_check == "not-applicable"
@@ -48,7 +49,7 @@ def test_ground_state_linear_family_no_negative_directions():
 def test_linear_crosscheck_second_eigenfunction(N, s):
     params = ProblemParams(N, s)
     lam, sol = _linear_solution(params, 24, 1, 1)
-    rep = morse_index(params, sol, ell_max=3)
+    rep = morse_index(sol, ell_max=3)
     spectrum = assemble_full_spectrum(params, 3, 4, 24)
     assert rep.total_index == spectrum.below(lam)
     assert rep.total_index >= N + 1
@@ -59,7 +60,7 @@ def test_linear_crosscheck_second_eigenfunction(N, s):
 def test_morse_counts_respect_multiplicity():
     params = ProblemParams(3, 0.5)
     lam, sol = _linear_solution(params, 20, 1, 1)
-    rep = morse_index(params, sol, ell_max=3)
+    rep = morse_index(sol, ell_max=3)
     per_ell = {sc.ell: sc for sc in rep.per_ell}
     assert per_ell[1].multiplicity == 3
     assert per_ell[2].multiplicity == 5
@@ -76,11 +77,18 @@ def test_first_linearized_eigen_radial_negative(morse_n2):
 
 
 def test_linearized_assembly_passes_kernel_gate(cubic_n1):
-    params, _, sol = cubic_n1
+    sol = cubic_n1[2]
     for ell in (0, 1):
-        pair = assemble_linearized(params, sol, ell, sol.spec.K,
-                                   oracle_budget=50_000)
+        pair = assemble_linearized(sol, ell, oracle_budget=50_000)
         assert np.allclose(pair.A, pair.A.T, atol=1e-10 * np.abs(pair.A).max())
+
+
+def test_vanishing_boundary_ratio_at_s_half_is_inadmissible(cubic_n2):
+    # at s <= 1/2 the signed part of u' need not vanish near r = 1 when
+    # psi0(1) = 0, so the test functions are refused
+    sol = dataclasses.replace(cubic_n2[2], psi0_at_1=0.0)
+    with pytest.raises(InadmissibleBoundaryData):
+        build_test_functions(sol)
 
 
 def test_build_test_functions_structure(cubic_n2):
@@ -177,23 +185,23 @@ def test_test_function_checks_dimension_limit():
     params = ProblemParams(3, 0.5)
     _, sol = _linear_solution(params, 16, 1, 1)
     with pytest.raises(DimensionUnsupported):
-        run_test_function_checks(morse_index(params, sol))
+        run_test_function_checks(morse_index(sol))
 
 
 def test_linearization_leaves_solution_profile_unchanged(monkeypatch, cubic_n1):
     # kink radii travel as sol.breaks; nothing is attached to the cached
     # profile.  The sectors ell = 0, 1 are assembled once, by morse_index;
     # the test-function checks read them from its report.
-    params, _, sol = cubic_n1
+    sol = cubic_n1[2]
     assembled = []
     assemble = morse.assemble_linearized
 
-    def counted(params, sol, ell, K, oracle_budget=None):
+    def counted(sol, ell, oracle_budget=None):
         assembled.append(ell)
-        return assemble(params, sol, ell, K, oracle_budget=oracle_budget)
+        return assemble(sol, ell, oracle_budget=oracle_budget)
 
     monkeypatch.setattr(morse, "assemble_linearized", counted)
-    rep = morse_index(params, sol, ell_max=1, oracle_budget=50_000)
+    rep = morse_index(sol, ell_max=1, oracle_budget=50_000)
     run_test_function_checks(rep)
     assert assembled == [0, 1]
     assert not hasattr(sol.profile, "breaks")

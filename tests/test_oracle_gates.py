@@ -47,10 +47,10 @@ def test_acceptance_oracle_gate_rejects_nan(monkeypatch):
 def test_linearized_block_gate_rejects_nan(monkeypatch, cubic_n1):
     # the block gate checks against the linearized form, not the stiffness
     # oracle, so that is what returns NaN here
-    params, _, sol = cubic_n1
+    sol = cubic_n1[2]
     monkeypatch.setattr(morse, "quadratic_form_L", _nan_oracle)
     with pytest.raises(OracleMismatch):
-        morse.assemble_linearized(params, sol, 0, sol.spec.K)
+        morse.assemble_linearized(sol, 0)
 
 
 def test_block_gate_runs_for_each_solution(monkeypatch):
@@ -68,7 +68,7 @@ def test_block_gate_runs_for_each_solution(monkeypatch):
     for lam in (5.0, 50.0):
         sol = solve_radial_sign_changing(params, NonlinearitySpec(lam),
                                          K=12)
-        morse.assemble_linearized(params, sol, 0, sol.spec.K)
+        morse.assemble_linearized(sol, 0)
     assert gated == [5.0, 50.0]
 
 

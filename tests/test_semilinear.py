@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracball import semilinear, truncation
-from fracball.errors import NoConvergence, TruncationUnsafe
+from fracball.basis import stiffness_matrix
+from fracball.errors import (NoConvergence, NotConverged, TrivialSolution,
+                             TruncationUnsafe, WrongNodalCount)
 from fracball.params import ProblemParams
 from fracball.semilinear import (NonlinearitySpec, check_subcriticality,
                                  energy, energy_gradient, pohozaev_residual,
@@ -71,7 +74,35 @@ def test_linear_family_returns_scaled_eigenfunction():
                                      target_nodes=1, K=16)
     assert sol.linear_degenerate
     assert sol.nodal_count == 1
-    assert sol.residual == 0.0
+    # the B-normalised eigenvector: ||A0 c - lam B c|| is rounding at the
+    # eigenvalue lambda_{N,1} and of order ||A0 c|| away from it
+    scale = float(np.linalg.norm(stiffness_matrix(sol.spec) @ sol.coefficients))
+    assert sol.residual < 1e-10 * scale
+    far = solve_radial_sign_changing(params, NonlinearitySpec(50.0),
+                                     target_nodes=1, K=16)
+    assert np.array_equal(far.coefficients, sol.coefficients)
+    assert far.residual > scale
+
+
+def test_zero_initial_guess_raises_trivial_solution():
+    # u = 0 solves the Galerkin system exactly, so Newton stops at once
+    with pytest.raises(TrivialSolution):
+        solve_radial_sign_changing(ProblemParams(2, 0.5),
+                                   NonlinearitySpec(1.0, 3.0), K=16,
+                                   init=np.zeros(16))
+
+
+def test_one_node_guess_for_two_nodes_raises_wrong_nodal_count(cubic_n2):
+    params, nonlin, sol = cubic_n2
+    with pytest.raises(WrongNodalCount):
+        solve_radial_sign_changing(params, nonlin, target_nodes=2, K=16,
+                                   init=sol.coefficients)
+
+
+def test_pohozaev_refuses_an_unconverged_solution(cubic_n2):
+    sol = dataclasses.replace(cubic_n2[2], residual=1.0)
+    with pytest.raises(NotConverged):
+        pohozaev_residual(sol)
 
 
 def test_converged_cubic_solution_properties(cubic_n2):
@@ -148,10 +179,11 @@ def test_energy_negative_direction_exists(cubic_n2):
 
 def test_nodal_count_stable_under_grid_refinement(cubic_n1):
     _, _, sol = cubic_n1
-    # nodal_count scans 2048 cells; a scan four times finer finds no more
+    # sign_change_radii scans 2048 cells; a scan four times finer finds no
+    # more
     sign = np.sign(sol.profile.poly_part(np.linspace(0.0, 1.0, 8193)))
     fine = int(np.count_nonzero(sign[:-1] * sign[1:] < 0))
-    assert sol.profile.nodal_count() == fine == 1
+    assert len(sol.profile.sign_change_radii()) == fine == 1
 
 
 @pytest.mark.parametrize("case", [

@@ -16,12 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cli
 from .basis import RadialBasisSpec, stiffness_matrix
 from .config import CampaignConfig
 from .errors import FracballError
+from .morse import (_mc_quadratic_pair, build_test_functions,
+                    first_linearized_eigen, morse_index, test_function_checks)
 from .nonlocal_quadrature import stiffness_entry_oracle
 from .params import ProblemParams
 from .report import render_json
+from .semilinear import (NonlinearitySpec, energy, energy_gradient,
+                         pohozaev_residual, solve_radial_resolved,
+                         solve_radial_sign_changing)
 from .spectrum import assemble_full_spectrum, radial_family, verify_conjecture
 from .truncation import ELL_START, K_START, escalate_ell
 
@@ -104,9 +110,6 @@ def monotonicity(oracle_budget=None):
 
 def linear_morse_crosscheck(oracle_budget=None):
     """Morse index of the linear-family solution vs. the spectrum count."""
-    from .morse import morse_index
-    from .semilinear import NonlinearitySpec, solve_radial_sign_changing
-
     rows = []
     passed = True
     for N in (1, 2, 3):
@@ -141,10 +144,6 @@ def solve_nonlinear_case(case, oracle_budget=None):
     (results, solutions), solutions mapping N to the MorseReport of its
     solution, which the linearization criteria reuse.
     """
-    from .morse import morse_index
-    from .semilinear import (NonlinearitySpec, pohozaev_residual,
-                             solve_radial_resolved)
-
     rows = []
     solutions = {}
     passed = True
@@ -154,7 +153,6 @@ def solve_nonlinear_case(case, oracle_budget=None):
         row = {"N": N, "s": s, "p": p}
         try:
             sol = solve_radial_resolved(params, nl, target_nodes=1, K=K_START,
-                                        newton_tol=1e-10,
                                         oracle_budget=oracle_budget)
             row["K"] = sol.spec.K
             rep = escalate_ell(lambda ell_max: morse_index(
@@ -176,8 +174,6 @@ def solve_nonlinear_case(case, oracle_budget=None):
 
 def first_eigen_negative(solutions):
     """First linearized eigenvalue negative, radial, sign-definite profile."""
-    from .morse import first_linearized_eigen
-
     rows = []
     passed = bool(solutions)
     for N, rep in sorted(solutions.items()):
@@ -192,8 +188,6 @@ def first_eigen_negative(solutions):
 
 def test_function_signs(solutions):
     """Sign tests for the derivative-built test functions at N = 1, 2."""
-    from .morse import test_function_checks
-
     rows = []
     passed = True
     reports = {}
@@ -234,33 +228,27 @@ def weak_identity(reports):
     return CriterionResult("weak-identity-defect", passed, {"rows": rows})
 
 
-def gradient_check(solutions=None):
-    """Analytic energy gradient vs. central finite differences."""
-    from .semilinear import (NonlinearitySpec, energy, energy_gradient,
-                             solve_radial_sign_changing)
-
-    if solutions and 2 in solutions:
-        sol = solutions[2].solution
-        params, nl = sol.params, sol.nonlin
-    else:
-        params = ProblemParams(2, 0.7)
-        nl = NonlinearitySpec(1.0, 3.0)
-        sol = solve_radial_sign_changing(params, nl, target_nodes=1, K=K_START)
+def gradient_check(solutions):
+    """Analytic energy gradient vs. central finite differences, on the N = 2
+    solution of the nonlinear criterion (solutions maps N to its
+    MorseReport); fails when that solution is missing."""
+    if 2 not in solutions:
+        return CriterionResult("gradient-check", False,
+                               {"N": 2, "error": "no converged solution"})
+    sol = solutions[2].solution
     h, tol = 1e-4, 1e-6
-    spec, rule = sol.spec, (sol.quad_r, sol.quad_w)
     c0 = np.asarray(sol.coefficients, dtype=float)
     # At the solution the gradient vanishes, so mismatches are measured
     # relative to the natural energy scale ||A0 c|| rather than ||grad||.
-    energy_scale = float(np.linalg.norm(stiffness_matrix(spec) @ c0))
+    energy_scale = float(np.linalg.norm(stiffness_matrix(sol.spec) @ c0))
 
     def rel_mismatch(c):
-        grad = energy_gradient(c, spec, nl, params, rule=rule)
+        grad = energy_gradient(sol, c)
         fd = np.empty_like(grad)
         for i in range(c.size):
             e = np.zeros_like(c)
             e[i] = h
-            fd[i] = (energy(c + e, spec, nl, params, rule=rule)
-                     - energy(c - e, spec, nl, params, rule=rule)) / (2.0 * h)
+            fd[i] = (energy(sol, c + e) - energy(sol, c - e)) / (2.0 * h)
         scale = max(float(np.linalg.norm(fd)), energy_scale)
         return float(np.linalg.norm(grad - fd) / scale)
 
@@ -275,10 +263,6 @@ def gradient_check(solutions=None):
 
 def determinism():
     """Identical config and seed produce byte-identical report records."""
-    from . import cli
-    from .morse import _mc_quadratic_pair, build_test_functions
-    from .semilinear import NonlinearitySpec, solve_radial_sign_changing
-
     cfg = CampaignConfig(grid_N=[1], grid_s=[0.75],
                          grid_nonlinearity=["power(1.0, 3.0)"],
                          trunc_K=16, seed=20240824)

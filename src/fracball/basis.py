@@ -7,8 +7,8 @@ The basis in effective dimension d is
 extended by zero outside [0, 1).  The fractional Laplacian maps phi_n to
 mu_n P_n^{(s, d/2-1)}(2 r^2 - 1) inside the ball, which makes the Dirichlet
 stiffness matrix diagonal in this basis by Jacobi orthogonality.  The
-closed-form coefficients are treated as untrusted input: assembly can be
-cross-checked entry by entry against the singular-kernel quadrature oracle.
+closed-form coefficients are treated as untrusted input: stiffness_oracle_gate
+cross-checks them entry by entry against the singular-kernel quadrature oracle.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ from scipy.special import gammaln, roots_jacobi
 from .errors import MassNotPD, OracleMismatch, PotentialUnbounded
 from .params import harmonic_multiplicity, sphere_area
 from .quadrature import kink_rule
-from .roots import brentq
+from .roots import scan_roots
 
 
 @dataclass(frozen=True)
@@ -189,18 +189,14 @@ class RadialOperatorPair:
             raise ValueError("stiffness matrix is not symmetric")
 
 
-def assemble_radial_operator(spec, potential=None, potential_breaks=(),
-                             oracle_budget=None):
+def assemble_radial_operator(spec, potential=None, potential_breaks=()):
     """Assemble (A, B) for E_s minus an optional radial potential term.
 
-    With oracle_budget set, the leading min(4, K)^2 block of the
-    potential-free stiffness is cross-checked against the singular-kernel
-    quadrature oracle at assembly time; disagreement beyond combined
-    tolerances raises OracleMismatch.
+    Assembly does not gate: the callers that build a sector from it run
+    stiffness_oracle_gate first.
     """
     A = stiffness_matrix(spec)
     B = mass_matrix(spec)
-    stiffness_oracle_gate(spec, oracle_budget)
     if potential is not None:
         A = A - sphere_area(spec.d) * radial_weighted_integrals(
             spec, potential, breaks=potential_breaks
@@ -211,9 +207,13 @@ def assemble_radial_operator(spec, potential=None, potential_breaks=(),
 def stiffness_oracle_gate(spec, budget):
     """Check the leading min(4, K)^2 block of stiffness_matrix(spec) against
     the singular-kernel oracle at this budget; raise OracleMismatch on a
-    mismatch or a non-finite estimate.  No check when budget is None."""
+    mismatch (beyond the combined tolerances) or a non-finite estimate.  No
+    check when budget is None.  Run where a sector is built: by
+    spectrum.radial_family, semilinear.solve_radial_sign_changing and
+    morse.assemble_linearized."""
     if budget is None:
         return
+    # function-local: nonlocal_quadrature imports this module
     from .nonlocal_quadrature import stiffness_entry_oracle
 
     A = stiffness_matrix(spec)
@@ -366,8 +366,5 @@ class RadialProfile:
     def sign_change_radii(self):
         """Radii in (0, 1) where the polynomial factor changes sign, found by
         a scan of 2048 cells and Brent's method."""
-        r = np.linspace(0.0, 1.0, 2049)
-        q = self.poly_part(r)
-        sign = np.sign(q)
-        idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        return [brentq(self.poly_at, r[i], r[i + 1]) for i in idx]
+        return scan_roots(self.poly_part, self.poly_at,
+                          np.linspace(0.0, 1.0, 2049))

@@ -45,7 +45,7 @@ def cmd_eigs(cfg):
 
     records = []
     rows = []
-    for params in (ProblemParams(int(N), float(s))
+    for params in (ProblemParams(N, s)
                    for N in cfg.grid_N for s in cfg.grid_s):
         inputs = _point_inputs(cfg, params)
         try:
@@ -84,7 +84,7 @@ def cmd_conjecture(cfg):
     records = []
     rows = []
     tally = {"yes": 0, "no": 0, "inconclusive": 0, "error": 0}
-    for params in (ProblemParams(int(N), float(s))
+    for params in (ProblemParams(N, s)
                    for N in cfg.grid_N for s in cfg.grid_s):
         inputs = _point_inputs(cfg, params)
         try:
@@ -122,7 +122,7 @@ def _solve_point(cfg, params, nl):
                              solve_radial_sign_changing)
 
     sol = solve_radial_sign_changing(params, nl, cfg.grid_target_nodes,
-                                     K=cfg.trunc_K, newton_tol=cfg.tol_newton,
+                                     K=cfg.trunc_K,
                                      oracle_budget=cfg.tol_oracle_budget)
     sub = check_subcriticality(nl, params)
     payload = {
@@ -133,7 +133,7 @@ def _solve_point(cfg, params, nl):
         "newton-iterations": sol.newton_iterations,
         "linear-degenerate": sol.linear_degenerate,
         "subcritical": bool(sub),
-        "energy": energy(sol),
+        "energy": energy(sol, sol.coefficients),
     }
     if not sol.linear_degenerate:
         lhs, rhs, rel = pohozaev_residual(sol)

@@ -1,8 +1,10 @@
 """Campaign configuration: flat dotted-key text files.
 
 Format: one `key = value` per line, `#` comments, values in JSON syntax
-(numbers, strings, lists, booleans).  Keys are dotted paths (`grid.N`,
-`tol.newton`); unknown keys are errors, so typos never pass silently.
+(numbers, strings, lists, booleans).  A JSON value may be followed by a
+comment only; any other value is a bare string, which ends at its first
+`#`.  Keys are dotted paths (`grid.N`, `trunc.ell-max`); unknown keys are
+errors, so typos never pass silently.
 """
 
 import json
@@ -64,7 +66,6 @@ class CampaignConfig:
     trunc_K: int = K_START
     trunc_ell_max: int = ELL_START
     trunc_n_max: int = 8
-    tol_newton: float = 1e-10
     tol_oracle_budget: int | None = None
     seed: int = 0
     out_dir: str = "out"
@@ -72,9 +73,21 @@ class CampaignConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        # JSON integers (not booleans) wherever the field is an int
+        for key, f in _KEYS.items():
+            val = getattr(self, f.name)
+            if f.type in (int, int | None) and type(val) is not int and (
+                    val is not None or f.type is int):
+                raise ConfigError(f"{key} must be an integer, got {val!r}")
+        for N in self.grid_N:
+            if type(N) is not int:
+                raise ConfigError(f"grid.N entries must be integers, got {N!r}")
+        for s in self.grid_s:
+            if type(s) not in (int, float):
+                raise ConfigError(f"grid.s entries must be numbers, got {s!r}")
         for N in self.grid_N:
             for s in self.grid_s:
-                ProblemParams(int(N), float(s))  # raises on invalid points
+                ProblemParams(N, s)  # raises on invalid points
         for text in self.grid_nonlinearity:
             parse_nonlinearity(text)
         if self.out_format not in ("csv", "json", "both"):
@@ -98,14 +111,14 @@ class CampaignConfig:
         for N in self.grid_N:
             for s in self.grid_s:
                 for text in self.grid_nonlinearity:
-                    pts.append((ProblemParams(int(N), float(s)),
+                    pts.append((ProblemParams(N, s),
                                 parse_nonlinearity(text)))
         return pts
 
     def to_text(self):
         lines = []
-        for key, attr in _KEYS.items():
-            val = getattr(self, attr)
+        for key, f in _KEYS.items():
+            val = getattr(self, f.name)
             lines.append(f"{key} = {json.dumps(val)}")
         return "\n".join(lines) + "\n"
 
@@ -113,10 +126,9 @@ class CampaignConfig:
 # a field's key: its first "_" becomes "." and every later one "-"
 # (grid_target_nodes -> grid.target-nodes); list-valued keys also accept a
 # single value
-_KEYS = {f.name.replace("_", ".", 1).replace("_", "-"): f.name
+_KEYS = {f.name.replace("_", ".", 1).replace("_", "-"): f
          for f in fields(CampaignConfig)}
-_LIST_KEYS = {key for key, attr in _KEYS.items()
-              if isinstance(getattr(CampaignConfig(), attr), list)}
+_LIST_KEYS = {key for key, f in _KEYS.items() if f.type is list}
 
 
 def parse_config_text(text):
@@ -128,19 +140,24 @@ def parse_config_text(text):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
+        key, _, val = raw.partition("=")
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        # a JSON value, then at most a comment ('#' inside a JSON string is
+        # text); anything else is a bare string, cut at its first '#'
+        val = val.strip()
         try:
-            parsed = json.loads(val.strip())
+            parsed, end = json.JSONDecoder().raw_decode(val)
         except json.JSONDecodeError:
-            parsed = val.strip()  # bare strings allowed
+            end = 0
+        if not end or val[end:].lstrip()[:1] not in ("", "#"):
+            parsed = val.split("#", 1)[0].strip()
         if key in _LIST_KEYS and not isinstance(parsed, list):
             parsed = [parsed]
-        values[_KEYS[key]] = parsed
+        values[_KEYS[key].name] = parsed
     try:
         return CampaignConfig(**values)
     except (TypeError, ValueError) as exc:

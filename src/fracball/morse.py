@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (RadialProfile, assemble_radial_operator, sector_spec,
-                    solve_radial_eigs)
+                    solve_radial_eigs, stiffness_oracle_gate)
 from .errors import (DimensionUnsupported, FracballError,
                      InadmissibleBoundaryData, OracleMismatch,
                      TruncationUnsafe)
@@ -26,7 +26,8 @@ from .nonlocal_quadrature import (SeparableFunction, SignedPart,
                                   quadratic_form_L, radial_potential_integral)
 from .params import ProblemParams, harmonic_multiplicity, sphere_area
 from .quadrature import ValueWithError
-from .roots import brentq
+from .roots import scan_roots
+from .semilinear import solve_radial_sign_changing
 from .truncation import ELL_START, angular_sectors, coarse_K
 
 
@@ -69,13 +70,15 @@ def assemble_linearized(sol, ell, oracle_budget=None):
     """Radial operator pair for L in the angular sector ell, at the
     solution's problem and truncation K.
 
-    The ell = 0 and ell = 1 blocks are validated against the quadrature
-    oracle on every assembly (OracleMismatch on failure).
+    With oracle_budget set, the potential-free stiffness of the sector is
+    first checked by basis.stiffness_oracle_gate.  The ell = 0 and ell = 1
+    blocks are validated against the quadrature oracle on every assembly
+    (OracleMismatch on failure).
     """
     spec = sector_spec(sol.params, ell, sol.spec.K)
+    stiffness_oracle_gate(spec, oracle_budget)
     pair = assemble_radial_operator(
-        spec, potential=sol.linearized_potential, potential_breaks=sol.breaks,
-        oracle_budget=oracle_budget)
+        spec, potential=sol.linearized_potential, potential_breaks=sol.breaks)
     if ell <= 1:
         _gate_block(sol, ell, pair)
     return pair
@@ -191,20 +194,21 @@ _PSI0_ZERO = 1e-8
 
 
 def _derivative_sign_radii(du):
-    """Sign-change radii of u' in (0, 1) by grid scan + Brent's method."""
-    r = np.linspace(0.0, 1.0, 4097)[1:-1]
-    sgn = np.sign(du(r))
-    return [brentq(lambda t: float(du(np.array([t]))[0]), r[i], r[i + 1])
-            for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]]
+    """Sign-change radii of u' in (0, 1): a scan of the 4095 interior
+    points of a 4096-cell grid and Brent's method."""
+    return scan_roots(du, lambda t: float(du(np.array([t]))[0]),
+                      np.linspace(0.0, 1.0, 4097)[1:-1])
 
 
 def build_test_functions(sol):
     """Signed-derivative test functions d_j = (x_j/|x|) w(|x|), j = 1..N.
 
     w = max(u', 0) when psi0(1) >= 0, w = min(u', 0) when psi0(1) < 0; in
-    either case w vanishes near the boundary (compact support radius r_*),
-    because u' ~ -s psi0(1) (1-r)^{s-1} there.  Requires psi0(1) != 0 or
-    s > 1/2; a near-zero boundary ratio with s <= 1/2 is rejected.
+    either case w vanishes near the boundary (compact support radius r_*,
+    each function's support_radius), because u' ~ -s psi0(1) (1-r)^{s-1}
+    there.  Requires psi0(1) != 0 or s > 1/2; a near-zero boundary ratio
+    with s <= 1/2 is rejected, and with s > 1/2 it leaves support_radius
+    None.
     """
     params = sol.params
     psi0 = sol.psi0_at_1
@@ -219,13 +223,9 @@ def build_test_functions(sol):
     r_star = None
     if abs(psi0) > _PSI0_ZERO:
         r_star = max(roots) if roots else 0.0
-    fns = []
-    for j in range(1, params.N + 1):
-        fns.append(SeparableFunction(
-            profile=w, angular="coordinate", j=j,
-            breaks=tuple(roots),
-            support_radius=r_star if r_star is not None else 1.0))
-    return fns
+    return [SeparableFunction(profile=w, angular="coordinate", j=j,
+                              breaks=tuple(roots), support_radius=r_star)
+            for j in range(1, params.N + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +321,6 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
         trunc = 0.0
         K_c = coarse_K(sol.spec.K)
         if K_c is not None and not sol.linear_degenerate:
-            from .semilinear import solve_radial_sign_changing
-
             # a typed failure of the coarse solve leaves no estimate; any
             # other exception is a fault and propagates
             try:
@@ -334,7 +332,6 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
                 trunc = 0.0
         return ValueWithError(est.value, est.error + trunc)
     sign_conv = "psi0 >= 0" if sol.psi0_at_1 >= 0.0 else "psi0 < 0"
-    r_star = fns[0].support_radius if abs(sol.psi0_at_1) > _PSI0_ZERO else None
 
     # u is radial, so E_{s,L}(d_j, d_j) does not depend on j (a rotation
     # maps d_1 to d_j) and E_{s,L}(d_j, d_k), j != k, is zero by parity:
@@ -357,5 +354,5 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
     # diagonal by parity (d_j against phi_{1,L} and d_k alike), so the max
     # Rayleigh quotient over the span is the max over the members
     rayleigh = max(rep.lambda1L, est.value / _l2_norm_sq(d1, params).value)
-    return TestFunctionReport(params, sign_conv, r_star, diag, cross, weak,
-                              rayleigh, rep.lambda1L, method)
+    return TestFunctionReport(params, sign_conv, d1.support_radius, diag,
+                              cross, weak, rayleigh, rep.lambda1L, method)

@@ -62,14 +62,16 @@ class SeparableFunction:
     means u(x) = (x_j/|x|) * profile(|x|) (ell = 1), which also covers the
     sign-restricted derivative shapes d_j, whose half-space definition
     collapses to this separable form.  The profile must evaluate to 0 for
-    r >= 1 and, for 'coordinate', to 0 at r = 0.
+    r >= 1 and, for 'coordinate', to 0 at r = 0.  support_radius is the
+    radius beyond which the profile vanishes, when that is known to happen
+    inside the ball, and None otherwise.
     """
 
     profile: object
     angular: str = "constant"
     j: int = 1
     breaks: tuple = ()
-    support_radius: float = 1.0
+    support_radius: float | None = None
 
     def __post_init__(self):
         if self.angular not in ("constant", "coordinate"):

@@ -4,10 +4,13 @@ brentq is a port of SciPy's brentq.c to Python floats: the same inverse
 quadratic extrapolation, secant interpolation and bisection rules, the same
 tolerances as SciPy's defaults, so it returns the root that
 scipy.optimize.brentq returns with its defaults, bit for bit, without
-importing scipy.optimize and the modules that come with it.
+importing scipy.optimize and the modules that come with it.  scan_roots
+brackets the sign changes of a function on a grid and refines each one.
 """
 
 import math
+
+import numpy as np
 
 _EPS = 2.220446049250313e-16  # numpy.finfo(float).eps
 _XTOL = 2e-12
@@ -70,6 +73,15 @@ def brentq(f, a, b):
         fcur = _value(f, xcur)
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations, "
                        f"value is {xcur}")
+
+
+def scan_roots(fn, fn_at, r):
+    """brentq(fn_at, r[i], r[i + 1]) for every cell of the ascending grid r
+    over which the values fn(r) change sign strictly; fn is the array
+    evaluator on the grid and fn_at the scalar one on each bracket."""
+    sign = np.sign(fn(r))
+    return [brentq(fn_at, r[i], r[i + 1])
+            for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]]
 
 
 def _value(f, x):

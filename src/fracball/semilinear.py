@@ -14,12 +14,17 @@ from math import gamma
 import numpy as np
 
 from .basis import (RadialBasisSpec, RadialProfile, assemble_radial_operator,
-                    basis_matrix, generalized_eigh, stiffness_matrix)
+                    basis_matrix, generalized_eigh, stiffness_matrix,
+                    stiffness_oracle_gate)
 from .errors import (NoConvergence, NotConverged, TrivialSolution,
                      WrongNodalCount)
 from .params import ProblemParams, sphere_area
 from .quadrature import kink_rule
 from .truncation import K_START, next_K
+
+# Newton stops below this residual norm, and gives up after MAX_ITER steps
+NEWTON_TOL = 1e-10
+MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -77,17 +82,9 @@ class RadialSolution:
     psi0_at_1: float
     residual: float
     newton_iterations: int
-    newton_tol: float
-    linear_degenerate: bool = False
-    quad_r: np.ndarray = field(default=None, repr=False)
-    quad_w: np.ndarray = field(default=None, repr=False)
-    _profile: RadialProfile = field(default=None, repr=False)
-
-    @property
-    def profile(self):
-        if self._profile is None:
-            self._profile = RadialProfile(self.spec, self.coefficients)
-        return self._profile
+    linear_degenerate: bool
+    profile: RadialProfile = field(repr=False)
+    rule: tuple = field(repr=False)  # (r, w) of _interior_rule at the breaks
 
     @property
     def nodal_count(self):
@@ -122,15 +119,17 @@ def _jacobian(nonlin, phi, w, c, ang):
 
 
 def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
-                               init=None, newton_tol=1e-10,
-                               max_iter=60, oracle_budget=None):
-    """Newton-Galerkin solve of E_s(u, v) = int f(u) v for all basis v.
+                               init=None, oracle_budget=None):
+    """Newton-Galerkin solve of E_s(u, v) = int f(u) v for all basis v,
+    to a residual norm below NEWTON_TOL in at most MAX_ITER steps per phase.
 
     init is an explicit coefficient vector, or None for the amplitude-matched
     radial eigenfunction with target_nodes sign changes.  At p = 2 (the
     linear f = lam t) the B-normalised radial eigenvector with target_nodes
     sign changes is returned, flagged linear-degenerate, with residual
     ||A0 c - lam B c||: zero up to rounding only when lam is its eigenvalue.
+    With oracle_budget set, the stiffness of the (d = N, s, K) sector is
+    first checked by basis.stiffness_oracle_gate.
     """
     sub = check_subcriticality(nonlin, params)
     if not sub.satisfied:
@@ -140,7 +139,8 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
             stacklevel=2,
         )
     spec = RadialBasisSpec(params.N, params.s, K)
-    pair = assemble_radial_operator(spec, oracle_budget=oracle_budget)
+    stiffness_oracle_gate(spec, oracle_budget)
+    pair = assemble_radial_operator(spec)
     A0, B = pair.A, pair.B
 
     degenerate = nonlin.p == 2.0
@@ -149,13 +149,14 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
         lam_lin = float(lam[target_nodes])
         v_lin = vec[:, target_nodes]
     if degenerate:
-        prof = RadialProfile(spec, v_lin)
+        c = v_lin.copy()
+        prof = RadialProfile(spec, c)
+        breaks = tuple(prof.sign_change_radii())
         res_lin = float(np.linalg.norm(A0 @ v_lin - nonlin.lam * (B @ v_lin)))
-        return RadialSolution(params, nonlin, spec, v_lin.copy(),
-                              tuple(prof.sign_change_radii()),
+        return RadialSolution(params, nonlin, spec, c, breaks,
                               prof.boundary_ratio(), residual=res_lin,
-                              newton_iterations=0, newton_tol=newton_tol,
-                              linear_degenerate=True)
+                              newton_iterations=0, linear_degenerate=True,
+                              profile=prof, rule=_interior_rule(spec, breaks))
 
     ang = sphere_area(params.N)
     p_path = [nonlin.p]
@@ -192,7 +193,7 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
         """
         it = 0
         res_norm = np.inf
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             R = A0 @ c - _load(nl, phi, w, c, ang)
             res_norm = float(np.linalg.norm(R))
             if res_norm < tol:
@@ -215,7 +216,7 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
                 )
             c = c_try
         raise NoConvergence(
-            f"Newton residual {res_norm:.2e} after {max_iter} iterations "
+            f"Newton residual {res_norm:.2e} after {MAX_ITER} iterations "
             f"(tol {tol:g}, p={nl.p:g})"
         )
 
@@ -238,8 +239,8 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
         p_prev = p_step
         # intermediate continuation steps carry much larger amplitudes, so
         # their stopping test must scale with the equation
-        tol_step = newton_tol if nl_step is nonlin else max(
-            newton_tol, 1e-9 * (1.0 + float(np.linalg.norm(A0 @ c))))
+        tol_step = NEWTON_TOL if nl_step is nonlin else max(
+            NEWTON_TOL, 1e-9 * (1.0 + float(np.linalg.norm(A0 @ c))))
         for _phase in range(4):
             r, w = _interior_rule(spec, breaks)
             phi = basis_matrix(spec, r)
@@ -265,12 +266,12 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
     prof = RadialProfile(spec, c)
     return RadialSolution(params, nonlin, spec, c, new_breaks,
                           prof.boundary_ratio(), residual=res_norm,
-                          newton_iterations=total_it, newton_tol=newton_tol,
-                          quad_r=r, quad_w=w, _profile=prof)
+                          newton_iterations=total_it, linear_degenerate=False,
+                          profile=prof, rule=(r, w))
 
 
 def solve_radial_resolved(params, nonlin, target_nodes=1, K=K_START,
-                          newton_tol=1e-10, oracle_budget=None):
+                          oracle_budget=None):
     """solve_radial_sign_changing with the truncation chosen by convergence.
 
     Solves at K, then re-solves at truncation.next_K while the coefficient
@@ -280,14 +281,12 @@ def solve_radial_resolved(params, nonlin, target_nodes=1, K=K_START,
     TruncationUnsafe if the tail is still unresolved at the cap.
     """
     sol = solve_radial_sign_changing(params, nonlin, target_nodes, K=K,
-                                     newton_tol=newton_tol,
                                      oracle_budget=oracle_budget)
     while (K_next := next_K(sol.coefficients)) is not None:
         init = np.zeros(K_next)
         init[:sol.spec.K] = sol.coefficients
         sol = solve_radial_sign_changing(params, nonlin, target_nodes,
                                          K=K_next, init=init,
-                                         newton_tol=newton_tol,
                                          oracle_budget=oracle_budget)
     return sol
 
@@ -300,10 +299,10 @@ def pohozaev_residual(sol):
     rule, not the solver's internal grid.  Returns (lhs, rhs, relative
     residual).
     """
-    if sol.residual > sol.newton_tol and not sol.linear_degenerate:
+    if sol.residual > NEWTON_TOL and not sol.linear_degenerate:
         raise NotConverged(
             f"solution residual {sol.residual:.2e} exceeds tolerance "
-            f"{sol.newton_tol:g}"
+            f"{NEWTON_TOL:g}"
         )
     params, nonlin = sol.params, sol.nonlin
     N, s = params.N, params.s
@@ -317,36 +316,23 @@ def pohozaev_residual(sol):
     return lhs, rhs, rel
 
 
-def energy(sol_or_coeffs, spec=None, nonlin=None, params=None, rule=None):
-    """J(u) = (1/2) E_s(u,u) - int_B F(u), on the solver's internal rule so
-    that the discrete gradient of J is exactly the Galerkin residual.
-
-    Accepts either a RadialSolution (which carries its quadrature rule) or a
-    coefficient vector plus (spec, nonlin, params) and an optional (r, w)
-    rule -- the same rule must be used for gradient comparisons.
-    """
-    if isinstance(sol_or_coeffs, RadialSolution):
-        sol = sol_or_coeffs
-        spec, nonlin, params = sol.spec, sol.nonlin, sol.params
-        c = sol.coefficients
-        if rule is None and sol.quad_r is not None:
-            rule = (sol.quad_r, sol.quad_w)
-    else:
-        c = np.asarray(sol_or_coeffs, dtype=float)
-    if rule is None:
-        rule = _interior_rule(spec, RadialProfile(spec, c).sign_change_radii())
-    r, w = rule
-    A0 = stiffness_matrix(spec)
-    u = c @ basis_matrix(spec, r)
-    ang = sphere_area(params.N)
-    return 0.5 * float(c @ A0 @ c) - ang * float(np.dot(w, nonlin.F(u)))
+def energy(sol, c):
+    """J(u) = (1/2) E_s(u,u) - int_B F(u) at the coefficients c, for the
+    problem of the solution sol and on its rule sol.rule, so that the
+    discrete gradient of J is exactly the Galerkin residual."""
+    c = np.asarray(c, dtype=float)
+    r, w = sol.rule
+    A0 = stiffness_matrix(sol.spec)
+    u = c @ basis_matrix(sol.spec, r)
+    ang = sphere_area(sol.params.N)
+    return 0.5 * float(c @ A0 @ c) - ang * float(np.dot(w, sol.nonlin.F(u)))
 
 
-def energy_gradient(coeffs, spec, nonlin, params, rule):
-    """Analytic gradient of energy() in the coefficients on the (r, w) rule:
-    A0 c - load(f, c)."""
-    c = np.asarray(coeffs, dtype=float)
-    r, w = rule
-    A0 = stiffness_matrix(spec)
-    phi = basis_matrix(spec, r)
-    return A0 @ c - _load(nonlin, phi, w, c, sphere_area(params.N))
+def energy_gradient(sol, c):
+    """Analytic gradient of energy(sol, c) in the coefficients c:
+    A0 c - load(f, c) on sol.rule."""
+    c = np.asarray(c, dtype=float)
+    r, w = sol.rule
+    A0 = stiffness_matrix(sol.spec)
+    phi = basis_matrix(sol.spec, r)
+    return A0 @ c - _load(sol.nonlin, phi, w, c, sphere_area(sol.params.N))

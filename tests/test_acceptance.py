@@ -77,6 +77,13 @@ def test_criterion_09_energy_gradient_vs_finite_differences(nonlinear_large_s):
     assert res.passed, res.detail
 
 
+def test_criterion_09_fails_without_the_n2_solution():
+    # criterion 09 reads criterion 05's N = 2 solution and solves nothing
+    res = acc.gradient_check({})
+    assert not res.passed
+    assert res.detail == {"N": 2, "error": "no converged solution"}
+
+
 def test_criterion_10_reports_byte_identical():
     res = acc.determinism()
     assert res.passed, res.detail

@@ -12,7 +12,8 @@ from fracball.basis import (RadialBasisSpec, RadialOperatorPair,
                             basis_matrix, dyda_factor, generalized_eigh,
                             jacobi_all, jacobi_at_one, jacobi_deriv_all,
                             mass_matrix, radial_weighted_integrals,
-                            solve_radial_eigs, stiffness_matrix)
+                            solve_radial_eigs, stiffness_matrix,
+                            stiffness_oracle_gate)
 from fracball.errors import MassNotPD, PotentialUnbounded
 
 
@@ -72,7 +73,7 @@ def test_constant_potential_shifts_eigenvalues_exactly():
 
 
 def test_assembly_oracle_gate_passes():
-    assemble_radial_operator(RadialBasisSpec(2, 0.5, 6), oracle_budget=50_000)
+    stiffness_oracle_gate(RadialBasisSpec(2, 0.5, 6), 50_000)
 
 
 def test_boundary_ratio_matches_pointwise_limit():

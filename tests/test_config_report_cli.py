@@ -40,7 +40,21 @@ def test_parse_config_defaults_and_comments():
     cfg = parse_config_text("# comment\ngrid.N = [1, 2]\n\ntrunc.K = 18 # inline\n")
     assert cfg.grid_N == [1, 2]
     assert cfg.trunc_K == 18
-    assert cfg.tol_newton == 1e-10
+    assert cfg.jobs == 1
+
+
+def test_parse_config_comment_follows_a_json_value_only():
+    # a '#' inside a JSON string is text; a bare string ends at its first '#'
+    cfg = parse_config_text('out.dir = "runs/a#b"  # comment\n'
+                            'grid.nonlinearity = power(1, 3) # comment\n'
+                            'out.format = json#comment\n'
+                            'seed = 7# comment\n')
+    assert cfg.out_dir == "runs/a#b"
+    assert cfg.grid_nonlinearity == ["power(1, 3)"]
+    assert cfg.out_format == "json"
+    assert cfg.seed == 7
+    # a JSON value followed by anything but a comment is a bare string
+    assert parse_config_text("out.dir = 2024-runs\n").out_dir == "2024-runs"
 
 
 def test_parse_config_scalar_coerced_to_list():
@@ -81,13 +95,12 @@ def test_default_config_text_and_hash_pinned():
         'trunc.K = 24\n'
         'trunc.ell-max = 3\n'
         'trunc.n-max = 8\n'
-        'tol.newton = 1e-10\n'
         'tol.oracle-budget = null\n'
         'seed = 0\n'
         'out.dir = "out"\n'
         'out.format = "both"\n'
         'jobs = 1\n')
-    assert config_hash(CampaignConfig()) == "c633b0f54f40eb6e"
+    assert config_hash(CampaignConfig()) == "2e3f7cf3f407287b"
 
 
 def test_grid_points_cartesian_order():
@@ -237,13 +250,32 @@ def test_cli_jobs_flag_overrides_config_key(monkeypatch, text, flags, jobs):
     ("eigs", "", ["--seed", "-1"]),
     ("solve", 'grid.nonlinearity = ["shifted-linear(1.0, 0.5)"]\n', []),
     ("morse", 'grid.nonlinearity = ["shifted-linear(1.0, 0.5)"]\n', []),
+    ("eigs", "trunc.K = 24.5\n", []),
+    ("eigs", "trunc.ell-max = 2.5\n", []),
+    ("eigs", "trunc.n-max = 0.5\n", []),
+    ("eigs", "grid.N = [1.5]\n", []),
+    ("eigs", "grid.N = [true]\n", []),
+    ("eigs", 'grid.s = [0.5, "0.7"]\n', []),
+    ("solve", "grid.target-nodes = 1.5\n", []),
+    ("eigs", "seed = 1.5\n", []),
+    ("eigs", "jobs = 2.5\n", []),
+    ("eigs", "tol.oracle-budget = 40000.5\n", []),
+    ("eigs", "jobs = true\n", []),
 ], ids=["ell-max", "n-max", "target-nodes-above-K", "target-nodes-negative",
         "oracle-budget", "jobs-flag", "seed-flag", "unknown-family-solve",
-        "unknown-family-morse"])
+        "unknown-family-morse", "K-fraction", "ell-max-fraction",
+        "n-max-fraction", "N-fraction", "N-boolean", "s-string",
+        "target-nodes-fraction", "seed-fraction", "jobs-fraction",
+        "oracle-budget-fraction", "jobs-boolean"])
 def test_cli_rejects_out_of_range_settings(tmp_path, capsys, command, extra,
                                            flags):
+    # a key set by the row replaces the base line, so no row is refused
+    # merely as a duplicate key
+    base = {"grid.N": "[1]", "grid.s": "[0.5]", "trunc.K": "12"}
+    given = {line.partition("=")[0].strip() for line in extra.splitlines()}
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text('grid.N = [1]\ngrid.s = [0.5]\ntrunc.K = 12\n' + extra)
+    cfg.write_text("".join(f"{key} = {val}\n" for key, val in base.items()
+                           if key not in given) + extra)
     out = tmp_path / "out"
     argv = [command, "--config", str(cfg), "--out", str(out)] + flags
     assert cli.main(argv) == 1

@@ -190,7 +190,7 @@ def test_gate_holds_where_the_table_overflowed():
     # d + 2s > 20.5: the finest table panels overflowed in the plain rule and
     # the (0, 0) oracle entry was nan; every entry of the stiffness gate now
     # agrees with the closed form within the gate's tolerance
-    from fracball.basis import RadialBasisSpec, assemble_radial_operator, stiffness_matrix
+    from fracball.basis import RadialBasisSpec, stiffness_matrix, stiffness_oracle_gate
     from fracball.nonlocal_quadrature import stiffness_entry_oracle
 
     assert np.isfinite(kernels._table(24, 0.75)).all()
@@ -199,4 +199,4 @@ def test_gate_holds_where_the_table_overflowed():
     est = stiffness_entry_oracle(24, 0.75, 0, 0, budget=40_000)
     assert est.finite
     assert abs(est.value - A[0, 0]) <= max(10.0 * est.error, 1e-4 * np.abs(A).max())
-    assemble_radial_operator(spec, oracle_budget=40_000)
+    stiffness_oracle_gate(spec, 40_000)

@@ -9,7 +9,7 @@ import math
 import pytest
 
 from fracball import acceptance, morse, nonlocal_quadrature
-from fracball.basis import RadialBasisSpec, assemble_radial_operator
+from fracball.basis import RadialBasisSpec, stiffness_oracle_gate
 from fracball.errors import OracleMismatch
 from fracball.params import ProblemParams
 from fracball.quadrature import ValueWithError
@@ -23,10 +23,26 @@ def _nan_oracle(*args, **kwargs):
     return NAN
 
 
-def test_stiffness_gate_rejects_nan(monkeypatch):
+# every place a sector is built runs the stiffness gate
+GATED = {
+    "stiffness_oracle_gate": lambda sol: stiffness_oracle_gate(
+        RadialBasisSpec(2, 0.5, 4), 50_000),
+    "radial_family": lambda sol: radial_family(ProblemParams(2, 0.5), 0, 4,
+                                               oracle_budget=50_000),
+    "solve_radial_sign_changing": lambda sol: solve_radial_sign_changing(
+        ProblemParams(2, 0.5), NonlinearitySpec(1.0, 3.0), K=12,
+        oracle_budget=50_000),
+    # the N = 2 solution's ell = 2 sector, d = 6, which has no block gate
+    "assemble_linearized": lambda sol: morse.assemble_linearized(
+        sol, 2, oracle_budget=50_000),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GATED))
+def test_stiffness_gate_rejects_nan(monkeypatch, cubic_n2, entry):
     monkeypatch.setattr(nonlocal_quadrature, "stiffness_entry_oracle", _nan_oracle)
-    with pytest.raises(OracleMismatch):
-        assemble_radial_operator(RadialBasisSpec(2, 0.5, 4), oracle_budget=50_000)
+    with pytest.raises(OracleMismatch, match="stiffness entry"):
+        GATED[entry](cubic_n2[2])
 
 
 def test_memoised_sector_still_gated(monkeypatch):

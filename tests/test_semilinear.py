@@ -157,12 +157,9 @@ def test_pohozaev_identity_near_machine_for_fine_truncation():
 
 
 def test_gradient_vanishes_at_solution(cubic_n2):
-    params, nonlin, sol = cubic_n2
+    sol = cubic_n2[2]
     c = np.asarray(sol.coefficients)
-    grad = energy_gradient(c, sol.spec, nonlin, params,
-                           rule=(sol.quad_r, sol.quad_w))
-    from fracball.basis import stiffness_matrix
-
+    grad = energy_gradient(sol, c)
     scale = np.linalg.norm(stiffness_matrix(sol.spec) @ c)
     assert np.linalg.norm(grad) <= 1e-9 * scale
 
@@ -170,10 +167,9 @@ def test_gradient_vanishes_at_solution(cubic_n2):
 def test_energy_negative_direction_exists(cubic_n2):
     # J decreases along the solution direction from small amplitudes, so the
     # solution cannot be a local minimizer of the scalar section.
-    params, nonlin, sol = cubic_n2
+    sol = cubic_n2[2]
     c = np.asarray(sol.coefficients)
-    vals = [energy(t * c, sol.spec, nonlin, params,
-                   rule=(sol.quad_r, sol.quad_w)) for t in (1.0, 1.2)]
+    vals = [energy(sol, t * c) for t in (1.0, 1.2)]
     assert vals[1] < vals[0]
 
 
@@ -190,11 +186,12 @@ def test_nodal_count_stable_under_grid_refinement(cubic_n1):
     (ProblemParams(2, 0.5), 3.0, 1, 12, 1, "after 1 iterations"),
     (ProblemParams(3, 0.6), 2.5, 2, 24, 60, "line search"),
 ], ids=["iteration-cap", "stall"])
-def test_no_convergence_raised_on_iteration_cap(case):
+def test_no_convergence_raised_on_iteration_cap(monkeypatch, case):
     params, p, nodes, K, max_iter, message = case
+    monkeypatch.setattr(semilinear, "MAX_ITER", max_iter)
     with pytest.raises(NoConvergence, match=message) as info:
         solve_radial_sign_changing(params, NonlinearitySpec(1.0, p),
-                                   target_nodes=nodes, K=K, max_iter=max_iter)
+                                   target_nodes=nodes, K=K)
     # the benchmark tags known failures by this class name
     assert type(info.value) is NoConvergence
 

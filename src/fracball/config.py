@@ -79,6 +79,10 @@ class CampaignConfig:
             if f.type in (int, int | None) and type(val) is not int and (
                     val is not None or f.type is int):
                 raise ConfigError(f"{key} must be an integer, got {val!r}")
+        for key, grid in (("grid.N", self.grid_N), ("grid.s", self.grid_s),
+                          ("grid.nonlinearity", self.grid_nonlinearity)):
+            if not grid:
+                raise ConfigError(f"{key} must not be empty")
         for N in self.grid_N:
             if type(N) is not int:
                 raise ConfigError(f"grid.N entries must be integers, got {N!r}")
@@ -90,6 +94,8 @@ class CampaignConfig:
                 ProblemParams(N, s)  # raises on invalid points
         for text in self.grid_nonlinearity:
             parse_nonlinearity(text)
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out.dir must be a string, got {self.out_dir!r}")
         if self.out_format not in ("csv", "json", "both"):
             raise ConfigError(f"out.format must be csv|json|both, got {self.out_format!r}")
         if self.trunc_K < 2:

@@ -42,10 +42,10 @@ from .quadrature import (ValueWithError, graded_rule, jacobi_panel,
 _RATIO = 0.35
 _LEV_DIAG = 16  # geometric levels into the diagonal before the Jacobi panel
 # pairs per block of an engine's elementwise work: building, weighting and
-# scattering its pairs, and the profiles and products of form and
-# stiffness_gram.  An engine keeps int32 idx, float rho and kw, 20 B per
-# pair.  Only elementwise work is blocked: every sum is one np.dot over the
-# full pair arrays in their fixed order, so the block size changes no result
+# scattering its pairs, and the inner nodes, profiles and products of form
+# and stiffness_gram.  An engine keeps only its float kw, 8 B per pair.
+# Only elementwise work is blocked: every sum is one np.dot over the full
+# pair arrays in their fixed order, so the block size changes no result
 _FORM_BLOCK = 65_536
 # an engine holds at most this many pairs, and so fewer outer nodes than
 # its int32 idx can index
@@ -163,14 +163,16 @@ def _far_segment_rule(p, q, lev_p, lev_q, n):
 
 
 def _pair_pieces(r_out, pts, sing, s, n, lev):
-    """The engine's pairs in pieces (key, rows, width, columns), segment by
-    segment.
+    """The engine's pairs in pieces (key, rows, width, columns, shared),
+    segment by segment.
 
     A piece holds width inner nodes for each outer node in rows.
     columns(i), for outer nodes i taken from rows, returns their (rho,
     |rho - r|, inner weights), one row of width nodes each (a column may
-    also be one row shared by all of them).  Nothing pair-length is held
-    until columns is called.
+    also be one row shared by all of them).  shared is a far-segment
+    piece's one rho row, which columns returns for every outer node, and
+    None for a gap piece.  Nothing pair-length is held until columns is
+    called.
     """
     pieces = []
     for k, (p, q) in enumerate(zip(pts[:-1], pts[1:])):
@@ -182,13 +184,14 @@ def _pair_pieces(r_out, pts, sing, s, n, lev):
                 return r + sgn * delta, delta, w
             # a gap rule's node count does not depend on the gap
             width = _gap_rule(np.ones(1), s, n, lev, end in sing)[0].shape[-1]
-            pieces.append((2 * k + j, np.flatnonzero(inside), width, gap))
+            pieces.append((2 * k + j, np.flatnonzero(inside), width, gap, None))
         far = np.flatnonzero(~inside)
         levels = [_far_levels(r_out[i], p, q, lev, sing) for i in far]
         for lp_lq in set(levels):
             rho, w = _far_segment_rule(p, q, *lp_lq, n)
             pieces.append((2 * k, far[[lv == lp_lq for lv in levels]], rho.size,
-                           lambda i, rho=rho, w=w: (rho, np.abs(rho - r_out[i, None]), w)))
+                           lambda i, rho=rho, w=w: (rho, np.abs(rho - r_out[i, None]), w),
+                           rho))
     return pieces
 
 
@@ -200,16 +203,25 @@ def _pair_starts(pieces):
     key.  Raises EngineTooLarge above _MAX_PAIRS pairs, which also bounds
     the int32 outer-node indices.
     """
-    owner = np.concatenate([rows for _, rows, _, _ in pieces])
-    key = np.concatenate([np.full(rows.size, k) for k, rows, _, _ in pieces])
-    width = np.concatenate([np.full(rows.size, w) for _, rows, w, _ in pieces])
+    owner = np.concatenate([rows for _, rows, *_ in pieces])
+    key = np.concatenate([np.full(rows.size, k) for k, rows, *_ in pieces])
+    width = np.concatenate([np.full(rows.size, w) for _, rows, w, *_ in pieces])
     total = int(width.sum())
     if total > _MAX_PAIRS:
         raise EngineTooLarge(f"{total} pairs exceed the engine limit of {_MAX_PAIRS}")
     order = np.lexsort((key, owner))
     start = np.empty_like(width)
     start[order] = np.cumsum(width[order]) - width[order]
-    return np.split(start, np.cumsum([rows.size for _, rows, _, _ in pieces])[:-1]), total
+    return np.split(start, np.cumsum([rows.size for _, rows, *_ in pieces])[:-1]), total
+
+
+def _row_blocks(rows, width, start):
+    """A piece's outer nodes in blocks of about _FORM_BLOCK pairs: yields
+    (i, dst), the block's outer nodes and their pairs' positions, one row
+    of width positions per node."""
+    step = max(1, _FORM_BLOCK // width)
+    for lo in range(0, rows.size, step):
+        yield rows[lo:lo + step], start[lo:lo + step, None] + np.arange(width)
 
 
 def kdiff_total(N, s):
@@ -245,21 +257,28 @@ def exterior_tail(r, N, s, ell=0):
         base = (1.0 - r) ** (-2.0 * s) / (2.0 * s)
         far = (1.0 + r) ** (-2.0 * s) / (2.0 * s)
         return base + far if ell == 0 else base - far
-    out = np.empty_like(r)
     tj, wtj = jacobi_panel(0.0, 0.5, 2.0 * s - 1.0, 16, "left")
     rho_t = 1.0 / tj
     wt = wtj * tj ** (-(N + 2.0 * s))
     gap = 1.0 - r
     levs = np.array([_lev_for(g, 1.0, base=6) for g in gap], dtype=int)
+    groups = []
     for lev in np.unique(levs):
         zeta, wz = graded_rule(0.0, 1.0, "left", lev, _RATIO, 10)
         rho = 1.0 + zeta
-        wz = wz * rho ** (N - 1)
         i = levs == lev
-        ri = r[i, None]
-        k = kappa_ell(ri, rho, gap[i, None] + zeta, N, s, ell)
-        kt = kappa_ell(ri, rho_t, rho_t - ri, N, s, ell)
-        out[i] = k @ wz + kt @ wt
+        groups.append((i, wz * rho ** (N - 1),
+                       np.broadcast_arrays(r[i, None], rho, gap[i, None] + zeta)))
+    # one kernel call for the near-field nodes of every depth and one for the
+    # far field; each row still sums its own nodes, k @ wz + kt @ wt
+    k = kappa_ell(*(np.concatenate([nodes[j].ravel() for _, _, nodes in groups])
+                    for j in range(3)), N, s, ell)
+    kt = kappa_ell(r[:, None], rho_t, rho_t - r[:, None], N, s, ell)
+    out = np.empty_like(r)
+    lo = 0
+    for i, wz, (ri, _, _) in groups:
+        out[i] = k[lo:lo + ri.size].reshape(ri.shape) @ wz + kt[i] @ wt
+        lo += ri.size
     return out
 
 
@@ -279,12 +298,16 @@ class PairFormEngine:
     segment: form sums in that order, so the order fixes its floating-point
     result.
 
-    Kept per pair: int32 idx, float rho and kw, 20 B.  Only elementwise
-    work is blocked, _FORM_BLOCK pairs at a time: the pairs are built,
-    weighted and scattered into the kept tables block by block, with no
-    other pair-length buffer, and form and stiffness_gram evaluate their
-    profiles by blocks.  Every sum is one np.dot over the full pair arrays
-    in the fixed order.
+    Kept per pair: the float kw, 8 B.  idx and rho are functions of the
+    build's piece schedule, which is kept instead (each piece's outer
+    nodes, width, pair starts and columns, and a far piece's shared rho
+    row); the idx and rho properties rebuild them on each access.  form and
+    stiffness_gram walk the same schedule in the build's blocks of about
+    _FORM_BLOCK pairs: a gap piece's inner nodes are regenerated by its
+    columns, row for row the nodes the build weighted, and a far piece's
+    profile values are taken once on its shared row and broadcast over its
+    outer nodes.  Each product is scattered to its pair's position, so every
+    sum is one np.dot over the full pair arrays in the fixed order.
     """
 
     def __init__(self, N, s, ell, breaks, n, lev):
@@ -296,26 +319,21 @@ class PairFormEngine:
         mpow = N - 1
         self.r_out, self.w_out = segment_rule(pts, n, grade=sing, levels=lev,
                                               ratio=_RATIO)
-        # kw = w_out[idx] * win * kappa * (r rho)^{N-1}, over the inner
-        # weights win
         pieces = _pair_pieces(self.r_out, pts, sing, s, n, lev)
         starts, total = _pair_starts(pieces)
-        self.idx = np.empty(total, dtype=np.int32)
-        self.rho = np.empty(total)
+        self._pieces = [(rows, width, start, columns, shared)
+                        for (_, rows, width, columns, shared), start in zip(pieces, starts)]
+        # kw = w_out[idx] * win * kappa * (r rho)^{N-1}, over the inner
+        # weights win
         self.kw = np.empty(total)
-        for (_, rows, width, columns), start in zip(pieces, starts):
-            step = max(1, _FORM_BLOCK // width)
-            for lo in range(0, rows.size, step):
-                i = rows[lo:lo + step]
+        for rows, width, start, columns, _ in self._pieces:
+            for i, dst in _row_blocks(rows, width, start):
                 rho, h, win = columns(i)
                 r = self.r_out[i, None]
                 kw = self.w_out[i, None] * win
                 kw *= kappa_ell(r, rho, h, N, s, ell)
                 if mpow:
                     kw *= (r * rho) ** mpow
-                dst = start[lo:lo + step, None] + np.arange(width)
-                self.idx[dst] = i[:, None]
-                self.rho[dst] = rho
                 self.kw[dst] = kw
         # diagonal tail weights (per unit kernel constant)
         tail = exterior_tail(self.r_out, N, s, ell=ell)
@@ -328,6 +346,43 @@ class PairFormEngine:
     def n_pairs(self):
         return self.kw.size
 
+    @property
+    def idx(self):
+        """Each pair's outer node (int32), rebuilt on each access and not
+        kept."""
+        idx = np.empty(self.n_pairs, dtype=np.int32)
+        for rows, width, start, _, _ in self._pieces:
+            for i, dst in _row_blocks(rows, width, start):
+                idx[dst] = i[:, None]
+        return idx
+
+    @property
+    def rho(self):
+        """Each pair's inner node, rebuilt on each access and not kept."""
+        rho = np.empty(self.n_pairs)
+        for _, dst, nodes in self._inner(lambda x: x):
+            rho[dst] = nodes
+        return rho
+
+    def _inner(self, fn):
+        """fn at the inner nodes, block by block of the build's schedule.
+
+        fn maps 1-D nodes to an array whose last axis runs over them.
+        Yields (i, dst, vals) per block of outer nodes i with pair
+        positions dst: vals has shape (..., len(i), width) for a gap piece,
+        and (..., 1, width) for a far piece, whose shared row fn evaluates
+        once for all its blocks.
+        """
+        for rows, width, start, columns, shared in self._pieces:
+            if shared is not None:
+                vals = fn(shared)[..., None, :]
+            for i, dst in _row_blocks(rows, width, start):
+                if shared is None:
+                    rho = columns(i)[0]
+                    vals = fn(rho.ravel())
+                    vals = vals.reshape(vals.shape[:-1] + rho.shape)
+                yield i, dst, vals
+
     def _sum(self, g_out, h_out, prod):
         """The form from the profiles at the outer nodes and the pair
         products (g(r_out[idx]) - g(rho)) (h(r_out[idx]) - h(rho))."""
@@ -337,9 +392,10 @@ class PairFormEngine:
     def form(self, g, h=None):
         """Reduced bilinear form of two radial profiles (h defaults to g).
 
-        The profiles are evaluated at the inner nodes _FORM_BLOCK at a time,
-        into one pair-length product array.  A SignedPart h of g takes its
-        values from g's, so g is evaluated once for both.
+        The profiles are evaluated at the inner nodes block by block (a far
+        piece's shared row once), into one pair-length product array.  A
+        SignedPart h of g takes its values from g's, so g is evaluated once
+        for both.
         """
         g_out = np.asarray(g(self.r_out), dtype=float)
         same = h is None or h is g
@@ -350,19 +406,19 @@ class PairFormEngine:
             h_out = h.part(g_out)
         else:
             h_out = np.asarray(h(self.r_out), dtype=float)
-        prod = np.empty_like(self.rho)
-        for lo in range(0, prod.size, _FORM_BLOCK):
-            sl = slice(lo, lo + _FORM_BLOCK)
-            idx = self.idx[sl]
-            g_in = np.asarray(g(self.rho[sl]), dtype=float)
-            dg = g_out[idx] - g_in
+
+        def inner(rho):
+            g_in = np.asarray(g(rho), dtype=float)
             if same:
-                dh = dg
-            elif signed:
-                dh = h_out[idx] - h.part(g_in)
-            else:
-                dh = h_out[idx] - np.asarray(h(self.rho[sl]), dtype=float)
-            np.multiply(dg, dh, out=prod[sl])
+                return g_in[None]
+            return np.stack((g_in, h.part(g_in) if signed
+                             else np.asarray(h(rho), dtype=float)))
+
+        out = np.stack((g_out,) if same else (g_out, h_out))
+        prod = np.empty_like(self.kw)
+        for i, dst, vals in self._inner(inner):
+            d = out[:, i, None] - vals
+            prod[dst] = d[0] * d[-1]
         return self._sum(g_out, h_out, prod)
 
     def stiffness_gram(self, spec):
@@ -370,15 +426,15 @@ class PairFormEngine:
         phi_0 .. phi_{K-1} of spec (basis.basis_matrix), memoised per spec.
 
         The basis is evaluated once at the outer nodes and once at the inner
-        ones, in _FORM_BLOCK blocks, and each entry is summed as form sums
-        it, so it equals form on the unit-coefficient profiles bit for bit.
+        ones, block by block as form evaluates a profile, and each entry is
+        summed as form sums it, so it equals form on the unit-coefficient
+        profiles bit for bit.
         """
         if spec not in self._grams:
             phi = basis_matrix(spec, self.r_out)
-            D = np.empty((spec.K, self.rho.size))
-            for lo in range(0, self.rho.size, _FORM_BLOCK):
-                hi = lo + _FORM_BLOCK
-                D[:, lo:hi] = phi[:, self.idx[lo:hi]] - basis_matrix(spec, self.rho[lo:hi])
+            D = np.empty((spec.K, self.n_pairs))
+            for i, dst, vals in self._inner(lambda rho: basis_matrix(spec, rho)):
+                D[:, dst] = phi[:, i, None] - vals
             gram = np.empty((spec.K, spec.K))
             for m, n in itertools.combinations_with_replacement(range(spec.K), 2):
                 gram[m, n] = gram[n, m] = self._sum(phi[m], phi[n], D[m] * D[n])

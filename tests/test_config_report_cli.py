@@ -261,12 +261,17 @@ def test_cli_jobs_flag_overrides_config_key(monkeypatch, text, flags, jobs):
     ("eigs", "jobs = 2.5\n", []),
     ("eigs", "tol.oracle-budget = 40000.5\n", []),
     ("eigs", "jobs = true\n", []),
+    ("conjecture", "out.dir = 5\n", []),
+    ("eigs", "grid.N = []\n", []),
+    ("eigs", "grid.s = []\n", []),
+    ("eigs", "grid.nonlinearity = []\n", []),
 ], ids=["ell-max", "n-max", "target-nodes-above-K", "target-nodes-negative",
         "oracle-budget", "jobs-flag", "seed-flag", "unknown-family-solve",
         "unknown-family-morse", "K-fraction", "ell-max-fraction",
         "n-max-fraction", "N-fraction", "N-boolean", "s-string",
         "target-nodes-fraction", "seed-fraction", "jobs-fraction",
-        "oracle-budget-fraction", "jobs-boolean"])
+        "oracle-budget-fraction", "jobs-boolean", "out-dir-number",
+        "N-empty", "s-empty", "nonlinearity-empty"])
 def test_cli_rejects_out_of_range_settings(tmp_path, capsys, command, extra,
                                            flags):
     # a key set by the row replaces the base line, so no row is refused

@@ -116,10 +116,18 @@ def test_oracle_entries_equal_the_reduced_form(budget):
             ang * ref.value, ang * ref.error), (m, n)
 
 
+def _distinct_inner_nodes(eng):
+    """Inner nodes a form evaluates its profiles at: every pair of a gap
+    piece, and one shared row per far piece."""
+    return sum(width if shared is not None else rows.size * width
+               for rows, width, _, _, shared in eng._pieces)
+
+
 @pytest.mark.parametrize("positive", [True, False])
 def test_form_takes_a_signed_part_from_its_base(positive):
-    # form(g, SignedPart(g)) evaluates g once per node set and equals, bit
-    # for bit, the form of g and a plain function for the signed part
+    # form(g, SignedPart(g)) evaluates g once at each distinct node, a far
+    # piece's shared row once for all its outer nodes, and equals, bit for
+    # bit, the form of g and a plain function for the signed part
     rng = np.random.default_rng(5)
     prof = RadialProfile(RadialBasisSpec(3, 0.7, 8), rng.standard_normal(8))
     calls = []
@@ -135,7 +143,8 @@ def test_form_takes_a_signed_part_from_its_base(positive):
     part = nq.SignedPart(du, positive=positive)
     eng = nq.PairFormEngine(1, 0.7, 1, (0.4,), 5, 10)
     value = eng.form(du, part)
-    assert sum(calls) == eng.r_out.size + eng.rho.size
+    assert _distinct_inner_nodes(eng) < eng.n_pairs
+    assert sum(calls) == eng.r_out.size + _distinct_inner_nodes(eng)
     assert value == eng.form(prof.derivative, plain)
     assert np.array_equal(part(eng.r_out), plain(eng.r_out))
     assert eng.form(part) == eng.form(plain)
@@ -175,14 +184,10 @@ def _full_array_form(eng, g, h=None):
                     + float(np.dot(eng.wdiag, g_out * h_out)))
 
 
-def test_blocked_forms_equal_the_full_array_expressions():
-    # N = 1, s = 0.9, ell = 1 with one break at ladder position 1: 340k
-    # pairs, more than two _FORM_BLOCKs, so the blocks and their remainder
-    # all show.  g and h are elementwise, so only the form's blocking varies.
-    eng = nq.PairFormEngine(1, 0.9, 1, (0.6764659688691,), *nq._LADDER[1])
-    assert eng.n_pairs > 2 * nq._FORM_BLOCK and eng.n_pairs % nq._FORM_BLOCK
-    assert eng.idx.dtype == np.int32
-
+def _assert_forms_equal_full_arrays(eng, spec):
+    """form, its SignedPart branch and stiffness_gram equal the full-array
+    expressions over the materialised idx and rho.  g and h are elementwise,
+    so only the engine's blocks and shared rows vary."""
     def g(r):
         return np.where(r < 1.0, np.abs(1.0 - r**2) ** 0.9 * np.cos(7.0 * r), 0.0)
 
@@ -194,15 +199,35 @@ def test_blocked_forms_equal_the_full_array_expressions():
         part = nq.SignedPart(g, positive=positive)
         assert eng.form(g, part) == _full_array_form(eng, g, part)
     assert eng.form(g, h) == _full_array_form(eng, g, h)
-    spec = RadialBasisSpec(1, 0.9, 4)
     phi = basis_matrix(spec, eng.r_out)
-    D = phi[:, eng.idx] - basis_matrix(spec, eng.rho)
+    D = phi[:, eng.idx]
+    D -= basis_matrix(spec, eng.rho)
     gram = eng.stiffness_gram(spec)
     for m in range(spec.K):
         for n in range(spec.K):
             want = eng.c * (0.5 * float(np.dot(eng.kw, D[m] * D[n]))
                             + float(np.dot(eng.wdiag, phi[m] * phi[n])))
             assert gram[m, n] == want, (m, n)
+
+
+def test_blocked_forms_equal_the_full_array_expressions():
+    # N = 1, s = 0.9, ell = 1 with one break at ladder position 1: 340k
+    # pairs, more than two _FORM_BLOCKs, so the blocks and their remainder
+    # all show
+    eng = nq.PairFormEngine(1, 0.9, 1, (0.6764659688691,), *nq._LADDER[1])
+    assert eng.n_pairs > 2 * nq._FORM_BLOCK and eng.n_pairs % nq._FORM_BLOCK
+    assert eng.idx.dtype == np.int32
+    _assert_forms_equal_full_arrays(eng, RadialBasisSpec(1, 0.9, 4))
+
+
+def test_far_pieces_of_several_depths_equal_the_full_array_expressions():
+    # two breaks at ladder position 2 (1.75M pairs): the outer nodes far
+    # from a segment reach it at several pairs of grading depths, so each
+    # segment has several far pieces, each with its own shared row
+    eng = nq.PairFormEngine(3, 0.45, 0, BREAKS, *nq._LADDER[2])
+    segments = len(kink_points(BREAKS)) - 1
+    assert sum(shared is not None for *_, shared in eng._pieces) > 2 * segments
+    _assert_forms_equal_full_arrays(eng, RadialBasisSpec(3, 0.45, 4))
 
 
 def test_too_many_pairs_raise_before_allocating():
@@ -224,13 +249,20 @@ def _numpy_traced():
         tracemalloc.stop()
 
 
-# Transient allocations on top of the kept tables, as a multiple of the
-# tables' bytes (idx, rho, kw and the per-outer-node arrays).  Measured with
-# NumPy 2 and one BLAS thread: 0.26 for the build and 0.60 for the form
-# (the form's product array alone is 0.40); before the build and form ran
-# in blocks they were 3.43 and 1.33.
-_BUILD_EXTRA = 0.5
-_FORM_EXTRA = 0.8
+# What an engine keeps: 8 B per pair (kw) plus the per-outer-node arrays
+# and the piece schedule.  Measured with NumPy 2 and one BLAS thread on the
+# engine below (1.16M pairs, 920 outer nodes, 16 pieces): 8 B per pair plus
+# 217 kB, against 20 B per pair when idx and rho were kept.
+_KEPT_PER_PAIR = 8
+_KEPT_PER_NODE = 256
+_KEPT_PER_PIECE = 16_384
+# Transient allocations on top of what the engine keeps, in bytes per pair
+# and per pair of a _FORM_BLOCK block.  Measured as above: 5.0 B per pair
+# for the build, and for the form its product array (8 B per pair) plus
+# 6.4 MB, 98 B per block pair.
+_BUILD_EXTRA = 8
+_FORM_EXTRA = 8
+_FORM_EXTRA_PER_BLOCK_PAIR = 128
 
 
 def test_engine_build_and_form_memory_stay_bounded():
@@ -243,16 +275,19 @@ def test_engine_build_and_form_memory_stay_bounded():
     du = prof.derivative
     tracemalloc.start()
     try:
+        start = tracemalloc.get_traced_memory()[0]
         eng = nq.PairFormEngine(1, 0.9, 1, (0.67646596886911,), *nq._LADDER[nq._FINE])
-        kept = sum(a.nbytes for a in (eng.r_out, eng.w_out, eng.idx, eng.rho,
-                                      eng.kw, eng.wdiag))
-        build_peak = tracemalloc.get_traced_memory()[1]
+        after, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
         eng.form(du, nq.SignedPart(du))
         form_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert eng.n_pairs > 1_100_000
-    assert build_peak - kept <= _BUILD_EXTRA * kept
-    assert form_peak - before <= _FORM_EXTRA * kept
+    pairs, kept = eng.n_pairs, after - start
+    assert pairs > 1_100_000
+    # no pair-length array besides kw outlives the build
+    assert kept <= (_KEPT_PER_PAIR * pairs + _KEPT_PER_NODE * eng.r_out.size
+                    + _KEPT_PER_PIECE * len(eng._pieces))
+    assert build_peak - after <= _BUILD_EXTRA * pairs
+    assert form_peak - after <= (_FORM_EXTRA * pairs
+                                 + _FORM_EXTRA_PER_BLOCK_PAIR * nq._FORM_BLOCK)

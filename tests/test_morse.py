@@ -141,9 +141,10 @@ def test_test_function_checks_evaluate_u_prime_once_per_form(monkeypatch, morse_
     # the diagonal E_{s,L}(d_1, d_1) and the weak defect E_{s,L}(v^1, d_1)
     # are the two quadratic_form_L values, bit for bit.  d_1's profile is a
     # signed part of u', so each form evaluates u' once on each engine's
-    # inner nodes: twice in all (three times when d_1's profile evaluated
-    # u' on its own).  No coarse re-solve, so the defect carries no
-    # truncation term.
+    # node sets: at its outer nodes, at every gap pair, and once on each far
+    # piece's shared row, twice in all (three times when d_1's profile
+    # evaluated u' on its own).  No coarse re-solve, so the defect carries
+    # no truncation term.
     sol = morse_n1.solution
     d1 = build_test_functions(sol)[0]
     v1 = SeparableFunction(profile=sol.profile.derivative, angular="coordinate",
@@ -153,21 +154,35 @@ def test_test_function_checks_evaluate_u_prime_once_per_form(monkeypatch, morse_
     engines = nonlocal_quadrature._engine_pair(1, sol.params.s, 1, d1.breaks,
                                                nonlocal_quadrature._FINE)
 
-    seen = []
+    points = {}  # engine -> u' points evaluated inside its forms
+    forming = []
     derivative = RadialProfile.derivative
+    form = nonlocal_quadrature.PairFormEngine.form
 
     def recorded(self, r):
-        seen.append(np.array(r, dtype=float))
+        if forming:
+            points[forming[-1]] = points.get(forming[-1], 0) + np.size(r)
         return derivative(self, r)
 
+    def recorded_form(self, g, h=None):
+        forming.append(self)
+        try:
+            return form(self, g, h)
+        finally:
+            forming.pop()
+
     monkeypatch.setattr(RadialProfile, "derivative", recorded)
+    monkeypatch.setattr(nonlocal_quadrature.PairFormEngine, "form", recorded_form)
     monkeypatch.setattr(morse, "coarse_K", lambda K: None)
     rep = run_test_function_checks(morse_n1)
     assert rep.diag[1] == diag
     assert rep.weak_defect[(1, 1)] == defect
+    assert set(points) == set(engines)
     for eng in engines:
-        block = eng.rho[:nonlocal_quadrature._FORM_BLOCK]
-        assert sum(np.array_equal(r, block) for r in seen) == 2
+        distinct = sum(width if shared is not None else rows.size * width
+                       for rows, width, _, _, shared in eng._pieces)
+        assert distinct < eng.n_pairs
+        assert points[eng] == 2 * (eng.r_out.size + distinct)
 
 
 def test_test_function_checks_monte_carlo_smoke(morse_n2):

@@ -2,8 +2,10 @@
 
 Each grid point runs in isolation; a failing point becomes an error row in
 the report and the campaign continues.  Exit codes: 0 = campaign ran,
-1 = infrastructure failure, including a malformed or out-of-range setting
-(ConfigError), 2 = acceptance-suite failure (verify-all only).
+1 = infrastructure failure (printed as `error: ...`), including a malformed
+or out-of-range setting (ConfigError), a config file that is missing or not
+UTF-8 and a report that cannot be written, 2 = acceptance-suite failure
+(verify-all only).
 """
 
 import argparse
@@ -285,15 +287,14 @@ def main(argv=None):
                             "misses": now.misses - then.misses}
         doc = make_document(cfg, records, wall_time=round(time.time() - t0, 3),
                             memos=counts)
-    except FracballError as exc:
+        if cfg.out_format in ("json", "both"):
+            write_json(doc, os.path.join(cfg.out_dir, f"{args.command}.json"))
+        if cfg.out_format in ("csv", "both"):
+            for name, fieldnames, rows in tables:
+                write_csv(rows, fieldnames, os.path.join(cfg.out_dir, name))
+    except (FracballError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if cfg.out_format in ("json", "both"):
-        write_json(doc, os.path.join(cfg.out_dir, f"{args.command}.json"))
-    if cfg.out_format in ("csv", "both"):
-        for name, fieldnames, rows in tables:
-            write_csv(rows, fieldnames, os.path.join(cfg.out_dir, name))
     print(f"{args.command}: {len(records)} records -> {cfg.out_dir} "
           f"(config {config_hash(cfg)})")
     return exit_code

@@ -5,10 +5,6 @@ class FracballError(Exception):
     """Base class for all toolkit errors."""
 
 
-class SingularityTooClose(FracballError):
-    """Pointwise evaluation requested too close to the boundary."""
-
-
 class OracleMismatch(FracballError):
     """A closed-form assembly disagrees with the quadrature oracle."""
 
@@ -50,11 +46,13 @@ class InadmissibleBoundaryData(FracballError):
 
 
 class DimensionUnsupported(FracballError):
-    """Direct quadrature checks only implemented for N in {1, 2}."""
+    """A direct quadrature check outside its range: the test-function
+    checks take N in {1, 2} only, and their Monte-Carlo offsets s < 3/4."""
 
 
 class EngineTooLarge(FracballError):
-    """An oracle engine would hold more pairs than its int32 tables allow."""
+    """An oracle engine would hold more pairs than the int32 outer-node
+    index of its idx property can address."""
 
 
 class ConfigError(FracballError):

@@ -1,5 +1,5 @@
-"""Direct quadrature of the singular-kernel forms E_s, E_{s,L} and pointwise
-(-Delta)^s on the unit ball.
+"""Direct quadrature of the singular-kernel forms E_s and E_{s,L} on the unit
+ball.
 
 This module is the ground truth that every closed-form or spectral shortcut in
 the package is validated against.  Functions supported in the closed ball and
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import RadialBasisSpec, basis_matrix
-from .errors import DimensionUnsupported, EngineTooLarge, SingularityTooClose
+from .errors import DimensionUnsupported, EngineTooLarge
 from .kernels import kappa_ell
 from .params import frac_constant, sphere_area
 from .quadrature import (ValueWithError, graded_rule, jacobi_panel,
@@ -50,8 +50,6 @@ _FORM_BLOCK = 65_536
 # an engine holds at most this many pairs, and so fewer outer nodes than
 # its int32 idx can index
 _MAX_PAIRS = 2**31
-# pointwise_flap refuses points closer than this to the boundary
-_FLAP_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -119,13 +117,14 @@ def angular_factor(N, ell):
     return sphere_area(N) if ell == 0 else sphere_area(N) / N
 
 
-def _lev_for(scale, span, base=2, cap=45):
-    """Grading depth so the finest panel of a span resolves `scale`."""
+def _lev_for(scale, span, base=2):
+    """Grading depth so the finest panel of a span resolves `scale`, at
+    most 45."""
     if scale <= 0.0:
-        return cap
+        return 45
     if scale >= span:
         return base
-    return int(min(cap, max(base, math.ceil(math.log(span / scale) / math.log(1.0 / _RATIO)))))
+    return int(min(45, max(base, math.ceil(math.log(span / scale) / math.log(1.0 / _RATIO)))))
 
 
 def _gap_rule(G, s, n, lev_far, far_sing):
@@ -660,136 +659,3 @@ def mc_remainder(u, v, N, s):
     tau = exterior_tail(r, N, s, ell=u.ell)
     return cut_off + 0.5 * c * ang * float(np.dot(w, prod * tau))
 
-
-# ---------------------------------------------------------------------------
-# Pointwise (-Delta)^s via exact angular reduction
-
-
-def _sphere_mean_rule(r, t, N, cut_frac, n):
-    """Nodes/weights reducing int_{S^{N-1}} F(x + t w) dsigma to the radius
-    R = |x + t w|: returns (R, W, mu) with mu = cos angle(x, w-offset).
-
-    The measure is |S^{N-2}| (1 - mu^2)^{(N-3)/2} (R / (r t)) dR on
-    [|r - t|, r + t], with Gauss-Jacobi panels absorbing the endpoint
-    exponents and panels graded into the C^s cusp at R = 1 when it is
-    crossed.  Requires N >= 2 and r, t > 0.
-    """
-    lo, hi = abs(r - t), r + t
-    gam = (N - 3.0) / 2.0
-    hi_eff = min(hi, 1.0)
-    if lo >= 1.0:
-        return np.empty(0), np.empty(0), np.empty(0)
-    cut = lo + cut_frac * (hi_eff - lo)
-    # left end: absorb (R - lo)^gam on a micro-panel; the leftover factor
-    # (R + lo)^gam varies on scale lo, so grade geometrically from that scale
-    lev = _lev_for(max(lo, 1e-13), cut - lo, base=2, cap=30)
-    left = graded_rule(lo, cut, "left", lev, _RATIO, n, gamma=gam)
-    if hi_eff < hi:  # boundary cusp inside the range: grade into R = 1
-        lev = _lev_for(1e-8, hi_eff - cut, base=10)
-        right = graded_rule(cut, hi_eff, "right", lev, _RATIO, n)
-    else:  # right end of the full range: absorb (hi - R)^gam
-        Rr, wr = jacobi_panel(cut, hi, gam, n, "right")
-        right = (Rr, wr * np.abs(hi - Rr) ** (-gam))
-    R, w = join_rules(left, right)
-    mu = (R**2 - r**2 - t**2) / (2.0 * r * t)
-    om2 = np.clip((1.0 - mu) * (1.0 + mu), 0.0, None)
-    dens = np.where(om2 > 0, om2, 1.0) ** gam * R / (r * t)
-    return R, sphere_area(N - 1) * w * dens, mu
-
-
-def _sphere_mean(u, r, t, N, cut_frac, n):
-    """I(t) = int_{S^{N-1}} u(x + t w) dsigma for separable u, x = r e_r.
-
-    For ell = 1 profiles the result carries the factor (x_j / r) of the
-    evaluation point; this function returns the scalar radial part (the
-    coefficient of x_j/r for ell = 1, the plain mean for ell = 0).
-    """
-    if N == 1:
-        pts = np.array([r + t, r - t])
-        if u.ell == 0:
-            return float(np.sum(u.profile(np.abs(pts))))
-        return float(np.sum(np.sign(pts) * np.asarray(u.profile(np.abs(pts)))))
-    if r <= 0.0:
-        if u.ell == 1:
-            return 0.0
-        return float(sphere_area(N) * np.asarray(u.profile(np.atleast_1d(t)))[0])
-    R, w, mu = _sphere_mean_rule(r, t, N, cut_frac, n)
-    if R.size == 0:
-        return 0.0
-    p = np.asarray(u.profile(R), dtype=float)
-    if u.ell == 0:
-        return float(np.dot(w, p))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        proj = np.where(R > 0, (r + t * mu) / np.where(R > 0, R, 1.0), 0.0)
-    return float(np.dot(w, p * proj))
-
-
-def pointwise_flap(u, x, params):
-    """(-Delta)^s u at an interior point x, by exact angular averaging.
-
-    The angular integral makes the offset-average I(t) even to second order,
-    so no principal value is needed: the value is
-    c int_0^inf t^{-1-2s} [|S^{N-1}| u(x) - I(t)] dt with the near field on a
-    Gauss-Jacobi rule absorbing t^{1-2s}.  Raises SingularityTooClose when
-    dist(x, boundary) < _FLAP_MARGIN.
-    """
-    N, s = params.N, params.s
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    r = float(np.linalg.norm(x))
-    dist = 1.0 - r
-    if dist < _FLAP_MARGIN:
-        raise SingularityTooClose(
-            f"evaluation point at distance {dist:.3e} from the boundary "
-            f"(margin {_FLAP_MARGIN:g})")
-    c = frac_constant(N, s)
-    S = sphere_area(N)
-    ux_rad = float(np.asarray(u.profile(np.atleast_1d(r)))[0])  # radial part at r
-
-    def accumulate(n_jac, n_leg, lev, cut_frac, n_mu):
-        rho_near = 0.5 * dist
-        tj, wj = jacobi_panel(0.0, rho_near, 1.0 - 2.0 * s, n_jac, "left")
-        # near field: t^{-1-2s}(S u - I) = t^{1-2s} * [(S u - I) t^{-2}],
-        # with the t^{1-2s} weight absorbed by the Jacobi rule
-        acc = 0.0
-        for t, w in zip(tj, wj):
-            acc += w * (S * ux_rad - _sphere_mean(u, r, t, N, cut_frac, n_mu)) * t ** (-2.0)
-        # split the far field at t = r (endpoint collision of the R-range)
-        # and at the boundary tangency t = 1 - r
-        pts = sorted(set([rho_near, r, abs(1.0 - r), 1.0 + r]))
-        pts = [p for p in pts if p >= rho_near]
-        if not pts or pts[0] > rho_near:
-            pts = [rho_near] + pts
-        far_rule = segment_rule(pts, n_leg, grade=set(pts) - {rho_near}, levels=lev,
-                                ratio=_RATIO)
-        for t, w in zip(far_rule.nodes, far_rule.weights):
-            acc += w * t ** (-1.0 - 2.0 * s) * (-_sphere_mean(u, r, t, N, cut_frac, n_mu))
-        acc += S * ux_rad * rho_near ** (-2.0 * s) / (2.0 * s)
-        return c * acc
-
-    fine = accumulate(20, 10, 12, 0.8, 12)
-    coarse = accumulate(14, 7, 9, 0.65, 9)
-    val = fine
-    # the two resolutions share panel structure, so the difference can
-    # underestimate the true error; pad with a conservative floor
-    err = 10.0 * abs(fine - coarse) + 1e-8 + 1e-7 * abs(fine)
-    if u.ell == 1:
-        ang = x[u.j - 1] / r if r > 0 else 0.0
-        val *= ang
-        err *= abs(ang)
-    return ValueWithError(val, err)
-
-
-def pointwise_flap_radial_reduced(u, params):
-    """(-Delta)^s u(0) for radial u by the elementary 1-D reduction:
-    c |S^{N-1}| int_0^inf (u(0) - u(t)) t^{-1-2s} dt (independent check)."""
-    N, s = params.N, params.s
-    c = frac_constant(N, s)
-    u0 = float(np.asarray(u.profile(np.atleast_1d(0.0)))[0])
-    tj, wj = jacobi_panel(0.0, 0.5, 1.0 - 2.0 * s, 40, "left")
-    acc = sum(w * (u0 - float(np.asarray(u.profile(np.atleast_1d(t)))[0])) * t**(-2.0)
-              for t, w in zip(tj, wj))
-    rule = segment_rule([0.5, 1.0], 12, grade={1.0}, levels=20, ratio=_RATIO)
-    acc += float(np.dot(rule.weights,
-                        (u0 - np.asarray(u.profile(rule.nodes))) * rule.nodes ** (-1.0 - 2.0 * s)))
-    acc += u0 * 1.0 ** (-2.0 * s) / (2.0 * s)
-    return c * sphere_area(N) * acc

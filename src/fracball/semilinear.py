@@ -9,7 +9,7 @@ the boundary ratio, the energy functional, and psi0(1) itself.
 
 import warnings
 from dataclasses import dataclass, field
-from math import gamma
+from math import gamma, inf, isfinite
 
 import numpy as np
 
@@ -29,14 +29,15 @@ MAX_ITER = 60
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """f(t) = lam |t|^{p-2} t with p >= 2 (C^1); p = 2 is the linear f = lam t."""
+    """f(t) = lam |t|^{p-2} t, lam finite, 2 <= p < inf (C^1); p = 2 is f = lam t."""
 
     lam: float = 1.0
     p: float = 2.0
 
     def __post_init__(self):
-        if self.p < 2.0:
-            raise ValueError("power family requires p >= 2 so that f is C^1")
+        if not (isfinite(self.lam) and 2.0 <= self.p < inf):
+            raise ValueError("power family requires finite lam and p >= 2 (f is "
+                             f"C^1), got lam={self.lam!r}, p={self.p!r}")
 
     def f(self, t):
         t = np.asarray(t, dtype=float)
@@ -129,8 +130,12 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
     sign changes is returned, flagged linear-degenerate, with residual
     ||A0 c - lam B c||: zero up to rounding only when lam is its eigenvalue.
     With oracle_budget set, the stiffness of the (d = N, s, K) sector is
-    first checked by basis.stiffness_oracle_gate.
+    first checked by basis.stiffness_oracle_gate.  For lam <= 0 and p > 2,
+    E_s(u, u) = lam int |u|^p <= 0 leaves u = 0 as the only solution, so
+    TrivialSolution is raised before any Newton work.
     """
+    if nonlin.lam <= 0.0 and nonlin.p > 2.0:
+        raise TrivialSolution(f"lam = {nonlin.lam:g} <= 0 leaves only u = 0")
     sub = check_subcriticality(nonlin, params)
     if not sub.satisfied:
         warnings.warn(

@@ -265,13 +265,18 @@ def test_cli_jobs_flag_overrides_config_key(monkeypatch, text, flags, jobs):
     ("eigs", "grid.N = []\n", []),
     ("eigs", "grid.s = []\n", []),
     ("eigs", "grid.nonlinearity = []\n", []),
+    ("solve", 'grid.nonlinearity = ["linear(inf)"]\n', []),
+    ("solve", 'grid.nonlinearity = ["power(nan, 3)"]\n', []),
+    ("solve", 'grid.nonlinearity = ["power(1, nan)"]\n', []),
+    ("solve", 'grid.nonlinearity = ["power(1, inf)"]\n', []),
 ], ids=["ell-max", "n-max", "target-nodes-above-K", "target-nodes-negative",
         "oracle-budget", "jobs-flag", "seed-flag", "unknown-family-solve",
         "unknown-family-morse", "K-fraction", "ell-max-fraction",
         "n-max-fraction", "N-fraction", "N-boolean", "s-string",
         "target-nodes-fraction", "seed-fraction", "jobs-fraction",
         "oracle-budget-fraction", "jobs-boolean", "out-dir-number",
-        "N-empty", "s-empty", "nonlinearity-empty"])
+        "N-empty", "s-empty", "nonlinearity-empty", "lam-inf", "lam-nan",
+        "p-nan", "p-inf"])
 def test_cli_rejects_out_of_range_settings(tmp_path, capsys, command, extra,
                                            flags):
     # a key set by the row replaces the base line, so no row is refused
@@ -286,6 +291,49 @@ def test_cli_rejects_out_of_range_settings(tmp_path, capsys, command, extra,
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_cli_reports_an_unreadable_config_as_an_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["eigs", "--config", str(tmp_path / "missing.txt"),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_reports_a_non_utf8_config_as_an_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"grid.N = [1]\n# \xe9t\xe9\n")
+    out = tmp_path / "out"
+    assert cli.main(["eigs", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cli_reports_an_unwritable_out_dir_as_an_error(tmp_path, capsys):
+    # out.dir lies below a regular file, so the report cannot be written
+    cfg = _write_config(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["eigs", "--config", cfg,
+                     "--out", str(blocker / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_solve_zero_coefficient_is_an_error_row(tmp_path):
+    # power(0, 3): E_s(u, u) = 0 leaves only u = 0, a TrivialSolution row;
+    # the next point still runs
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text('grid.N = [1]\ngrid.s = [0.5]\n'
+                   'grid.nonlinearity = ["power(0, 3)", "power(1, 3)"]\n'
+                   'trunc.K = 12\n')
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out),
+                     "--format", "json"]) == 0
+    payloads = [r["payload"] for r in
+                json.loads((out / "solve.json").read_text())["records"]]
+    assert payloads[0]["error"] == "TrivialSolution"
+    assert "coefficients" in payloads[1]
 
 
 def test_cli_solve_surfaces_subcriticality_warning():

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
+from scipy.special import eval_jacobi
 
 from fracball.basis import (RadialBasisSpec, RadialProfile, dyda_factor,
                             stiffness_matrix)
-from fracball.errors import DimensionUnsupported, SingularityTooClose
-from fracball.nonlocal_quadrature import (SeparableFunction, _mc_bilinear,
-                                          angular_factor, bilinear_form,
-                                          exterior_tail, kdiff_total,
-                                          pointwise_flap,
-                                          pointwise_flap_radial_reduced,
+from fracball.errors import DimensionUnsupported
+from fracball.nonlocal_quadrature import (SeparableFunction, SignedPart,
+                                          _mc_bilinear, angular_factor,
+                                          bilinear_form, exterior_tail,
+                                          kdiff_total,
                                           radial_potential_integral,
                                           stiffness_entry_oracle)
 from fracball.params import ProblemParams, sphere_area
 from fracball.quadrature import (QuadratureRule, ValueWithError, graded_rule,
-                                 segment_rule)
+                                 kink_rule, segment_rule)
 
 
 def _basis_fn(d, s, n, K=6, angular="constant"):
@@ -208,35 +208,38 @@ def test_radial_potential_integral_vs_quad():
     assert abs(est.value - exact) <= 10.0 * est.error + 1e-12
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
-def test_pointwise_flap_eigenrelation(n):
-    # (-Delta)^s phi_n = mu_n P_n(2 r^2 - 1) inside the ball.
-    d, s = 2, 0.6
-    spec = RadialBasisSpec(d, s, 6)
-    u = _basis_fn(d, s, n)
-    mu = dyda_factor(spec)[n]
-    from scipy.special import eval_jacobi
-
-    for r in (0.0, 0.35, 0.7):
-        x = np.zeros(d)
-        x[0] = r
-        est = pointwise_flap(u, x, ProblemParams(d, s))
-        expected = mu * eval_jacobi(n, s, d / 2.0 - 1.0, 2.0 * r**2 - 1.0)
-        assert abs(est.value - expected) <= 3.0 * est.error + 1e-6 * abs(mu)
+def _cos3(r):
+    """H(r) = (1 - r^2)^{1/2} cos 3r on the ball, 0 outside; it changes
+    sign at r = pi/6."""
+    r = np.asarray(r, dtype=float)
+    return np.sqrt(np.clip(1.0 - r**2, 0.0, None)) * np.cos(3.0 * r)
 
 
-def test_pointwise_flap_center_reduction_agrees():
-    d, s = 3, 0.5
-    u = _basis_fn(d, s, 2)
-    full = pointwise_flap(u, np.zeros(d), ProblemParams(d, s))
-    reduced = pointwise_flap_radial_reduced(u, ProblemParams(d, s))
-    assert full.value == pytest.approx(reduced, rel=1e-6)
-
-
-def test_pointwise_flap_boundary_margin():
-    u = _basis_fn(2, 0.5, 0)
-    with pytest.raises(SingularityTooClose):
-        pointwise_flap(u, np.array([0.9999, 0.0]), ProblemParams(2, 0.5))
+@pytest.mark.parametrize("signed", [False, True], ids=["smooth", "positive-part"])
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("ell", [0, 1])
+@pytest.mark.parametrize("N,s", [(1, 0.3), (2, 0.6), (3, 0.75)])
+def test_dyda_formula_in_weak_form(N, s, ell, n, signed):
+    # (-Delta)^s phi_n = mu_n P_n(2r^2 - 1) inside the ball of dimension
+    # d = N + 2 ell, so for u = r^ell phi_n and any v = r^ell H supported in
+    # the ball (times x_1/|x| at ell = 1)
+    # E_s(u, v) = angular_factor(N, ell) mu_n int_0^1 P_n v r^ell r^{N-1} dr.
+    # The positive part of H vanishes beyond its kink at pi/6, so its form
+    # also runs on the far pieces of a two-segment engine.
+    d = N + 2 * ell
+    angular = ("constant", "coordinate")[ell]
+    phi = _basis_fn(d, s, n, K=4).profile
+    H = SignedPart(_cos3) if signed else _cos3
+    u = SeparableFunction(lambda r: r ** ell * phi(r), angular)
+    v = SeparableFunction(lambda r: r ** ell * H(r), angular,
+                          breaks=(np.pi / 6,) if signed else ())
+    est = bilinear_form(u, v, ProblemParams(N, s))
+    r, w = kink_rule((np.pi / 6,), 20, 30, 0.35)
+    mu = dyda_factor(RadialBasisSpec(d, s, 4))[n]
+    P = eval_jacobi(n, s, d / 2.0 - 1.0, 2.0 * r**2 - 1.0)
+    expected = angular_factor(N, ell) * mu * float(
+        np.dot(w, P * v.profile(r) * r ** ell * r ** (N - 1)))
+    assert abs(est.value - expected) <= 3.0 * est.error
 
 
 def test_segment_rule_integrates_polynomial_exactly():

@@ -92,6 +92,14 @@ def test_zero_initial_guess_raises_trivial_solution():
                                    init=np.zeros(16))
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_nonpositive_coefficient_raises_trivial_solution(lam):
+    # E_s(u, u) = lam int |u|^p <= 0 leaves only u = 0
+    with pytest.raises(TrivialSolution):
+        solve_radial_sign_changing(ProblemParams(2, 0.5),
+                                   NonlinearitySpec(lam, 3.0), K=16)
+
+
 def test_one_node_guess_for_two_nodes_raises_wrong_nodal_count(cubic_n2):
     params, nonlin, sol = cubic_n2
     with pytest.raises(WrongNodalCount):

@@ -6,9 +6,9 @@ The basis in effective dimension d is
 
 extended by zero outside [0, 1).  The fractional Laplacian maps phi_n to
 mu_n P_n^{(s, d/2-1)}(2 r^2 - 1) inside the ball, which makes the Dirichlet
-stiffness matrix diagonal in this basis by Jacobi orthogonality.  The
-closed-form coefficients are treated as untrusted input: stiffness_oracle_gate
-cross-checks them entry by entry against the singular-kernel quadrature oracle.
+stiffness matrix diagonal in this basis by Jacobi orthogonality.  This module
+holds the closed forms only; nonlocal_quadrature checks them against the
+singular-kernel oracle where a sector is built.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import gammaln, roots_jacobi
 
-from .errors import MassNotPD, OracleMismatch, PotentialUnbounded
+from .errors import MassNotPD, PotentialUnbounded
 from .params import harmonic_multiplicity, sphere_area
 from .quadrature import kink_rule
 from .roots import scan_roots
@@ -190,11 +190,7 @@ class RadialOperatorPair:
 
 
 def assemble_radial_operator(spec, potential=None, potential_breaks=()):
-    """Assemble (A, B) for E_s minus an optional radial potential term.
-
-    Assembly does not gate: the callers that build a sector from it run
-    stiffness_oracle_gate first.
-    """
+    """Assemble (A, B) for E_s minus an optional radial potential term."""
     A = stiffness_matrix(spec)
     B = mass_matrix(spec)
     if potential is not None:
@@ -202,33 +198,6 @@ def assemble_radial_operator(spec, potential=None, potential_breaks=()):
             spec, potential, breaks=potential_breaks
         )
     return RadialOperatorPair(spec, A, B)
-
-
-def stiffness_oracle_gate(spec, budget):
-    """Check the leading min(4, K)^2 block of stiffness_matrix(spec) against
-    the singular-kernel oracle at this budget; raise OracleMismatch on a
-    mismatch (beyond the combined tolerances) or a non-finite estimate.  No
-    check when budget is None.  Run where a sector is built: by
-    spectrum.radial_family, semilinear.solve_radial_sign_changing and
-    morse.assemble_linearized."""
-    if budget is None:
-        return
-    # function-local: nonlocal_quadrature imports this module
-    from .nonlocal_quadrature import stiffness_entry_oracle
-
-    A = stiffness_matrix(spec)
-    m = min(4, spec.K)
-    scale = np.abs(A[:m, :m]).max()
-    for i in range(m):
-        for j in range(i, m):
-            est = stiffness_entry_oracle(spec.d, spec.s, i, j, budget=budget)
-            tol = max(10.0 * est.error, 1e-4 * scale)
-            if not est.finite or abs(est.value - A[i, j]) > tol:
-                raise OracleMismatch(
-                    f"stiffness entry ({i},{j}) for d={spec.d}, s={spec.s}: "
-                    f"closed form {A[i, j]:.8e} vs oracle {est.value:.8e} "
-                    f"+- {est.error:.1e}"
-                )
 
 
 @dataclass

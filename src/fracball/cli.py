@@ -202,7 +202,7 @@ def cmd_morse(cfg):
             records.append(make_record("morse", inputs, _error_row(exc)))
             continue
         records.append(make_record("morse", inputs, payload))
-        if params.N <= 2 and not sol.linear_degenerate:
+        if params.N <= 2 and not sol.linear_degenerate and sol.nodal_count:
             try:
                 tfr = test_function_checks(rep, seed=cfg.seed or 20240824)
                 tf_payload = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError
 from .params import ProblemParams
 from .semilinear import NonlinearitySpec
-from .truncation import ELL_START, K_START
+from .truncation import ELL_START, K_CAP, K_START
 
 _NONLIN_RE = re.compile(r"^\s*([a-z-]+)\s*\(\s*([^)]*)\s*\)\s*$")
 # each family's argument count: linear(lam) is power(lam, 2)
@@ -98,8 +98,8 @@ class CampaignConfig:
             raise ConfigError(f"out.dir must be a string, got {self.out_dir!r}")
         if self.out_format not in ("csv", "json", "both"):
             raise ConfigError(f"out.format must be csv|json|both, got {self.out_format!r}")
-        if self.trunc_K < 2:
-            raise ConfigError("trunc.K must be at least 2")
+        if not 2 <= self.trunc_K <= K_CAP:
+            raise ConfigError(f"trunc.K must lie in 2 .. {K_CAP}")
         if self.trunc_ell_max < 0 or self.trunc_n_max < 0:
             raise ConfigError("trunc.ell-max and trunc.n-max must be >= 0")
         if not 0 <= self.grid_target_nodes < self.trunc_K:

@@ -42,7 +42,8 @@ class NotConverged(FracballError):
 
 
 class InadmissibleBoundaryData(FracballError):
-    """Test-function construction rejected: psi0(1) ~ 0 with s <= 1/2."""
+    """Test-function construction rejected: psi0(1) ~ 0 with s <= 1/2, or
+    d_j = 0 because u' has no sign change."""
 
 
 class DimensionUnsupported(FracballError):

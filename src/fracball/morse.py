@@ -3,7 +3,7 @@
 Because f'(u) is radial, L preserves each angular sector, so its spectrum
 splits into radial blocks in effective dimension N + 2*ell.  The block
 reduction is treated as a gated assumption: the ell = 0 and ell = 1 blocks
-are cross-checked against the singular-kernel quadrature oracle before use.
+are checked by nonlocal_quadrature.linearized_block_gate before use.
 morse_index solves each sector once; the later stages read its report.
 Alongside the index live the signed-derivative test functions d_j whose
 negative energy forces the lower bound index >= N + 1, together with the
@@ -16,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (RadialProfile, assemble_radial_operator, sector_spec,
-                    solve_radial_eigs, stiffness_oracle_gate)
+                    solve_radial_eigs)
 from .errors import (DimensionUnsupported, FracballError,
-                     InadmissibleBoundaryData, OracleMismatch,
-                     TruncationUnsafe)
+                     InadmissibleBoundaryData, TruncationUnsafe)
 from .nonlocal_quadrature import (SeparableFunction, SignedPart,
-                                  angular_factor, linearized_potential_form,
+                                  angular_factor, linearized_block_gate,
+                                  linearized_potential_form,
                                   mc_offset_sample, mc_remainder,
-                                  quadratic_form_L, radial_potential_integral)
+                                  quadratic_form_L, radial_potential_integral,
+                                  stiffness_oracle_gate)
 from .params import ProblemParams, harmonic_multiplicity, sphere_area
 from .quadrature import ValueWithError
 from .roots import scan_roots
@@ -35,52 +36,21 @@ from .truncation import ELL_START, angular_sectors, coarse_K
 # linearized blocks
 
 
-_GATE_TOL_REL = 1e-4
-
-
-def _gate_block(sol, ell, pair):
-    """Validate the (0, 0) entry of the linearized block pair of sector ell
-    against the full singular-kernel quadrature about the solution sol."""
-    spec_d = pair.spec
-    e0 = np.zeros(spec_d.K)
-    e0[0] = 1.0
-    g = RadialProfile(spec_d, e0)
-    if ell == 0:
-        v = SeparableFunction(profile=g, angular="constant")
-        conv = 1.0
-    else:
-        # ambient trial x_1 * g(|x|): separable profile r * g(r); the block
-        # matrix lives in the full-measure convention of dimension d = N + 2,
-        # the ambient form carries angular_factor(N, 1)
-        v = SeparableFunction(profile=lambda r: np.asarray(r) * np.asarray(g(r)),
-                              angular="coordinate", j=1)
-        conv = angular_factor(sol.params.N, 1) / sphere_area(spec_d.d)
-    est = quadratic_form_L(sol, v, v)
-    target = conv * pair.A[0, 0]
-    scale = max(abs(est.value), abs(target))
-    tol = max(10.0 * est.error, _GATE_TOL_REL * scale)
-    if not est.finite or abs(est.value - target) > tol:
-        raise OracleMismatch(
-            f"linearized ell={ell} block entry {target:.10g} vs oracle "
-            f"{est.value:.10g} +/- {est.error:.2g}"
-        )
-
-
 def assemble_linearized(sol, ell, oracle_budget=None):
     """Radial operator pair for L in the angular sector ell, at the
     solution's problem and truncation K.
 
     With oracle_budget set, the potential-free stiffness of the sector is
-    first checked by basis.stiffness_oracle_gate.  The ell = 0 and ell = 1
-    blocks are validated against the quadrature oracle on every assembly
-    (OracleMismatch on failure).
+    first checked by stiffness_oracle_gate.  The ell = 0 and ell = 1 blocks
+    are checked by linearized_block_gate on every assembly (OracleMismatch
+    on failure).
     """
     spec = sector_spec(sol.params, ell, sol.spec.K)
     stiffness_oracle_gate(spec, oracle_budget)
     pair = assemble_radial_operator(
         spec, potential=sol.linearized_potential, potential_breaks=sol.breaks)
     if ell <= 1:
-        _gate_block(sol, ell, pair)
+        linearized_block_gate(sol, ell, pair)
     return pair
 
 
@@ -208,7 +178,8 @@ def build_test_functions(sol):
     each function's support_radius), because u' ~ -s psi0(1) (1-r)^{s-1}
     there.  Requires psi0(1) != 0 or s > 1/2; a near-zero boundary ratio
     with s <= 1/2 is rejected, and with s > 1/2 it leaves support_radius
-    None.
+    None.  A nonzero psi0(1) with no sign change of u' (a solution without
+    nodes) makes every d_j vanish, and is rejected too.
     """
     params = sol.params
     psi0 = sol.psi0_at_1
@@ -222,7 +193,9 @@ def build_test_functions(sol):
     # outermost radius beyond which the signed part vanishes
     r_star = None
     if abs(psi0) > _PSI0_ZERO:
-        r_star = max(roots) if roots else 0.0
+        if not roots:
+            raise InadmissibleBoundaryData("u' has no sign change, so d_j = 0")
+        r_star = max(roots)
     return [SeparableFunction(profile=w, angular="coordinate", j=j,
                               breaks=tuple(roots), support_radius=r_star)
             for j in range(1, params.N + 1)]

@@ -19,12 +19,16 @@ panel a Gauss-Jacobi rule absorbing the |r - rho|^{1-2s} near-diagonal
 behavior exactly.  Everything is deterministic; a Monte-Carlo estimator of
 the unreduced 2N-dimensional integral is provided as an independent check.
 
+The gates that check the closed forms before use, stiffness_oracle_gate and
+linearized_block_gate, live here under one agreement rule (_check_agreement).
+
 The ell = 1 tail constant C(N, s) (kdiff_total) is a closed form.  The
 engines that hold one form's pair tables are built once per process for
 each exact (N, s, ell, breaks, n, lev), by functools.cache on _engine;
 get_engine is the public entry point.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -32,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import RadialBasisSpec, basis_matrix
-from .errors import DimensionUnsupported, EngineTooLarge
+from .basis import (RadialBasisSpec, RadialProfile, basis_matrix,
+                    stiffness_matrix)
+from .errors import DimensionUnsupported, EngineTooLarge, OracleMismatch
 from .kernels import kappa_ell
 from .params import frac_constant, sphere_area
 from .quadrature import (ValueWithError, graded_rule, jacobi_panel,
@@ -460,17 +465,11 @@ def get_engine(N, s, ell, breaks, n, lev):
 
 
 def _ladder_pos_for_budget(budget):
-    pos = _FINE
-    if budget is not None:
-        if budget < 50_000:
-            pos = 1
-        elif budget < 200_000:
-            pos = 2
-        elif budget < 600_000:
-            pos = 3
-        else:
-            pos = 4
-    return pos
+    """Ladder position of an oracle budget: 1 below 50k, 2 below 200k, 3
+    below 600k and 4 from there; _FINE when unset."""
+    if budget is None:
+        return _FINE
+    return 1 + bisect.bisect_right((50_000, 200_000, 600_000), budget)
 
 
 def _engine_pair(N, s, ell, breaks, pos):
@@ -564,6 +563,58 @@ def quadratic_form_L(sol, v, w):
     around the radial solution sol (a semilinear.RadialSolution)."""
     return (bilinear_form(v, w, sol.params)
             - linearized_potential_form(sol, v, w))
+
+
+# ---------------------------------------------------------------------------
+# gates: closed forms checked against the oracle before use
+
+
+def _check_agreement(what, closed, est, scale):
+    """Raise OracleMismatch unless the oracle estimate est is finite and
+    within max(10 err, 1e-4 scale) of the closed-form value."""
+    tol = max(10.0 * est.error, 1e-4 * scale)
+    if not est.finite or abs(est.value - closed) > tol:
+        raise OracleMismatch(f"{what}: closed form {closed:.10g} vs oracle "
+                             f"{est.value:.10g} +- {est.error:.2g}")
+
+
+def stiffness_oracle_gate(spec, budget):
+    """Check the leading min(_GRAM_K, K)^2 block of
+    basis.stiffness_matrix(spec) against stiffness_entry_oracle at this
+    budget; no check when budget is None.  Run where a sector is built: by
+    spectrum.radial_family, semilinear.solve_radial_sign_changing and
+    morse.assemble_linearized."""
+    if budget is None:
+        return
+    A = stiffness_matrix(spec)
+    m = min(_GRAM_K, spec.K)
+    scale = np.abs(A[:m, :m]).max()
+    for i in range(m):
+        for j in range(i, m):
+            est = stiffness_entry_oracle(spec.d, spec.s, i, j, budget=budget)
+            _check_agreement(f"stiffness entry ({i},{j}) for d={spec.d}, "
+                             f"s={spec.s}", A[i, j], est, scale)
+
+
+def linearized_block_gate(sol, ell, pair):
+    """Check the (0, 0) entry of the linearized block pair of sector ell
+    (0 or 1) against quadratic_form_L about the solution sol."""
+    spec_d = pair.spec
+    g = RadialProfile(spec_d, np.eye(spec_d.K)[0])
+    if ell == 0:
+        v = SeparableFunction(profile=g, angular="constant")
+        conv = 1.0
+    else:
+        # ambient trial x_1 * g(|x|): separable profile r * g(r); the block
+        # matrix lives in the full-measure convention of dimension d = N + 2,
+        # the ambient form carries angular_factor(N, 1)
+        v = SeparableFunction(profile=lambda r: np.asarray(r) * np.asarray(g(r)),
+                              angular="coordinate", j=1)
+        conv = angular_factor(sol.params.N, 1) / sphere_area(spec_d.d)
+    est = quadratic_form_L(sol, v, v)
+    target = conv * pair.A[0, 0]
+    _check_agreement(f"linearized ell={ell} block entry", target, est,
+                     max(abs(est.value), abs(target)))
 
 
 # ---------------------------------------------------------------------------

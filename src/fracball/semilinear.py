@@ -14,10 +14,10 @@ from math import gamma, inf, isfinite
 import numpy as np
 
 from .basis import (RadialBasisSpec, RadialProfile, assemble_radial_operator,
-                    basis_matrix, generalized_eigh, stiffness_matrix,
-                    stiffness_oracle_gate)
+                    basis_matrix, generalized_eigh, stiffness_matrix)
 from .errors import (NoConvergence, NotConverged, TrivialSolution,
                      WrongNodalCount)
+from .nonlocal_quadrature import stiffness_oracle_gate
 from .params import ProblemParams, sphere_area
 from .quadrature import kink_rule
 from .truncation import K_START, next_K
@@ -130,7 +130,7 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
     sign changes is returned, flagged linear-degenerate, with residual
     ||A0 c - lam B c||: zero up to rounding only when lam is its eigenvalue.
     With oracle_budget set, the stiffness of the (d = N, s, K) sector is
-    first checked by basis.stiffness_oracle_gate.  For lam <= 0 and p > 2,
+    first checked by stiffness_oracle_gate.  For lam <= 0 and p > 2,
     E_s(u, u) = lam int |u|^p <= 0 leaves u = 0 as the only solution, so
     TrivialSolution is raised before any Newton work.
     """

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (RadialBasisSpec, assemble_radial_operator, sector_spec,
-                    solve_radial_eigs, stiffness_oracle_gate)
+                    solve_radial_eigs)
 from .errors import TruncationUnsafe
+from .nonlocal_quadrature import stiffness_oracle_gate
 from .params import harmonic_multiplicity
 from .truncation import angular_sectors
 

@@ -12,9 +12,9 @@ from fracball.basis import (RadialBasisSpec, RadialOperatorPair,
                             basis_matrix, dyda_factor, generalized_eigh,
                             jacobi_all, jacobi_at_one, jacobi_deriv_all,
                             mass_matrix, radial_weighted_integrals,
-                            solve_radial_eigs, stiffness_matrix,
-                            stiffness_oracle_gate)
+                            solve_radial_eigs, stiffness_matrix)
 from fracball.errors import MassNotPD, PotentialUnbounded
+from fracball.nonlocal_quadrature import stiffness_oracle_gate
 
 
 def test_stiffness_is_positive_diagonal():
@@ -209,6 +209,18 @@ def test_profile_blocks_equal_the_one_shot_formula():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["ok"]
+
+
+def test_basis_does_not_load_the_oracle():
+    # the closed forms stand alone: the oracle imports basis, not the reverse
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, fracball.basis; "
+            "print('fracball.nonlocal_quadrature' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_derivative_profile_matches_finite_differences():

@@ -251,6 +251,7 @@ def test_cli_jobs_flag_overrides_config_key(monkeypatch, text, flags, jobs):
     ("solve", 'grid.nonlinearity = ["shifted-linear(1.0, 0.5)"]\n', []),
     ("morse", 'grid.nonlinearity = ["shifted-linear(1.0, 0.5)"]\n', []),
     ("eigs", "trunc.K = 24.5\n", []),
+    ("eigs", "trunc.K = 193\n", []),
     ("eigs", "trunc.ell-max = 2.5\n", []),
     ("eigs", "trunc.n-max = 0.5\n", []),
     ("eigs", "grid.N = [1.5]\n", []),
@@ -271,9 +272,9 @@ def test_cli_jobs_flag_overrides_config_key(monkeypatch, text, flags, jobs):
     ("solve", 'grid.nonlinearity = ["power(1, inf)"]\n', []),
 ], ids=["ell-max", "n-max", "target-nodes-above-K", "target-nodes-negative",
         "oracle-budget", "jobs-flag", "seed-flag", "unknown-family-solve",
-        "unknown-family-morse", "K-fraction", "ell-max-fraction",
-        "n-max-fraction", "N-fraction", "N-boolean", "s-string",
-        "target-nodes-fraction", "seed-fraction", "jobs-fraction",
+        "unknown-family-morse", "K-fraction", "K-above-cap",
+        "ell-max-fraction", "n-max-fraction", "N-fraction", "N-boolean",
+        "s-string", "target-nodes-fraction", "seed-fraction", "jobs-fraction",
         "oracle-budget-fraction", "jobs-boolean", "out-dir-number",
         "N-empty", "s-empty", "nonlinearity-empty", "lam-inf", "lam-nan",
         "p-nan", "p-inf"])
@@ -355,6 +356,20 @@ def test_cli_morse_testfn_failure_is_a_testfn_row():
     assert [r["kind"] for r in records] == ["morse", "testfn"]
     assert "total-index" in records[0]["payload"]
     assert records[1]["payload"]["error"] == "DimensionUnsupported"
+
+
+def test_cli_morse_without_nodes_writes_no_testfn_record(tmp_path):
+    # the test functions of a solution without sign change vanish, and the
+    # theorem does not apply to it
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text('grid.N = [1]\ngrid.s = [0.5]\ngrid.target-nodes = 0\n'
+                   'trunc.K = 12\n')
+    out = tmp_path / "out"
+    assert cli.main(["morse", "--config", str(cfg), "--out", str(out),
+                     "--format", "json"]) == 0
+    records = json.loads((out / "morse.json").read_text())["records"]
+    assert [r["kind"] for r in records] == ["morse"]
+    assert records[0]["payload"]["theorem-check"] == "not-applicable"
 
 
 def test_cli_failure_isolation(tmp_path):

@@ -116,6 +116,13 @@ def test_oracle_entries_equal_the_reduced_form(budget):
             ang * ref.value, ang * ref.error), (m, n)
 
 
+@pytest.mark.parametrize("budget,pos", [
+    (None, 2), (1, 1), (49_999, 1), (50_000, 2), (199_999, 2),
+    (200_000, 3), (599_999, 3), (600_000, 4), (10**9, 4)])
+def test_ladder_position_for_budget(budget, pos):
+    assert nq._ladder_pos_for_budget(budget) == pos
+
+
 def _distinct_inner_nodes(eng):
     """Inner nodes a form evaluates its profiles at: every pair of a gap
     piece, and one shared row per far piece."""

@@ -190,8 +190,9 @@ def test_gate_holds_where_the_table_overflowed():
     # d + 2s > 20.5: the finest table panels overflowed in the plain rule and
     # the (0, 0) oracle entry was nan; every entry of the stiffness gate now
     # agrees with the closed form within the gate's tolerance
-    from fracball.basis import RadialBasisSpec, stiffness_matrix, stiffness_oracle_gate
-    from fracball.nonlocal_quadrature import stiffness_entry_oracle
+    from fracball.basis import RadialBasisSpec, stiffness_matrix
+    from fracball.nonlocal_quadrature import (stiffness_entry_oracle,
+                                              stiffness_oracle_gate)
 
     assert np.isfinite(kernels._table(24, 0.75)).all()
     spec = RadialBasisSpec(24, 0.75, 4)

@@ -203,6 +203,19 @@ def test_test_function_checks_dimension_limit():
         run_test_function_checks(morse_index(sol))
 
 
+@pytest.mark.parametrize("K", [2, 12])
+def test_test_function_checks_reject_a_solution_without_nodes(K):
+    # u' of a one-signed solution has one sign, so every d_j vanishes and
+    # its Rayleigh quotient is 0/0
+    sol = solve_radial_sign_changing(ProblemParams(1, 0.5),
+                                     NonlinearitySpec(1.0, 3.0),
+                                     target_nodes=0, K=K)
+    rep = morse_index(sol, ell_max=1)
+    assert rep.theorem_check == "not-applicable"
+    with pytest.raises(InadmissibleBoundaryData, match="no sign change"):
+        run_test_function_checks(rep)
+
+
 def test_linearization_leaves_solution_profile_unchanged(monkeypatch, cubic_n1):
     # kink radii travel as sol.breaks; nothing is attached to the cached
     # profile.  The sectors ell = 0, 1 are assembled once, by morse_index;

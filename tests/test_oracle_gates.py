@@ -9,8 +9,9 @@ import math
 import pytest
 
 from fracball import acceptance, morse, nonlocal_quadrature
-from fracball.basis import RadialBasisSpec, stiffness_oracle_gate
+from fracball.basis import RadialBasisSpec
 from fracball.errors import OracleMismatch
+from fracball.nonlocal_quadrature import stiffness_oracle_gate
 from fracball.params import ProblemParams
 from fracball.quadrature import ValueWithError
 from fracball.semilinear import NonlinearitySpec, solve_radial_sign_changing
@@ -64,7 +65,7 @@ def test_linearized_block_gate_rejects_nan(monkeypatch, cubic_n1):
     # the block gate checks against the linearized form, not the stiffness
     # oracle, so that is what returns NaN here
     sol = cubic_n1[2]
-    monkeypatch.setattr(morse, "quadratic_form_L", _nan_oracle)
+    monkeypatch.setattr(nonlocal_quadrature, "quadratic_form_L", _nan_oracle)
     with pytest.raises(OracleMismatch):
         morse.assemble_linearized(sol, 0)
 
@@ -73,13 +74,13 @@ def test_block_gate_runs_for_each_solution(monkeypatch):
     # linear(5) and linear(50) return the same eigenvector coefficients but
     # different linearized potentials, so each assembly is gated
     gated = []
-    form = morse.quadratic_form_L
+    form = nonlocal_quadrature.quadratic_form_L
 
     def counted(sol, u, v):
         gated.append(sol.nonlin.lam)
         return form(sol, u, v)
 
-    monkeypatch.setattr(morse, "quadratic_form_L", counted)
+    monkeypatch.setattr(nonlocal_quadrature, "quadratic_form_L", counted)
     params = ProblemParams(2, 0.5)
     for lam in (5.0, 50.0):
         sol = solve_radial_sign_changing(params, NonlinearitySpec(lam),

@@ -5,6 +5,7 @@ from scipy.special import eval_jacobi
 from fracball.basis import (RadialBasisSpec, RadialProfile, dyda_factor,
                             stiffness_matrix)
 from fracball.errors import DimensionUnsupported
+from fracball.morse import _mc_quadratic_pair
 from fracball.nonlocal_quadrature import (SeparableFunction, SignedPart,
                                           _mc_bilinear, angular_factor,
                                           bilinear_form, exterior_tail,
@@ -60,13 +61,26 @@ _ELL1_EXTERIOR_BIAS = pytest.mark.xfail(
                         "not kappa_0 (see ROADMAP.md)")
 
 
-@pytest.mark.parametrize("N,s,angular", [
-    (1, 0.3, "constant"),
-    (2, 0.6, "constant"),
-    pytest.param(1, 0.3, "coordinate", marks=_ELL1_EXTERIOR_BIAS),
-    pytest.param(2, 0.3, "coordinate", marks=_ELL1_EXTERIOR_BIAS),
-], ids=["1-0.3", "2-0.6", "1-0.3-coordinate", "2-0.3-coordinate"])
-def test_monte_carlo_unbiased_across_seeds(N, s, angular):
+# the unreduced-form sampler, and the N = 2 quadrant sampler of the
+# test-function checks
+_SAMPLERS = {
+    "ball": lambda u, params, seed: _mc_bilinear(u, u, params,
+                                                 QuadratureRule(20_000, seed)),
+    "quadrants": lambda u, params, seed: _mc_quadratic_pair(u, u, params,
+                                                            20_000, seed),
+}
+
+
+@pytest.mark.parametrize("N,s,angular,sampler", [
+    (1, 0.3, "constant", "ball"),
+    (2, 0.6, "constant", "ball"),
+    pytest.param(1, 0.3, "coordinate", "ball", marks=_ELL1_EXTERIOR_BIAS),
+    pytest.param(2, 0.3, "coordinate", "ball", marks=_ELL1_EXTERIOR_BIAS),
+    pytest.param(2, 0.3, "coordinate", "quadrants", marks=_ELL1_EXTERIOR_BIAS),
+    pytest.param(2, 0.6, "coordinate", "quadrants", marks=_ELL1_EXTERIOR_BIAS),
+], ids=["1-0.3", "2-0.6", "1-0.3-coordinate", "2-0.3-coordinate",
+        "2-0.3-coordinate-quadrants", "2-0.6-coordinate-quadrants"])
+def test_monte_carlo_unbiased_across_seeds(N, s, angular, sampler):
     # Sample mean over 32 independent streams lies within 4 standard errors
     # of the deterministic-rule value.
     params = ProblemParams(N, s)
@@ -74,7 +88,7 @@ def test_monte_carlo_unbiased_across_seeds(N, s, angular):
     exact = bilinear_form(u, u, params).value
     vals, ses = [], []
     for seed in range(32):
-        est = _mc_bilinear(u, u, params, QuadratureRule(20_000, seed))
+        est = _SAMPLERS[sampler](u, params, seed)
         vals.append(est.value)
         ses.append(est.error)
     mean = np.mean(vals)
@@ -86,8 +100,6 @@ def test_monte_carlo_unbiased_across_seeds(N, s, angular):
 def test_monte_carlo_samplers_reject_large_s(s):
     # offsets have density ~ t^{-(2s - 1/2)}: not normalisable at s >= 3/4,
     # and at s = 0.74 some samples overflow to nan
-    from fracball.morse import _mc_quadratic_pair
-
     params = ProblemParams(2, s)
     u = _basis_fn(2, s, 1)
     with pytest.raises(DimensionUnsupported):

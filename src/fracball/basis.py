@@ -84,6 +84,34 @@ def jacobi_all(K, a, b, x):
     return P
 
 
+def jacobi_moments(K, a, b, x, w):
+    """Sums sum_i w_i P_n^{(a,b)}(x_i) for n = 0 .. K-1, shape (K,).
+
+    jacobi_all's recurrence, with its coefficients divided through by c1,
+    streamed over the nodes: it keeps two rows of len(x) values and never
+    forms the K x len(x) matrix.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    w = np.asarray(w, dtype=float)
+    out = np.empty(K)
+    cur = np.ones(x.size)
+    out[0] = w.sum()
+    if K > 1:
+        prev, cur = cur, 0.5 * (a + b + 2.0) * x + 0.5 * (a - b)
+        out[1] = w @ cur
+    for n in range(2, K):
+        h = 2.0 * n + a + b
+        c1 = 2.0 * n * (n + a + b) * (h - 2.0)
+        c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * h
+        nxt = (h - 1.0) * h * (h - 2.0) / c1 * x
+        nxt += (h - 1.0) * (a * a - b * b) / c1
+        nxt *= cur
+        nxt -= c3 / c1 * prev
+        prev, cur = cur, nxt
+        out[n] = w @ cur
+    return out
+
+
 def jacobi_deriv_all(K, a, b, x):
     """Derivatives d/dx P_n^{(a,b)}(x) for n = 0 .. K-1, shape (K, len(x))."""
     x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -7,7 +7,12 @@ are checked by nonlocal_quadrature.linearized_block_gate before use.
 morse_index solves each sector once; the later stages read its report.
 Alongside the index live the signed-derivative test functions d_j whose
 negative energy forces the lower bound index >= N + 1, together with the
-quadratic-form checks that reproduce that argument numerically.
+quadratic-form checks that reproduce that argument numerically.  Those
+checks take E_s without the singular kernel, from Dyda's formula
+(-Delta)^s phi_n = mu_n P_n in the basis of dimension N + 2 (the diagonal
+at N = 1, as a Parseval series) and in that of dimension N (the weak
+defect, through (-Delta)^s u_K); the kernel oracle of nonlocal_quadrature
+is the reference the tests hold them against.
 """
 
 import math
@@ -15,18 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (RadialProfile, assemble_radial_operator, sector_spec,
-                    solve_radial_eigs)
+from .basis import (RadialBasisSpec, RadialProfile, assemble_radial_operator,
+                    dyda_factor, jacobi_deriv_all, jacobi_moments,
+                    jacobi_norm_radial, sector_spec, solve_radial_eigs)
 from .errors import (DimensionUnsupported, FracballError,
                      InadmissibleBoundaryData, TruncationUnsafe)
 from .nonlocal_quadrature import (SeparableFunction, SignedPart,
                                   angular_factor, linearized_block_gate,
                                   linearized_potential_form,
                                   mc_offset_sample, mc_remainder,
-                                  quadratic_form_L, radial_potential_integral,
+                                  radial_potential_integral,
                                   stiffness_oracle_gate)
 from .params import ProblemParams, harmonic_multiplicity, sphere_area
-from .quadrature import ValueWithError
+from .quadrature import ValueWithError, graded_rule, join_rules, legendre_panel
 from .roots import scan_roots
 from .semilinear import solve_radial_sign_changing
 from .truncation import ELL_START, angular_sectors, coarse_K
@@ -215,7 +221,7 @@ class TestFunctionReport:
     weak_defect: dict   # (j, k) -> ValueWithError for E_s(v^j,d_k)-int f'(u)v^j d_k
     rayleigh_bound: float
     lambda1L: float
-    method: str         # 'deterministic' | 'monte-carlo'
+    method: str         # diagonal's path: 'series' | 'monte-carlo'
 
 
 def _l2_norm_sq(fn, params):
@@ -260,15 +266,122 @@ def _mc_quadratic_pair(u, v, params, M, seed):
     return ValueWithError(total + mc_remainder(u, v, N, s), math.sqrt(var_sum))
 
 
+# Dyda's Parseval series of E_s(d_1, d_1): its terms, the Gauss-Legendre
+# panels of its moments on each piece of d_1's support (and the grading of
+# the last panel toward r = 1 when the support reaches the boundary), the
+# relative size below which a dyadic increment is rounding, and how far the
+# observed rate may stray from the one the Richardson step assumes.  48
+# panels of 64 nodes resolve P_n(2r^2 - 1), n < 2048, on a piece inside
+# r < 0.8; a piece that reaches r = 1 takes its panels equal in arccos r,
+# because P_n(2r^2 - 1) oscillates like cos(2n arccos r)
+_SERIES_TERMS = 2048
+_SERIES_PANELS = 48
+_SERIES_NODES = 64
+_SERIES_EDGE = (22, 0.35)  # levels, ratio
+_SERIES_ROUNDING = 1e-12
+_SERIES_RATE_TOL = 0.1
+
+
+def _series_rule(fn):
+    """Nodes and weights on the support of fn's profile: _SERIES_PANELS
+    Gauss-Legendre panels on each piece between its breaks, up to its
+    support_radius, equal in r; or up to r = 1, with the last piece's
+    panels equal in arccos r and its last panel graded toward r = 1."""
+    end = 1.0 if fn.support_radius is None else fn.support_radius
+    pts = sorted({0.0, end} | {b for b in fn.breaks if 0.0 < b < end})
+    edges = [np.linspace(lo, hi, _SERIES_PANELS + 1)[:-1]
+             for lo, hi in zip(pts[:-2], pts[1:-1])]
+    if fn.support_radius is None:
+        edges.append(np.cos(np.linspace(np.arccos(pts[-2]), 0.0,
+                                        _SERIES_PANELS + 1)))
+    else:
+        edges.append(np.linspace(pts[-2], end, _SERIES_PANELS + 1))
+    edges = np.concatenate(edges)
+    r, w = legendre_panel(edges[:-1, None], edges[1:, None], _SERIES_NODES)
+    if fn.support_radius is None:
+        return join_rules((r[:-1].ravel(), w[:-1].ravel()),
+                          graded_rule(edges[-2], 1.0, "right", *_SERIES_EDGE,
+                                      _SERIES_NODES))
+    return r.ravel(), w.ravel()
+
+
+def _diagonal_series(fn, params):
+    """E_s(fn, fn) of a coordinate function fn = (x_j/|x|) w(|x|) from
+    Dyda's Parseval series, without the singular kernel.
+
+    In dimension d = N + 2, x_j w(|x|) / |x| has the radial partner w/r,
+    and w/r = sum_n (m_n / g_n) phi_n with m_n = int_0^1 (w/r) P_n r^{d-1}
+    dr, so (-Delta)^s phi_n = mu_n P_n and Jacobi orthogonality give
+    E_s(fn, fn) = angular_factor(N, 1) sum_n mu_n m_n^2 / g_n.  Every term
+    is >= 0, so the partial sum S_M is a lower bound; the value is S_M plus
+    the Richardson tail Delta / (2^{3-2s} - 1), Delta = S_M - S_{M/2}, which
+    is also its error.  Raises TruncationUnsafe when Delta is above
+    rounding and the ratio of the last two dyadic increments is not within
+    _SERIES_RATE_TOL of 2^{3-2s}, the rate that tail assumes.
+    """
+    N, s = params.N, params.s
+    spec = RadialBasisSpec(N + 2, s, _SERIES_TERMS)
+    r, w = _series_rule(fn)
+    moments = jacobi_moments(_SERIES_TERMS, spec.alpha, spec.beta,
+                             2.0 * r**2 - 1.0,
+                             w * np.asarray(fn.profile(r)) * r**N)
+    terms = dyda_factor(spec) * moments**2 / jacobi_norm_radial(spec)
+    full, half, quarter = (float(terms[:m].sum()) for m in
+                           (_SERIES_TERMS, _SERIES_TERMS // 2, _SERIES_TERMS // 4))
+    delta = full - half
+    rate = 2.0 ** (3.0 - 2.0 * s)
+    if delta > _SERIES_ROUNDING * full:
+        ratio = (half - quarter) / delta
+        if abs(ratio / rate - 1.0) > _SERIES_RATE_TOL:
+            raise TruncationUnsafe(
+                f"series increments fall by {ratio:.4g}, not the "
+                f"2^(3-2s) = {rate:.4g} of its tail estimate")
+    tail = delta / (rate - 1.0)
+    ang = angular_factor(N, 1)
+    return ValueWithError(ang * (full + tail), ang * tail)
+
+
+def _weak_energy(sol, fn):
+    """E_s(v^j, fn) for v^j = (x_j/|x|) u'(|x|) = d/dx_j u and a coordinate
+    function fn = (x_j/|x|) w(|x|) supported in the ball, without the
+    singular kernel.
+
+    Inside the ball (-Delta)^s u = Q := sum_n c_n mu_n P_n(2r^2 - 1), so
+    E_s(v^j, fn) = int d/dx_j Q fn = angular_factor(N, 1)
+    int_0^1 Q'(r) w(r) r^{N-1} dr, one Gauss sum split at fn's breaks with
+    radial_potential_integral's two-resolution error.  Q' is a polynomial
+    of degree 2K - 1 in r whose top modes mu_n amplifies, and u' one of
+    degree about 2K times a factor smooth on fn's support, so the panels
+    carry K + 12 nodes.
+    """
+    spec = sol.spec
+    c_mu = sol.coefficients * dyda_factor(spec)
+
+    def dQ(r):
+        t = 2.0 * r**2 - 1.0
+        return 4.0 * r * (c_mu @ jacobi_deriv_all(spec.K, spec.alpha,
+                                                  spec.beta, t))
+
+    est = radial_potential_integral(dQ, fn.profile, np.ones_like,
+                                    sol.params.N, breaks=fn.breaks,
+                                    n=spec.K + 12)
+    ang = angular_factor(sol.params.N, 1)
+    return ValueWithError(ang * est.value, ang * est.error)
+
+
 def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
     """Numerical version of the negative-energy argument on span
     {phi_{1,L}, d_1..d_N} for the solution of the MorseReport rep: diagonal
     energies negative, cross terms zero, weak-identity defect zero, Rayleigh
     bound negative.
 
-    N = 1 evaluates all forms deterministically; N = 2 uses one run of the
-    stratified Monte-Carlo estimator for E_s(d_1, d_1); N >= 3 is unsupported
-    for the quadrature checks (morse_index itself works at any N).
+    No form runs on the singular-kernel oracle, which stays the reference
+    these values are tested against.  The weak defect comes from
+    (-Delta)^s u_K in closed form (_weak_energy) at every N.  The diagonal
+    comes from Dyda's Parseval series (_diagonal_series) at N = 1, and from
+    one run of the stratified Monte-Carlo estimator at N = 2.  N >= 3 is
+    unsupported here (morse_index itself works at any N).  Each energy
+    subtracts linearized_potential_form.
     """
     sol = rep.solution
     params = sol.params
@@ -280,11 +393,11 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
 
     def weak_defect_at(sol_k, d1_k):
         """E_{s,L}(v^1, d_1) with v^1 = (x_1/|x|) u'(|x|), for one discrete
-        solution.  d_1's profile is the signed part of v^1's, so each engine
-        evaluates u' once for both."""
-        v1 = SeparableFunction(profile=d1_k.profile.base, angular="coordinate",
-                               j=1, breaks=d1_k.breaks)
-        return quadratic_form_L(sol_k, v1, d1_k)
+        solution."""
+        v1 = SeparableFunction(profile=sol_k.profile.derivative,
+                               angular="coordinate", j=1, breaks=d1_k.breaks)
+        return (_weak_energy(sol_k, d1_k)
+                - linearized_potential_form(sol_k, v1, d1_k))
 
     def weak_defect_with_truncation():
         """The identity holds for the continuum solution only, so the defect
@@ -307,19 +420,18 @@ def test_function_checks(rep, mc_samples=1_000_000, seed=20240824):
     sign_conv = "psi0 >= 0" if sol.psi0_at_1 >= 0.0 else "psi0 < 0"
 
     # u is radial, so E_{s,L}(d_j, d_j) does not depend on j (a rotation
-    # maps d_1 to d_j) and E_{s,L}(d_j, d_k), j != k, is zero by parity:
-    # one estimate on d_1 serves every j, and quadratic_form_L returns the
-    # cross terms as exact zeros
+    # maps d_1 to d_j) and E_{s,L}(d_j, d_k), j != k, is an exact zero by
+    # parity: one estimate on d_1 serves every j
     d1 = fns[0]
     if params.N == 1:
-        method = "deterministic"
-        est = quadratic_form_L(sol, d1, d1)
+        method = "series"
+        energy = _diagonal_series(d1, params)
     else:
         method = "monte-carlo"
-        est = (_mc_quadratic_pair(d1, d1, params, mc_samples, seed + 1)
-               - linearized_potential_form(sol, d1, d1))
+        energy = _mc_quadratic_pair(d1, d1, params, mc_samples, seed + 1)
+    est = energy - linearized_potential_form(sol, d1, d1)
     diag = {j: est for j in range(1, params.N + 1)}
-    cross = {(j, k): quadratic_form_L(sol, fns[j - 1], fns[k - 1])
+    cross = {(j, k): ValueWithError(0.0, 0.0)
              for j in diag for k in diag if j < k}
     weak = {(1, 1): weak_defect_with_truncation()}
 

@@ -100,20 +100,14 @@ class SeparableFunction:
 
 @dataclass(frozen=True)
 class SignedPart:
-    """The radial profile max(g, 0) (positive) or min(g, 0) of a profile g.
-
-    PairFormEngine.form(g, h) takes a signed part h of g from g's values, so
-    the form of g and its signed part evaluates g once.
-    """
+    """The radial profile max(g, 0) (positive) or min(g, 0) of a profile g."""
 
     base: object
     positive: bool = True
 
-    def part(self, vals):
-        return np.maximum(vals, 0.0) if self.positive else np.minimum(vals, 0.0)
-
     def __call__(self, r):
-        return self.part(np.asarray(self.base(np.atleast_1d(np.asarray(r, dtype=float)))))
+        vals = np.asarray(self.base(np.atleast_1d(np.asarray(r, dtype=float))))
+        return np.maximum(vals, 0.0) if self.positive else np.minimum(vals, 0.0)
 
 
 def angular_factor(N, ell):
@@ -397,26 +391,17 @@ class PairFormEngine:
         """Reduced bilinear form of two radial profiles (h defaults to g).
 
         The profiles are evaluated at the inner nodes block by block (a far
-        piece's shared row once), into one pair-length product array.  A
-        SignedPart h of g takes its values from g's, so g is evaluated once
-        for both.
+        piece's shared row once), into one pair-length product array.
         """
         g_out = np.asarray(g(self.r_out), dtype=float)
         same = h is None or h is g
-        signed = isinstance(h, SignedPart) and h.base is g
-        if same:
-            h_out = g_out
-        elif signed:
-            h_out = h.part(g_out)
-        else:
-            h_out = np.asarray(h(self.r_out), dtype=float)
+        h_out = g_out if same else np.asarray(h(self.r_out), dtype=float)
 
         def inner(rho):
             g_in = np.asarray(g(rho), dtype=float)
             if same:
                 return g_in[None]
-            return np.stack((g_in, h.part(g_in) if signed
-                             else np.asarray(h(rho), dtype=float)))
+            return np.stack((g_in, np.asarray(h(rho), dtype=float)))
 
         out = np.stack((g_out,) if same else (g_out, h_out))
         prod = np.empty_like(self.kw)
@@ -533,15 +518,16 @@ def bilinear_form(u, v, params):
     return ValueWithError(ang * est.value, ang * est.error)
 
 
-def radial_potential_integral(fn, pu, pv, N, breaks=()):
-    """int_0^1 fn(r) pu(r) pv(r) r^{N-1} dr with kink-aware graded panels,
-    its error the difference from a coarser rule (_two_resolution)."""
+def radial_potential_integral(fn, pu, pv, N, breaks=(), n=12):
+    """int_0^1 fn(r) pu(r) pv(r) r^{N-1} dr with kink-aware graded panels of
+    n nodes, its error the difference from a coarser rule of 2n/3 nodes per
+    panel (_two_resolution)."""
     def integral(r, w):
         return float(np.dot(w * r ** (N - 1),
                             np.asarray(fn(r)) * np.asarray(pu(r)) * np.asarray(pv(r))))
 
-    return _two_resolution(integral(*kink_rule(breaks, 12, 22, _RATIO)),
-                           integral(*kink_rule(breaks, 8, 14, _RATIO)))
+    return _two_resolution(integral(*kink_rule(breaks, n, 22, _RATIO)),
+                           integral(*kink_rule(breaks, 2 * n // 3, 14, _RATIO)))
 
 
 def linearized_potential_form(sol, v, w):

@@ -11,7 +11,7 @@ import os
 
 from .quadrature import ValueWithError
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "1.1"
 
 
 def fmt_float(x):

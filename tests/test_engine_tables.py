@@ -123,40 +123,6 @@ def test_ladder_position_for_budget(budget, pos):
     assert nq._ladder_pos_for_budget(budget) == pos
 
 
-def _distinct_inner_nodes(eng):
-    """Inner nodes a form evaluates its profiles at: every pair of a gap
-    piece, and one shared row per far piece."""
-    return sum(width if shared is not None else rows.size * width
-               for rows, width, _, _, shared in eng._pieces)
-
-
-@pytest.mark.parametrize("positive", [True, False])
-def test_form_takes_a_signed_part_from_its_base(positive):
-    # form(g, SignedPart(g)) evaluates g once at each distinct node, a far
-    # piece's shared row once for all its outer nodes, and equals, bit for
-    # bit, the form of g and a plain function for the signed part
-    rng = np.random.default_rng(5)
-    prof = RadialProfile(RadialBasisSpec(3, 0.7, 8), rng.standard_normal(8))
-    calls = []
-
-    def du(r):
-        calls.append(np.size(r))
-        return prof.derivative(r)
-
-    def plain(r):
-        vals = prof.derivative(r)
-        return np.maximum(vals, 0.0) if positive else np.minimum(vals, 0.0)
-
-    part = nq.SignedPart(du, positive=positive)
-    eng = nq.PairFormEngine(1, 0.7, 1, (0.4,), 5, 10)
-    value = eng.form(du, part)
-    assert _distinct_inner_nodes(eng) < eng.n_pairs
-    assert sum(calls) == eng.r_out.size + _distinct_inner_nodes(eng)
-    assert value == eng.form(prof.derivative, plain)
-    assert np.array_equal(part(eng.r_out), plain(eng.r_out))
-    assert eng.form(part) == eng.form(plain)
-
-
 def test_engines_keyed_by_exact_breaks():
     # breaks 1e-13 apart get engines of their own, so a form's value does
     # not depend on which of the two was asked for first.  g oscillates
@@ -181,9 +147,6 @@ def _full_array_form(eng, g, h=None):
     dg = g_out[eng.idx] - g_in
     if h is None:
         h_out, dh = g_out, dg
-    elif isinstance(h, nq.SignedPart):
-        h_out = h.part(g_out)
-        dh = h_out[eng.idx] - h.part(g_in)
     else:
         h_out = np.asarray(h(eng.r_out), dtype=float)
         dh = h_out[eng.idx] - np.asarray(h(eng.rho), dtype=float)
@@ -192,8 +155,8 @@ def _full_array_form(eng, g, h=None):
 
 
 def _assert_forms_equal_full_arrays(eng, spec):
-    """form, its SignedPart branch and stiffness_gram equal the full-array
-    expressions over the materialised idx and rho.  g and h are elementwise,
+    """form and stiffness_gram equal the full-array expressions over the
+    materialised idx and rho.  g and h are elementwise,
     so only the engine's blocks and shared rows vary."""
     def g(r):
         return np.where(r < 1.0, np.abs(1.0 - r**2) ** 0.9 * np.cos(7.0 * r), 0.0)
@@ -202,9 +165,6 @@ def _assert_forms_equal_full_arrays(eng, spec):
         return np.where(r < 1.0, (1.0 - r) * r**2, 0.0)
 
     assert eng.form(g) == _full_array_form(eng, g)
-    for positive in (True, False):
-        part = nq.SignedPart(g, positive=positive)
-        assert eng.form(g, part) == _full_array_form(eng, g, part)
     assert eng.form(g, h) == _full_array_form(eng, g, h)
     phi = basis_matrix(spec, eng.r_out)
     D = phi[:, eng.idx]
@@ -265,16 +225,16 @@ _KEPT_PER_NODE = 256
 _KEPT_PER_PIECE = 16_384
 # Transient allocations on top of what the engine keeps, in bytes per pair
 # and per pair of a _FORM_BLOCK block.  Measured as above: 5.0 B per pair
-# for the build, and for the form its product array (8 B per pair) plus
-# 6.4 MB, 98 B per block pair.
+# for the build, and for the one-profile form its product array (8 B per
+# pair) plus 5.6 MB, 86 B per block pair.
 _BUILD_EXTRA = 8
 _FORM_EXTRA = 8
 _FORM_EXTRA_PER_BLOCK_PAIR = 128
 
 
 def test_engine_build_and_form_memory_stay_bounded():
-    # the 1.16M-pair N = 1, ell = 1 test-function engine of a morse run at
-    # s = 0.9, and one form of u' with its signed part on it
+    # the 1.16M-pair N = 1, ell = 1 engine at s = 0.9 with the break of a
+    # one-node solution's u', and one form of u' on it
     if not _numpy_traced():
         pytest.skip("tracemalloc does not see NumPy's array allocations")
     prof = RadialProfile(RadialBasisSpec(1, 0.9, 12),
@@ -286,7 +246,7 @@ def test_engine_build_and_form_memory_stay_bounded():
         eng = nq.PairFormEngine(1, 0.9, 1, (0.67646596886911,), *nq._LADDER[nq._FINE])
         after, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        eng.form(du, nq.SignedPart(du))
+        eng.form(du)
         form_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from fracball import morse, nonlocal_quadrature
-from fracball.basis import RadialProfile
-from fracball.errors import DimensionUnsupported, InadmissibleBoundaryData
+from fracball.basis import (RadialBasisSpec, RadialProfile, dyda_factor,
+                            jacobi_all, jacobi_moments, jacobi_norm_radial)
+from fracball.errors import (DimensionUnsupported, InadmissibleBoundaryData,
+                             TruncationUnsafe)
 from fracball.morse import (assemble_linearized, build_test_functions,
                             first_linearized_eigen, morse_index)
 from fracball.morse import test_function_checks as run_test_function_checks
-from fracball.nonlocal_quadrature import SeparableFunction, quadratic_form_L
+from fracball.nonlocal_quadrature import (SeparableFunction, angular_factor,
+                                          bilinear_form,
+                                          linearized_potential_form,
+                                          quadratic_form_L)
 from fracball.params import ProblemParams
 from fracball.quadrature import ValueWithError
 from fracball.semilinear import NonlinearitySpec, solve_radial_sign_changing
@@ -129,7 +134,7 @@ def test_test_functions_rotate_into_each_other_and_are_odd(cubic_n2, rng):
 
 def test_test_function_checks_one_dimensional(morse_n1):
     rep = run_test_function_checks(morse_n1)
-    assert rep.method == "deterministic"
+    assert rep.method == "series"
     est = rep.diag[1]
     assert est.value + 3.0 * est.error < 0.0
     assert rep.rayleigh_bound < 0.0
@@ -137,52 +142,144 @@ def test_test_function_checks_one_dimensional(morse_n1):
     assert abs(defect.value) <= 3.0 * defect.error
 
 
-def test_test_function_checks_evaluate_u_prime_once_per_form(monkeypatch, morse_n1):
-    # the diagonal E_{s,L}(d_1, d_1) and the weak defect E_{s,L}(v^1, d_1)
-    # are the two quadratic_form_L values, bit for bit.  d_1's profile is a
-    # signed part of u', so each form evaluates u' once on each engine's
-    # node sets: at its outer nodes, at every gap pair, and once on each far
-    # piece's shared row, twice in all (three times when d_1's profile
-    # evaluated u' on its own).  No coarse re-solve, so the defect carries
-    # no truncation term.
-    sol = morse_n1.solution
+def test_test_function_checks_at_n1_build_no_engine_and_call_no_form(
+        monkeypatch, morse_n1):
+    # the diagonal comes from the series and the weak defect from
+    # (-Delta)^s u_K in closed form, the coarse re-solve's included: no
+    # oracle engine is looked up, built or formed on
+    def refused(*args, **kwargs):
+        raise AssertionError("oracle engine used")
+
+    monkeypatch.setattr(nonlocal_quadrature, "get_engine", refused)
+    monkeypatch.setattr(nonlocal_quadrature.PairFormEngine, "__init__", refused)
+    monkeypatch.setattr(nonlocal_quadrature.PairFormEngine, "form", refused)
+    rep = run_test_function_checks(morse_n1)
+    assert rep.method == "series"
+    # the coarse re-solve ran: its truncation term is in the error
+    assert rep.weak_defect[(1, 1)].error > 1e-6
+
+
+def _cubic_solution(N, s, K):
+    return solve_radial_sign_changing(ProblemParams(N, s),
+                                      NonlinearitySpec(1.0, 3.0),
+                                      target_nodes=1, K=K)
+
+
+# one-node cubic solutions: four morse points, the K = 12 pair of the
+# benchmark's morse runs, and the cubic_n1 / cubic_n2 fixtures' points
+_KERNEL_FREE_CASES = [(1, 0.3, 24), (2, 0.5, 16), (3, 0.75, 24), (2, 0.7, 48),
+                      (1, 0.9, 12), (2, 0.7, 12), (1, 0.75, 24)]
+
+
+@pytest.mark.parametrize("N,s,K", _KERNEL_FREE_CASES)
+def test_kernel_free_energies_match_the_oracle(N, s, K):
+    # the Parseval series of E_s(d_1, d_1) and the closed-form weak energy
+    # E_s(v^1, d_1) against bilinear_form, within three times the sum of
+    # their error estimates
+    sol = _cubic_solution(N, s, K)
     d1 = build_test_functions(sol)[0]
     v1 = SeparableFunction(profile=sol.profile.derivative, angular="coordinate",
                            j=1, breaks=d1.breaks)
-    diag = quadratic_form_L(sol, d1, d1)
-    defect = quadratic_form_L(sol, v1, d1)
-    engines = nonlocal_quadrature._engine_pair(1, sol.params.s, 1, d1.breaks,
-                                               nonlocal_quadrature._FINE)
+    for fast, oracle in ((morse._diagonal_series(d1, sol.params),
+                          bilinear_form(d1, d1, sol.params)),
+                         (morse._weak_energy(sol, d1),
+                          bilinear_form(v1, d1, sol.params))):
+        assert fast.error < oracle.value * 1e-4
+        assert abs(fast.value - oracle.value) <= 3.0 * (fast.error + oracle.error)
 
-    points = {}  # engine -> u' points evaluated inside its forms
-    forming = []
-    derivative = RadialProfile.derivative
-    form = nonlocal_quadrature.PairFormEngine.form
 
-    def recorded(self, r):
-        if forming:
-            points[forming[-1]] = points.get(forming[-1], 0) + np.size(r)
-        return derivative(self, r)
+def test_series_matches_the_oracle_at_the_n2_morse_point():
+    # E_{s,L}(d_1, d_1) at N = 2, s = 0.7, K = 12, p = 3: the value the
+    # N = 2 Monte-Carlo diagonal estimates
+    sol = _cubic_solution(2, 0.7, 12)
+    d1 = build_test_functions(sol)[0]
+    series = (morse._diagonal_series(d1, sol.params)
+              - linearized_potential_form(sol, d1, d1))
+    oracle = quadratic_form_L(sol, d1, d1)
+    assert abs(series.value - oracle.value) <= 3.0 * (series.error + oracle.error)
+    assert round(oracle.value, 1) == -803.2
 
-    def recorded_form(self, g, h=None):
-        forming.append(self)
-        try:
-            return form(self, g, h)
-        finally:
-            forming.pop()
 
-    monkeypatch.setattr(RadialProfile, "derivative", recorded)
-    monkeypatch.setattr(nonlocal_quadrature.PairFormEngine, "form", recorded_form)
-    monkeypatch.setattr(morse, "coarse_K", lambda K: None)
-    rep = run_test_function_checks(morse_n1)
-    assert rep.diag[1] == diag
-    assert rep.weak_defect[(1, 1)] == defect
-    assert set(points) == set(engines)
-    for eng in engines:
-        distinct = sum(width if shared is not None else rows.size * width
-                       for rows, width, _, _, shared in eng._pieces)
-        assert distinct < eng.n_pairs
-        assert points[eng] == 2 * (eng.r_out.size + distinct)
+@pytest.mark.parametrize("N,s,K", [(1, 0.75, 24), (2, 0.5, 16)])
+def test_series_error_covers_a_four_times_longer_sum(monkeypatch, N, s, K):
+    sol = _cubic_solution(N, s, K)
+    d1 = build_test_functions(sol)[0]
+    short = morse._diagonal_series(d1, sol.params)
+    # the longer sum needs moments of four times the degree, so four times
+    # the panels (unresolved moments trip the rate guard)
+    monkeypatch.setattr(morse, "_SERIES_TERMS", 4 * morse._SERIES_TERMS)
+    monkeypatch.setattr(morse, "_SERIES_PANELS", 4 * morse._SERIES_PANELS)
+    long = morse._diagonal_series(d1, sol.params)
+    assert long.error < short.error
+    assert abs(short.value - long.value) <= short.error
+
+
+@pytest.mark.parametrize("N,s,K", [(1, 0.9, 12), (2, 0.5, 16)])
+def test_series_moments_match_a_rule_with_twice_the_panels(monkeypatch, N, s, K):
+    sol = _cubic_solution(N, s, K)
+    d1 = build_test_functions(sol)[0]
+    spec = RadialBasisSpec(N + 2, s, morse._SERIES_TERMS)
+
+    def moments():
+        r, w = morse._series_rule(d1)
+        return jacobi_moments(spec.K, spec.alpha, spec.beta, 2.0 * r**2 - 1.0,
+                              w * d1.profile(r) * r**N)
+
+    m = moments()
+    monkeypatch.setattr(morse, "_SERIES_PANELS", 2 * morse._SERIES_PANELS)
+    m2 = moments()
+    assert np.abs(m - m2).max() <= 1e-12 * np.abs(m).max()
+
+
+@pytest.mark.parametrize("N,s", [(1, 0.75), (2, 0.6), (3, 0.9)])
+def test_series_is_exact_on_basis_functions_up_to_the_boundary(N, s):
+    # w/r = sum_n c_n phi_n in dimension N + 2 makes the series finite,
+    # E_s = angular_factor(N, 1) sum_n mu_n g_n c_n^2, and w ~ (1 - r)^s
+    # reaches r = 1, so the rule runs to the boundary without a support
+    # radius
+    spec = RadialBasisSpec(N + 2, s, 6)
+    c = np.array([0.3, -1.0, 0.5, 0.0, 0.2, -0.1])
+    prof = RadialProfile(spec, c)
+    fn = SeparableFunction(profile=lambda r: r * prof(r), angular="coordinate")
+    est = morse._diagonal_series(fn, ProblemParams(N, s))
+    exact = angular_factor(N, 1) * float(np.sum(c**2 * dyda_factor(spec)
+                                                * jacobi_norm_radial(spec)))
+    assert est.value == pytest.approx(exact, rel=1e-13)
+    assert est.error <= 1e-12 * exact
+
+
+def test_series_without_a_support_radius_integrates_zeros_beyond_it(cubic_n1):
+    # d_1 vanishes beyond its support radius, so the rule that runs on to
+    # r = 1 finds the same series
+    d1 = build_test_functions(cubic_n1[2])[0]
+    open_d1 = dataclasses.replace(d1, support_radius=None)
+    est = morse._diagonal_series(open_d1, cubic_n1[0])
+    want = morse._diagonal_series(d1, cubic_n1[0])
+    assert est.value == pytest.approx(want.value, rel=1e-14)
+    assert est.error == pytest.approx(want.error, rel=1e-8)
+
+
+def test_series_rate_guard_raises_when_the_tail_decays_off_rate(monkeypatch,
+                                                                 cubic_n1):
+    # terms that decay like M^{-(3-2s)} times M^{1/2}: the dyadic increments
+    # then fall by 2^{5/2-2s}, off 2^{3-2s} by far more than 10 %
+    d1 = build_test_functions(cubic_n1[2])[0]
+    params = cubic_n1[0]
+    morse._diagonal_series(d1, params)
+    dyda = morse.dyda_factor
+    monkeypatch.setattr(morse, "dyda_factor",
+                        lambda spec: dyda(spec) * np.sqrt(np.arange(1.0, spec.K + 1)))
+    with pytest.raises(TruncationUnsafe, match="series increments"):
+        morse._diagonal_series(d1, params)
+
+
+def test_jacobi_moments_equal_the_full_matrix_sums(rng):
+    x = rng.uniform(-1.0, 1.0, 300)
+    w = rng.standard_normal(300)
+    for K, a, b in ((1, 0.3, 0.5), (2, 0.3, 0.5), (40, 0.75, 1.5)):
+        want = jacobi_all(K, a, b, x) @ w
+        assert np.allclose(jacobi_moments(K, a, b, x, w), want,
+                           rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_test_function_checks_monte_carlo_smoke(morse_n2):

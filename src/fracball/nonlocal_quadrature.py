@@ -46,11 +46,12 @@ from .quadrature import (ValueWithError, graded_rule, jacobi_panel,
 
 _RATIO = 0.35
 _LEV_DIAG = 16  # geometric levels into the diagonal before the Jacobi panel
-# pairs per block of an engine's elementwise work: building, weighting and
-# scattering its pairs, and the inner nodes, profiles and products of form
-# and stiffness_gram.  An engine keeps only its float kw, 8 B per pair.
-# Only elementwise work is blocked: every sum is one np.dot over the full
-# pair arrays in their fixed order, so the block size changes no result
+# pairs per block of an engine's elementwise work: building and weighting
+# its pairs, and the inner nodes, profiles and products of form and
+# stiffness_gram, one contiguous slice of the pair arrays per block.  An
+# engine keeps only its float kw, 8 B per pair.  Only elementwise work is
+# blocked: every sum is one np.dot over the full pair arrays in their fixed
+# order, so the block size changes no result
 _FORM_BLOCK = 65_536
 # an engine holds at most this many pairs, and so fewer outer nodes than
 # its int32 idx can index
@@ -160,66 +161,70 @@ def _far_segment_rule(p, q, lev_p, lev_q, n):
                       graded_rule(mid, q, "right", lev_q, _RATIO, n))
 
 
-def _pair_pieces(r_out, pts, sing, s, n, lev):
-    """The engine's pairs in pieces (key, rows, width, columns, shared),
-    segment by segment.
+def _runs(r_out, pts, sing, s, n, lev):
+    """The engine's pairs in runs (lo, hi, width, columns), in pair order.
 
-    A piece holds width inner nodes for each outer node in rows.
-    columns(i), for outer nodes i taken from rows, returns their (rho,
-    |rho - r|, inner weights), one row of width nodes each (a column may
-    also be one row shared by all of them).  shared is a far-segment
-    piece's one rho row, which columns returns for every outer node, and
-    None for a gap piece.  Nothing pair-length is held until columns is
-    called.
+    A run is a stretch of consecutive outer nodes lo..hi-1 whose inner
+    nodes follow one layout, width per node.  The layout goes segment by
+    segment: (sgn, end) for each side of the segment holding the node,
+    whose gap rule steps from r toward end, and (p, q, lev_p, lev_q) for
+    every other segment.  columns(i), for outer nodes i of the run, returns
+    their (rho, |rho - r|, inner weights), each of shape (len(i), width).
+    A gap rule's |rho - r| is its own gap node delta, which keeps the
+    digits near the diagonal that rho - r has lost.  Nothing pair-length is
+    held until columns is called.
     """
-    pieces = []
-    for k, (p, q) in enumerate(zip(pts[:-1], pts[1:])):
-        inside = (p < r_out) & (r_out < q)
-        for j, (sgn, end) in enumerate(((1.0, q), (-1.0, p))):
-            def gap(i, sgn=sgn, end=end):
-                r = r_out[i, None]
-                delta, w = _gap_rule(np.abs(end - r[:, 0]), s, n, lev, end in sing)
-                return r + sgn * delta, delta, w
-            # a gap rule's node count does not depend on the gap
-            width = _gap_rule(np.ones(1), s, n, lev, end in sing)[0].shape[-1]
-            pieces.append((2 * k + j, np.flatnonzero(inside), width, gap, None))
-        far = np.flatnonzero(~inside)
-        levels = [_far_levels(r_out[i], p, q, lev, sing) for i in far]
-        for lp_lq in set(levels):
-            rho, w = _far_segment_rule(p, q, *lp_lq, n)
-            pieces.append((2 * k, far[[lv == lp_lq for lv in levels]], rho.size,
-                           lambda i, rho=rho, w=w: (rho, np.abs(rho - r_out[i, None]), w),
-                           rho))
-    return pieces
+    segments = list(zip(pts[:-1], pts[1:]))
+
+    def layout(r):
+        out = []
+        for p, q in segments:
+            if p < r < q:
+                out += [(1.0, q), (-1.0, p)]
+            else:
+                out.append((p, q, *_far_levels(r, p, q, lev, sing)))
+        return tuple(out)
+
+    runs, lo = [], 0
+    for parts, nodes in itertools.groupby(map(layout, r_out)):
+        def columns(i, parts=parts):
+            r = r_out[i, None]
+            cols = []
+            for part in parts:
+                if len(part) == 2:
+                    sgn, end = part
+                    delta, w = _gap_rule(np.abs(end - r[:, 0]), s, n, lev, end in sing)
+                    cols.append((r + sgn * delta, delta, w))
+                else:
+                    rho, w = _far_segment_rule(*part, n)
+                    h = np.abs(rho - r)
+                    cols.append((np.broadcast_to(rho, h.shape), h, np.broadcast_to(w, h.shape)))
+            return tuple(np.concatenate(c, axis=1) for c in zip(*cols))
+
+        hi = lo + len(list(nodes))
+        runs.append((lo, hi, columns(np.arange(lo, lo + 1))[0].shape[1], columns))
+        lo = hi
+    return runs
 
 
-def _pair_starts(pieces):
-    """Where each piece's rows start in the engine's pair order, and the
-    number of pairs.
+def _blocks(runs):
+    """The runs' outer nodes in blocks of about _FORM_BLOCK pairs: yields
+    (i, pairs, columns), the block's outer nodes, the slice of the pair
+    arrays they fill, one row of width pairs each, and their run's columns.
 
-    The order is outer node by outer node, and within one outer node by
-    key.  Raises EngineTooLarge above _MAX_PAIRS pairs, which also bounds
-    the int32 outer-node indices.
+    Raises EngineTooLarge above _MAX_PAIRS pairs, which also bounds the
+    int32 outer-node indices, before it yields anything.
     """
-    owner = np.concatenate([rows for _, rows, *_ in pieces])
-    key = np.concatenate([np.full(rows.size, k) for k, rows, *_ in pieces])
-    width = np.concatenate([np.full(rows.size, w) for _, rows, w, *_ in pieces])
-    total = int(width.sum())
+    total = sum((hi - lo) * width for lo, hi, width, _ in runs)
     if total > _MAX_PAIRS:
         raise EngineTooLarge(f"{total} pairs exceed the engine limit of {_MAX_PAIRS}")
-    order = np.lexsort((key, owner))
-    start = np.empty_like(width)
-    start[order] = np.cumsum(width[order]) - width[order]
-    return np.split(start, np.cumsum([rows.size for _, rows, *_ in pieces])[:-1]), total
-
-
-def _row_blocks(rows, width, start):
-    """A piece's outer nodes in blocks of about _FORM_BLOCK pairs: yields
-    (i, dst), the block's outer nodes and their pairs' positions, one row
-    of width positions per node."""
-    step = max(1, _FORM_BLOCK // width)
-    for lo in range(0, rows.size, step):
-        yield rows[lo:lo + step], start[lo:lo + step, None] + np.arange(width)
+    start = 0
+    for lo, hi, width, columns in runs:
+        step = max(1, _FORM_BLOCK // width)
+        for a in range(lo, hi, step):
+            i = np.arange(a, min(a + step, hi))
+            yield i, slice(start, start + i.size * width), columns
+            start += i.size * width
 
 
 def kdiff_total(N, s):
@@ -288,24 +293,21 @@ class PairFormEngine:
     on every pair of a basis's first functions at once.
 
     Pair i couples the outer node r_out[idx[i]] with the inner node rho[i].
-    The tables are built with arrays, segment by segment: the gap rules of
-    the outer nodes inside a segment come from one graded_rule call per
-    side and block, and a far-segment rule, which depends on the outer node
-    only through its two grading depths, is built once per depths and
-    shared.  The pairs are ordered outer node by outer node, then by
-    segment: form sums in that order, so the order fixes its floating-point
-    result.
+    The pairs are ordered outer node by outer node, then segment by segment
+    (_runs): form sums in that order, so the order fixes its floating-point
+    result.  Consecutive outer nodes whose inner nodes follow one layout
+    form a run, which fills one contiguous (rows, width) block of the pair
+    arrays.  With breaks = (), as in every engine the package builds, the
+    one segment [0, 1] holds every outer node, and the engine is one run of
+    two gap rules.
 
     Kept per pair: the float kw, 8 B.  idx and rho are functions of the
-    build's piece schedule, which is kept instead (each piece's outer
-    nodes, width, pair starts and columns, and a far piece's shared rho
-    row); the idx and rho properties rebuild them on each access.  form and
-    stiffness_gram walk the same schedule in the build's blocks of about
-    _FORM_BLOCK pairs: a gap piece's inner nodes are regenerated by its
-    columns, row for row the nodes the build weighted, and a far piece's
-    profile values are taken once on its shared row and broadcast over its
-    outer nodes.  Each product is scattered to its pair's position, so every
-    sum is one np.dot over the full pair arrays in the fixed order.
+    runs, which are kept instead; the idx and rho properties rebuild them
+    on each access.  The build, form and stiffness_gram walk the runs in
+    blocks of about _FORM_BLOCK pairs (_blocks), each a contiguous slice of
+    the pair arrays, and a block's inner nodes are regenerated by its run's
+    columns, row for row the nodes the build weighted.  Every sum is one
+    np.dot over the full pair arrays in the fixed order.
     """
 
     def __init__(self, N, s, ell, breaks, n, lev):
@@ -317,22 +319,21 @@ class PairFormEngine:
         mpow = N - 1
         self.r_out, self.w_out = segment_rule(pts, n, grade=sing, levels=lev,
                                               ratio=_RATIO)
-        pieces = _pair_pieces(self.r_out, pts, sing, s, n, lev)
-        starts, total = _pair_starts(pieces)
-        self._pieces = [(rows, width, start, columns, shared)
-                        for (_, rows, width, columns, shared), start in zip(pieces, starts)]
+        self._runs = _runs(self.r_out, pts, sing, s, n, lev)
+        # listing the blocks raises EngineTooLarge before kw is allocated;
+        # the last block ends at the pair count
+        blocks = list(_blocks(self._runs))
         # kw = w_out[idx] * win * kappa * (r rho)^{N-1}, over the inner
         # weights win
-        self.kw = np.empty(total)
-        for rows, width, start, columns, _ in self._pieces:
-            for i, dst in _row_blocks(rows, width, start):
-                rho, h, win = columns(i)
-                r = self.r_out[i, None]
-                kw = self.w_out[i, None] * win
-                kw *= kappa_ell(r, rho, h, N, s, ell)
-                if mpow:
-                    kw *= (r * rho) ** mpow
-                self.kw[dst] = kw
+        self.kw = np.empty(blocks[-1][1].stop)
+        for i, pairs, columns in blocks:
+            rho, h, win = columns(i)
+            r = self.r_out[i, None]
+            kw = self.w_out[i, None] * win
+            kw *= kappa_ell(r, rho, h, N, s, ell)
+            if mpow:
+                kw *= (r * rho) ** mpow
+            self.kw[pairs] = kw.ravel()
         # diagonal tail weights (per unit kernel constant)
         tail = exterior_tail(self.r_out, N, s, ell=ell)
         if ell == 1:
@@ -348,38 +349,26 @@ class PairFormEngine:
     def idx(self):
         """Each pair's outer node (int32), rebuilt on each access and not
         kept."""
-        idx = np.empty(self.n_pairs, dtype=np.int32)
-        for rows, width, start, _, _ in self._pieces:
-            for i, dst in _row_blocks(rows, width, start):
-                idx[dst] = i[:, None]
-        return idx
+        return np.concatenate([np.repeat(np.arange(lo, hi, dtype=np.int32), width)
+                               for lo, hi, width, _ in self._runs])
 
     @property
     def rho(self):
         """Each pair's inner node, rebuilt on each access and not kept."""
-        rho = np.empty(self.n_pairs)
-        for _, dst, nodes in self._inner(lambda x: x):
-            rho[dst] = nodes
-        return rho
+        return np.concatenate([columns(i)[0].ravel()
+                               for i, _, columns in _blocks(self._runs)])
 
     def _inner(self, fn):
-        """fn at the inner nodes, block by block of the build's schedule.
+        """fn at the inner nodes, block by block (_blocks).
 
         fn maps 1-D nodes to an array whose last axis runs over them.
-        Yields (i, dst, vals) per block of outer nodes i with pair
-        positions dst: vals has shape (..., len(i), width) for a gap piece,
-        and (..., 1, width) for a far piece, whose shared row fn evaluates
-        once for all its blocks.
+        Yields (i, pairs, vals) per block of outer nodes i filling the pair
+        slice pairs, with vals of shape (..., len(i), width).
         """
-        for rows, width, start, columns, shared in self._pieces:
-            if shared is not None:
-                vals = fn(shared)[..., None, :]
-            for i, dst in _row_blocks(rows, width, start):
-                if shared is None:
-                    rho = columns(i)[0]
-                    vals = fn(rho.ravel())
-                    vals = vals.reshape(vals.shape[:-1] + rho.shape)
-                yield i, dst, vals
+        for i, pairs, columns in _blocks(self._runs):
+            rho = columns(i)[0]
+            vals = fn(rho.ravel())
+            yield i, pairs, vals.reshape(vals.shape[:-1] + rho.shape)
 
     def _sum(self, g_out, h_out, prod):
         """The form from the profiles at the outer nodes and the pair
@@ -390,8 +379,8 @@ class PairFormEngine:
     def form(self, g, h=None):
         """Reduced bilinear form of two radial profiles (h defaults to g).
 
-        The profiles are evaluated at the inner nodes block by block (a far
-        piece's shared row once), into one pair-length product array.
+        The profiles are evaluated at the inner nodes block by block, into
+        one pair-length product array.
         """
         g_out = np.asarray(g(self.r_out), dtype=float)
         same = h is None or h is g
@@ -405,9 +394,9 @@ class PairFormEngine:
 
         out = np.stack((g_out,) if same else (g_out, h_out))
         prod = np.empty_like(self.kw)
-        for i, dst, vals in self._inner(inner):
+        for i, pairs, vals in self._inner(inner):
             d = out[:, i, None] - vals
-            prod[dst] = d[0] * d[-1]
+            prod[pairs] = (d[0] * d[-1]).ravel()
         return self._sum(g_out, h_out, prod)
 
     def stiffness_gram(self, spec):
@@ -422,8 +411,8 @@ class PairFormEngine:
         if spec not in self._grams:
             phi = basis_matrix(spec, self.r_out)
             D = np.empty((spec.K, self.n_pairs))
-            for i, dst, vals in self._inner(lambda rho: basis_matrix(spec, rho)):
-                D[:, dst] = phi[:, i, None] - vals
+            for i, pairs, vals in self._inner(lambda rho: basis_matrix(spec, rho)):
+                D[:, pairs] = (phi[:, i, None] - vals).reshape(spec.K, -1)
             gram = np.empty((spec.K, spec.K))
             for m, n in itertools.combinations_with_replacement(range(spec.K), 2):
                 gram[m, n] = gram[n, m] = self._sum(phi[m], phi[n], D[m] * D[n])

@@ -157,7 +157,7 @@ def _full_array_form(eng, g, h=None):
 def _assert_forms_equal_full_arrays(eng, spec):
     """form and stiffness_gram equal the full-array expressions over the
     materialised idx and rho.  g and h are elementwise,
-    so only the engine's blocks and shared rows vary."""
+    so only the engine's blocks vary."""
     def g(r):
         return np.where(r < 1.0, np.abs(1.0 - r**2) ** 0.9 * np.cos(7.0 * r), 0.0)
 
@@ -189,11 +189,11 @@ def test_blocked_forms_equal_the_full_array_expressions():
 
 def test_far_pieces_of_several_depths_equal_the_full_array_expressions():
     # two breaks at ladder position 2 (1.75M pairs): the outer nodes far
-    # from a segment reach it at several pairs of grading depths, so each
-    # segment has several far pieces, each with its own shared row
+    # from a segment reach it at several pairs of grading depths, so the
+    # outer nodes of each segment fall into several runs
     eng = nq.PairFormEngine(3, 0.45, 0, BREAKS, *nq._LADDER[2])
     segments = len(kink_points(BREAKS)) - 1
-    assert sum(shared is not None for *_, shared in eng._pieces) > 2 * segments
+    assert len(eng._runs) > 2 * segments
     _assert_forms_equal_full_arrays(eng, RadialBasisSpec(3, 0.45, 4))
 
 
@@ -203,7 +203,32 @@ def test_too_many_pairs_raise_before_allocating():
         raise AssertionError("columns built")
 
     with pytest.raises(EngineTooLarge):
-        nq._pair_starts([(0, np.arange(2), 2**30 + 1, columns)])
+        next(nq._blocks([(0, 2, 2**30 + 1, columns)]))
+
+
+@pytest.mark.parametrize("N,s,ell,breaks,pos", [
+    (2, 0.6, 0, (), 2),
+    (1, 0.7, 1, (), 1),
+    (3, 0.45, 0, BREAKS, 1),
+])
+def test_blocks_tile_the_pairs_in_order(N, s, ell, breaks, pos):
+    eng = nq.PairFormEngine(N, s, ell, breaks, *nq._LADDER[pos])
+    stop = 0
+    for i, pairs, columns in nq._blocks(eng._runs):
+        assert pairs.start == stop
+        assert pairs.stop - pairs.start == i.size * columns(i)[0].shape[1]
+        stop = pairs.stop
+    assert stop == eng.n_pairs
+    assert np.all(np.diff(eng.idx) >= 0)
+    if not breaks:
+        # the one segment [0, 1] holds every outer node: one run of the two
+        # gap rules toward 1 (graded at its far end) and toward 0 (graded
+        # there only at ell = 1)
+        n, lev = nq._LADDER[pos]
+        (lo, hi, width, _), = eng._runs
+        assert (lo, hi) == (0, eng.r_out.size)
+        assert width == sum(nq._gap_rule(np.ones(1), s, n, lev, far_sing)[0].shape[-1]
+                            for far_sing in (True, ell == 1))
 
 
 def _numpy_traced():
@@ -217,16 +242,16 @@ def _numpy_traced():
 
 
 # What an engine keeps: 8 B per pair (kw) plus the per-outer-node arrays
-# and the piece schedule.  Measured with NumPy 2 and one BLAS thread on the
-# engine below (1.16M pairs, 920 outer nodes, 16 pieces): 8 B per pair plus
-# 217 kB, against 20 B per pair when idx and rho were kept.
+# and the runs.  Measured with NumPy 2 and one BLAS thread on the engine
+# below (1.16M pairs, 920 outer nodes, 12 runs): 8 B per pair plus 55 kB,
+# against 20 B per pair when idx and rho were kept.
 _KEPT_PER_PAIR = 8
 _KEPT_PER_NODE = 256
-_KEPT_PER_PIECE = 16_384
+_KEPT_PER_RUN = 16_384
 # Transient allocations on top of what the engine keeps, in bytes per pair
-# and per pair of a _FORM_BLOCK block.  Measured as above: 5.0 B per pair
+# and per pair of a _FORM_BLOCK block.  Measured as above: 4.6 B per pair
 # for the build, and for the one-profile form its product array (8 B per
-# pair) plus 5.6 MB, 86 B per block pair.
+# pair) plus 4.6 MB, 70 B per block pair.
 _BUILD_EXTRA = 8
 _FORM_EXTRA = 8
 _FORM_EXTRA_PER_BLOCK_PAIR = 128
@@ -254,7 +279,7 @@ def test_engine_build_and_form_memory_stay_bounded():
     assert pairs > 1_100_000
     # no pair-length array besides kw outlives the build
     assert kept <= (_KEPT_PER_PAIR * pairs + _KEPT_PER_NODE * eng.r_out.size
-                    + _KEPT_PER_PIECE * len(eng._pieces))
+                    + _KEPT_PER_RUN * len(eng._runs))
     assert build_peak - after <= _BUILD_EXTRA * pairs
     assert form_peak - after <= (_FORM_EXTRA * pairs
                                  + _FORM_EXTRA_PER_BLOCK_PAIR * nq._FORM_BLOCK)

@@ -7,8 +7,11 @@ The basis in effective dimension d is
 extended by zero outside [0, 1).  The fractional Laplacian maps phi_n to
 mu_n P_n^{(s, d/2-1)}(2 r^2 - 1) inside the ball, which makes the Dirichlet
 stiffness matrix diagonal in this basis by Jacobi orthogonality.  This module
-holds the closed forms only; nonlocal_quadrature checks them against the
-singular-kernel oracle where a sector is built.
+holds the closed forms, and galerkin_rule, the one quadrature for the
+integrals of a radial function against phi_m phi_n: their degree grows with
+K, so its Gauss order does too, and the Newton solve and the potential of
+the linearization both use it.  nonlocal_quadrature checks the closed forms
+against the singular-kernel oracle where a sector is built.
 """
 
 from dataclasses import dataclass
@@ -188,13 +191,25 @@ def mass_matrix(spec):
     return scale * (P * w[None, :]) @ P.T
 
 
-def radial_weighted_integrals(spec, fn, breaks=()):
-    """Matrix int_0^1 fn(r) phi_m phi_n r^{d-1} dr with panels split at breaks.
+def galerkin_rule(K, breaks):
+    """The composite Gauss rule (r, w) on [0, 1] for the Galerkin integrals
+    int G(r) phi_m phi_n r^{d-1} dr at truncation K (r^{d-1} not folded in).
 
     Panels are geometrically graded toward r = 1 and toward every interior
-    break (kinks of fn, e.g. roots of a solution inside |.|^{p-2}).
+    break (kinks of G, e.g. roots of a solution inside |.|^{p-2}).  The
+    Newton solve's load and Jacobian and the linearization's potential
+    matrix all integrate on it, so at ell = 0 |S^{N-1}| times that matrix is
+    the converged Newton Jacobian up to rounding.
     """
-    r, w = kink_rule(breaks, 14, 20, 0.3)
+    # panel order tracks the basis degree: phi_m phi_n is a polynomial of
+    # degree about 4K in r, so a fixed order under-resolves the high modes
+    # and spurious negative eigenvalues of L appear as K grows
+    return kink_rule(breaks, max(12, K + 4), 18, 0.3)
+
+
+def radial_weighted_integrals(spec, fn, breaks=()):
+    """Matrix int_0^1 fn(r) phi_m phi_n r^{d-1} dr on galerkin_rule(K, breaks)."""
+    r, w = galerkin_rule(spec.K, breaks)
     V = np.asarray(fn(r), dtype=float)
     if not np.all(np.isfinite(V)):
         raise PotentialUnbounded("potential evaluated to a non-finite value")

@@ -204,7 +204,7 @@ def cmd_morse(cfg):
         records.append(make_record("morse", inputs, payload))
         if params.N <= 2 and not sol.linear_degenerate and sol.nodal_count:
             try:
-                tfr = test_function_checks(rep, seed=cfg.seed or 20240824)
+                tfr = test_function_checks(rep, seed=cfg.seed)
                 tf_payload = {
                     "method": tfr.method,
                     "sign-convention": tfr.sign_convention,

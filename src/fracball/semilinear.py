@@ -2,7 +2,10 @@
 
 Newton iteration on the Galerkin residual in the weighted Jacobi basis, with
 the initial guess seeded by the appropriately scaled radial eigenfunction of
-the linear problem (amplitude continuation).  Alongside the solver live the
+the linear problem (amplitude continuation).  The load and the Jacobian
+integrate on basis.galerkin_rule, whose Gauss order grows with K because
+the products phi_m phi_n do; the linearization of morse integrates its
+potential on the same rule.  Alongside the solver live the
 scalar diagnostics: the subcriticality inequality, the Pohozaev identity for
 the boundary ratio, the energy functional, and psi0(1) itself.
 """
@@ -14,7 +17,8 @@ from math import gamma, inf, isfinite
 import numpy as np
 
 from .basis import (RadialBasisSpec, RadialProfile, assemble_radial_operator,
-                    basis_matrix, generalized_eigh, stiffness_matrix)
+                    basis_matrix, galerkin_rule, generalized_eigh,
+                    stiffness_matrix)
 from .errors import (NoConvergence, NotConverged, TrivialSolution,
                      WrongNodalCount)
 from .nonlocal_quadrature import stiffness_oracle_gate
@@ -98,14 +102,12 @@ class RadialSolution:
 
 
 def _interior_rule(spec, breaks):
-    """Composite Gauss rule for int_0^1 G(r) r^{d-1} dr, graded toward the
-    boundary and split at the profile's sign-change radii (where |u|^{p-2}
-    factors lose smoothness).  Shared by the load vector, the Newton
-    Jacobian, and the energy so the discrete gradient is exactly consistent.
-    The r^{d-1} factor is folded into the weights.
+    """basis.galerkin_rule at the profile's sign-change radii, with the
+    r^{d-1} factor folded into the weights.  Shared by the load vector, the
+    Newton Jacobian, and the energy so the discrete gradient is exactly
+    consistent.
     """
-    # panel order tracks the basis degree (~2K) so high modes stay resolved
-    r, w = kink_rule(breaks, max(12, spec.K + 4), 18, 0.3)
+    r, w = galerkin_rule(spec.K, breaks)
     return r, w * r ** (spec.d - 1)
 
 
@@ -300,9 +302,10 @@ def pohozaev_residual(sol):
     """Both sides of the boundary-ratio identity
     psi0(1)^2 = (1/(|S^{N-1}| Gamma(1+s)^2)) int_B [(2s-N) u f(u) + 2N F(u)].
 
-    The volume integral is evaluated on an independent kink-aware graded
-    rule, not the solver's internal grid.  Returns (lhs, rhs, relative
-    residual).
+    The volume integral is evaluated on its own kink-aware graded rule, not
+    on basis.galerkin_rule: this identity is the certificate that does not
+    depend on the solver, so it shares none of the solver's quadrature.
+    Returns (lhs, rhs, relative residual).
     """
     if sol.residual > NEWTON_TOL and not sol.linear_degenerate:
         raise NotConverged(

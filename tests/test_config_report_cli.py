@@ -358,6 +358,27 @@ def test_cli_morse_testfn_failure_is_a_testfn_row():
     assert records[1]["payload"]["error"] == "DimensionUnsupported"
 
 
+def test_cli_morse_passes_each_seed_to_the_test_function_checks(monkeypatch):
+    # seed 0 must not stand in for the default stream of test_function_checks
+    from fracball import morse
+
+    seen = []
+    checks = morse.test_function_checks
+
+    def recorded(rep, seed):
+        seen.append(seed)
+        return checks(rep, seed=seed)
+
+    monkeypatch.setattr(morse, "test_function_checks", recorded)
+    for seed in (0, 20240824):
+        cfg = CampaignConfig(grid_N=[1], grid_s=[0.9],
+                             grid_nonlinearity=["power(1.0, 3.0)"], trunc_K=12,
+                             seed=seed)
+        records, _, _ = cli.cmd_morse(cfg)
+        assert [r["kind"] for r in records] == ["morse", "testfn"]
+    assert seen == [0, 20240824]
+
+
 def test_cli_morse_without_nodes_writes_no_testfn_record(tmp_path):
     # the test functions of a solution without sign change vanish, and the
     # theorem does not apply to it

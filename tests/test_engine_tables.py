@@ -283,3 +283,42 @@ def test_engine_build_and_form_memory_stay_bounded():
     assert build_peak - after <= _BUILD_EXTRA * pairs
     assert form_peak - after <= (_FORM_EXTRA * pairs
                                  + _FORM_EXTRA_PER_BLOCK_PAIR * nq._FORM_BLOCK)
+
+
+# Transient allocations of a gate engine (breaks = ()) on top of what it
+# keeps: a per-pair part and a per-block part that its _FORM_BLOCK blocks
+# bound.  Measured with NumPy 2 and one BLAS thread on gate engines at
+# N = 2, ell = 1: the build allocates 10.1 MB beyond what it keeps at
+# ladder position 2 (368k pairs, 27.5 B per pair) and 11.4 MB at position 3
+# (803k pairs), which is 3.0 B per pair plus 138 B per block pair.  The one
+# form stays within the break engine's _FORM_EXTRA bounds: 8 B per pair
+# plus 71 B per block pair.
+_GATE_BUILD_EXTRA = 6
+_GATE_BUILD_EXTRA_PER_BLOCK_PAIR = 240
+
+
+def test_gate_engine_build_and_form_memory_stay_bounded():
+    # the N = 2, ell = 1 engine of linearized_block_gate at ladder position
+    # 2, and one form of its trial profile r * phi_0(r) in dimension 4
+    if not _numpy_traced():
+        pytest.skip("tracemalloc does not see NumPy's array allocations")
+    phi0 = RadialProfile(RadialBasisSpec(4, 0.7, 12), np.eye(12)[0])
+
+    def trial(r):
+        return np.asarray(r) * np.asarray(phi0(r))
+
+    tracemalloc.start()
+    try:
+        eng = nq.PairFormEngine(2, 0.7, 1, (), *nq._LADDER[2])
+        after, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        eng.form(trial)
+        form_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = eng.n_pairs
+    assert 360_000 < pairs < 380_000
+    assert build_peak - after <= (_GATE_BUILD_EXTRA * pairs
+                                  + _GATE_BUILD_EXTRA_PER_BLOCK_PAIR * nq._FORM_BLOCK)
+    assert form_peak - after <= (_FORM_EXTRA * pairs
+                                 + _FORM_EXTRA_PER_BLOCK_PAIR * nq._FORM_BLOCK)

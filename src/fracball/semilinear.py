@@ -3,8 +3,12 @@
 Newton iteration on the Galerkin residual in the weighted Jacobi basis, with
 the initial guess seeded by the appropriately scaled radial eigenfunction of
 the linear problem (amplitude continuation).  The load and the Jacobian
-integrate on basis.galerkin_rule, whose Gauss order grows with K because
-the products phi_m phi_n do; the linearization of morse integrates its
+integrate on basis.galerkin_rule, whose panels are graded toward r = 1 and
+toward the profile's roots; a panel of width h gets
+min(max(12, K + 4), ceil(1.6 K sqrt(h)) + 12) Gauss nodes, because
+phi_m phi_n oscillates about K sqrt(h) times across a graded panel of width
+h near r = 1, and 12 nodes resolve the kink of |u|^{p-2} on every panel of
+the grading toward a root.  The linearization of morse integrates its
 potential on the same rule.  Alongside the solver live the
 scalar diagnostics: the subcriticality inequality, the Pohozaev identity for
 the boundary ratio, the energy functional, and psi0(1) itself.
@@ -199,21 +203,25 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
         residual norm.
         """
         it = 0
-        res_norm = np.inf
-        for _ in range(MAX_ITER):
-            R = A0 @ c - _load(nl, phi, w, c, ang)
-            res_norm = float(np.linalg.norm(R))
-            if res_norm < tol:
-                return c, res_norm, it
+        R = A0 @ c - _load(nl, phi, w, c, ang)
+        res_norm = float(np.linalg.norm(R))
+        while not res_norm < tol:  # a NaN residual goes on to stall
+            if it == MAX_ITER:
+                raise NoConvergence(
+                    f"Newton residual {res_norm:.2e} after {MAX_ITER} "
+                    f"iterations (tol {tol:g}, p={nl.p:g})"
+                )
             it += 1
             step = np.linalg.solve(A0 - _jacobian(nl, phi, w, c, ang), R)
             # backtracking damping on the residual norm; a direction that no
-            # damping makes a descent is a stall, not a step
+            # damping makes a descent is a stall, not a step.  The accepted
+            # trial's residual is the next iteration's.
             lam_step = 1.0
             for _ in range(30):
                 c_try = c - lam_step * step
-                load_t = _load(nl, phi, w, c_try, ang)
-                if float(np.linalg.norm(A0 @ c_try - load_t)) < res_norm:
+                R_try = A0 @ c_try - _load(nl, phi, w, c_try, ang)
+                norm_try = float(np.linalg.norm(R_try))
+                if norm_try < res_norm:
                     break
                 lam_step *= 0.5
             else:
@@ -221,11 +229,8 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
                     f"Newton line search stalled at residual {res_norm:.2e} "
                     f"in iteration {it} (tol {tol:g}, p={nl.p:g})"
                 )
-            c = c_try
-        raise NoConvergence(
-            f"Newton residual {res_norm:.2e} after {MAX_ITER} iterations "
-            f"(tol {tol:g}, p={nl.p:g})"
-        )
+            c, R, res_norm = c_try, R_try, norm_try
+        return c, res_norm, it
 
     # the quadrature splits at the profile's sign-change radii, which are not
     # known until convergence: converge on the seed's breaks, then refresh the
@@ -248,12 +253,16 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
         # their stopping test must scale with the equation
         tol_step = NEWTON_TOL if nl_step is nonlin else max(
             NEWTON_TOL, 1e-9 * (1.0 + float(np.linalg.norm(A0 @ c))))
-        for _phase in range(4):
+        for phase in range(4):
             r, w = _interior_rule(spec, breaks)
             phi = basis_matrix(spec, r)
             c, res_norm, it = newton_phase(nl_step, c, tol_step, w, phi)
             total_it += it
-            new_breaks = tuple(RadialProfile(spec, c).sign_change_radii())
+            if phase and not it:
+                # no step: c is the profile whose roots the rule split at
+                new_breaks = breaks
+            else:
+                new_breaks = tuple(RadialProfile(spec, c).sign_change_radii())
             if len(new_breaks) == len(breaks) and (
                 not breaks
                 or max(abs(a - b) for a, b in zip(new_breaks, breaks)) < 1e-11

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from fracball.basis import (RadialBasisSpec, RadialOperatorPair,
                             RadialProfile, assemble_radial_operator,
-                            basis_matrix, dyda_factor, generalized_eigh,
-                            jacobi_all, jacobi_at_one, jacobi_deriv_all,
-                            mass_matrix, radial_weighted_integrals,
-                            solve_radial_eigs, stiffness_matrix)
+                            basis_matrix, dyda_factor, galerkin_rule,
+                            generalized_eigh, jacobi_all, jacobi_at_one,
+                            jacobi_deriv_all, mass_matrix,
+                            radial_weighted_integrals, solve_radial_eigs,
+                            stiffness_matrix)
 from fracball.errors import MassNotPD, PotentialUnbounded
 from fracball.nonlocal_quadrature import stiffness_oracle_gate
+from fracball.params import sphere_area
+from fracball.quadrature import kink_panels, kink_rule
 
 
 def test_stiffness_is_positive_diagonal():
@@ -70,6 +73,36 @@ def test_constant_potential_shifts_eigenvalues_exactly():
     shifted = solve_radial_eigs(
         assemble_radial_operator(spec, potential=lambda r: shift * np.ones_like(r)))
     assert np.allclose(shifted.eigenvalues, base.eigenvalues - shift, atol=1e-9)
+
+
+@pytest.mark.parametrize("K,breaks", [(48, ()), (48, (0.5,)), (192, ())])
+def test_galerkin_rule_caps_each_panel_at_the_fixed_order(K, breaks):
+    # kink_rule's panels, each with its own Gauss order: none above the
+    # K + 4 the fixed law gave every panel, and the widest panel at it
+    lo, hi = kink_panels(breaks, 18, 0.3)
+    r, w = galerkin_rule(K, breaks)
+    per_panel = np.diff(np.searchsorted(r, np.append(lo, hi[-1])))
+    assert per_panel.sum() == r.size
+    assert per_panel.max() == per_panel[np.argmax(hi - lo)] == max(12, K + 4)
+
+
+@pytest.mark.parametrize("K,share", [(48, 3), (192, 6)])
+@pytest.mark.parametrize("b", [0.3, 0.5, 0.7])
+def test_galerkin_rule_needs_a_fraction_of_the_fixed_law(K, share, b):
+    fixed = kink_rule((b,), max(12, K + 4), 18, 0.3)
+    assert share * galerkin_rule(K, (b,)).nodes.size <= fixed.nodes.size
+
+
+@pytest.mark.parametrize("d,s", [(1, 0.2), (3, 0.9), (5, 0.5)])
+def test_galerkin_rule_integrates_the_mass_matrix(d, s):
+    # the exact Gauss-Jacobi mass matrix; measured at most 1.3e-12 of its
+    # largest entry (d = 1, s = 0.2), as on the fixed law's rule
+    spec = RadialBasisSpec(d, s, 192)
+    r, w = galerkin_rule(spec.K, (0.5,))
+    phi = basis_matrix(spec, r)
+    B = sphere_area(d) * (phi * (w * r ** (d - 1))[None, :]) @ phi.T
+    exact = mass_matrix(spec)
+    assert np.abs(B - exact).max() <= 1e-11 * np.abs(exact).max()
 
 
 def test_assembly_oracle_gate_passes():

@@ -140,6 +140,25 @@ def test_engines_keyed_by_exact_breaks():
     assert second.form(g) != first.form(g)
 
 
+def test_engine_memo_keeps_the_64_most_recently_used():
+    assert nq._engine.cache_info().maxsize == 64
+    keys = [(1, 0.3 + 1e-3 * i, 0, (), 5, 10) for i in range(65)]
+    nq._engine.cache_clear()
+    try:
+        first = nq.get_engine(*keys[0])
+        for key in keys[1:64]:
+            nq.get_engine(*key)
+        assert nq.get_engine(*keys[0]) is first  # now the most recent
+        nq.get_engine(*keys[64])  # evicts keys[1], the least recently used
+        info = nq._engine.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 65, 64)
+        assert nq.get_engine(*keys[0]) is first
+        nq.get_engine(*keys[1])
+        assert nq._engine.cache_info().misses == 66
+    finally:
+        nq._engine.cache_clear()
+
+
 def _full_array_form(eng, g, h=None):
     """form as one expression over the whole pair arrays (no blocks)."""
     g_out = np.asarray(g(eng.r_out), dtype=float)

@@ -102,12 +102,17 @@ def test_morse_count_does_not_grow_with_K():
     assert counts == [(3, 0)] * 3
 
 
-def test_potential_matrix_matches_a_rule_with_twice_the_nodes():
-    # measured: 3.5e-15 (ell = 0) and 4.2e-15 (ell = 1) of the largest
-    # entry; a fixed 14-node rule misses by 3.0e-2 and 5.4e-2
-    *_, sol = _warm_ladder(ProblemParams(2, 0.5), NonlinearitySpec(1.0, 3.0),
-                           (48, 96, 192))
-    K = sol.spec.K
+@pytest.mark.parametrize("K", [48, 192])
+@pytest.mark.parametrize("s", [0.2, 0.6, 0.9])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_potential_matrix_matches_a_rule_with_twice_the_nodes(N, s, K):
+    # measured at most 2.0e-14 of the largest entry; a fixed 14-node rule
+    # misses by 3.0e-2 at N = 2, s = 0.5, K = 192.  p = 3 is supercritical
+    # at s = 0.2 for N = 2 and 3, and p = 2.1 puts the sharpest kink,
+    # |u|^0.1, at the break.
+    nonlin = NonlinearitySpec(1.0, 2.1 if s == 0.2 else 3.0)
+    Ks = (48,) if K == 48 else (48, 96, 192)
+    *_, sol = _warm_ladder(ProblemParams(N, s), nonlin, Ks)
     r, w = kink_rule(sol.breaks, 2 * (K + 4), 18, 0.3)
     pot = sol.linearized_potential(r)
     for ell in (0, 1):

@@ -13,6 +13,7 @@ from fracball.basis import (basis_matrix, radial_weighted_integrals,
 from fracball.errors import (NoConvergence, NotConverged, TrivialSolution,
                              TruncationUnsafe, WrongNodalCount)
 from fracball.params import ProblemParams, sphere_area
+from fracball.quadrature import kink_rule
 from fracball.semilinear import (NonlinearitySpec, check_subcriticality,
                                  energy, energy_gradient, pohozaev_residual,
                                  solve_radial_resolved,
@@ -186,6 +187,23 @@ def test_radial_potential_matrix_is_the_newton_jacobian(N, s, K):
     M = ang * radial_weighted_integrals(sol.spec, sol.linearized_potential,
                                         sol.breaks)
     assert np.abs(M - jac).max() <= 1e-12 * np.abs(jac).max()
+
+
+@pytest.mark.parametrize("N,s,K", [(1, 0.35, 48), (3, 0.6, 24), (2, 0.7, 192)])
+def test_solution_matches_the_rule_with_the_full_order_on_every_panel(
+        monkeypatch, N, s, K):
+    # galerkin_rule's per-panel orders against max(12, K + 4) nodes on every
+    # panel; measured at most 4.0e-12 apart in coefficients and 8.6e-12 in
+    # breaks, relative
+    args = (ProblemParams(N, s), NonlinearitySpec(1.0, 3.0))
+    sol = solve_radial_sign_changing(*args, target_nodes=1, K=K)
+    monkeypatch.setattr(semilinear, "galerkin_rule", lambda K, breaks:
+                        kink_rule(breaks, max(12, K + 4), 18, 0.3))
+    full = solve_radial_sign_changing(*args, target_nodes=1, K=K)
+    assert sol.nodal_count == full.nodal_count == 1
+    c, c0 = sol.coefficients, full.coefficients
+    assert np.abs(c - c0).max() <= 1e-10 * np.abs(c0).max()
+    assert abs(sol.breaks[0] - full.breaks[0]) <= 1e-10 * full.breaks[0]
 
 
 def test_energy_negative_direction_exists(cubic_n2):

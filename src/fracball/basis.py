@@ -139,14 +139,19 @@ def jacobi_at_one(K, a):
     return np.exp(gammaln(n + a + 1.0) - gammaln(a + 1.0) - gammaln(n + 1.0))
 
 
+def boundary_weight(s, r):
+    """(1 - r^2)^s on [0, 1) and 0 from r = 1 on, at the array r: phi_0,
+    and the factor every phi_n carries."""
+    return np.where(r < 1.0, np.abs(1.0 - r**2) ** s, 0.0)
+
+
 def basis_matrix(spec, r):
     """phi_n(r) for all n < K, shape (K, len(r)); zero outside [0, 1)."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    inside = r < 1.0
     t = 2.0 * r**2 - 1.0
     P = jacobi_all(spec.K, spec.alpha, spec.beta, t)
-    w = np.where(inside, np.abs(1.0 - r**2) ** spec.s, 0.0)
-    return P * w[None, :]
+    P *= boundary_weight(spec.s, r)
+    return P
 
 
 def dyda_factor(spec):
@@ -378,8 +383,7 @@ class RadialProfile:
         return _in_blocks(self._values, r)
 
     def _values(self, r):
-        out = np.where(r < 1.0, np.abs(1.0 - r**2) ** self.spec.s, 0.0)
-        return out * self._poly_part(r)
+        return boundary_weight(self.spec.s, r) * self._poly_part(r)
 
     def derivative(self, r):
         """u'(r) on [0, 1) via the factored form
@@ -405,5 +409,21 @@ class RadialProfile:
     def sign_change_radii(self):
         """Radii in (0, 1) where the polynomial factor changes sign, found by
         a scan of 2048 cells and Brent's method."""
-        return scan_roots(self.poly_part, self.poly_at,
-                          np.linspace(0.0, 1.0, 2049))
+        return RootScan(self.spec)(self)
+
+
+class RootScan:
+    """RadialProfile.sign_change_radii for the profiles of one spec, with
+    the scan's (K, 2049) Jacobi table built once: a Newton solve scans the
+    roots of every iterate it refreshes its rule at."""
+
+    def __init__(self, spec):
+        self.grid = np.linspace(0.0, 1.0, 2049)
+        self.table = jacobi_all(spec.K, spec.alpha, spec.beta,
+                                2.0 * self.grid**2 - 1.0)
+
+    def __call__(self, prof):
+        """The sign-change radii of prof's polynomial factor.  Its values on
+        the grid are prof.coeffs @ table, the product poly_part forms, so
+        they are poly_part's bit for bit; Brent refines on prof.poly_at."""
+        return scan_roots(prof.coeffs @ self.table, prof.poly_at, self.grid)

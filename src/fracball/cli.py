@@ -10,6 +10,7 @@ UTF-8 and a report that cannot be written, 2 = acceptance-suite failure
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -17,8 +18,7 @@ import time
 from .config import format_nonlinearity, load_config
 from .errors import FracballError
 from .params import ProblemParams
-from .report import (config_hash, make_document, make_record,
-                     write_csv, write_json)
+from .report import make_document, make_record, write_csv, write_json
 
 
 def _with_overrides(cfg, args):
@@ -251,7 +251,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The command line's parser, built once per process: parse_args keeps
+    no state between calls."""
     parser = argparse.ArgumentParser(
         prog="fracball",
         description="Spectral toolkit for the fractional Dirichlet "
@@ -296,7 +299,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{args.command}: {len(records)} records -> {cfg.out_dir} "
-          f"(config {config_hash(cfg)})")
+          f"(config {doc['provenance']['config-hash']})")
     return exit_code
 
 

@@ -172,8 +172,8 @@ _PSI0_ZERO = 1e-8
 def _derivative_sign_radii(du):
     """Sign-change radii of u' in (0, 1): a scan of the 4095 interior
     points of a 4096-cell grid and Brent's method."""
-    return scan_roots(du, lambda t: float(du(np.array([t]))[0]),
-                      np.linspace(0.0, 1.0, 4097)[1:-1])
+    r = np.linspace(0.0, 1.0, 4097)[1:-1]
+    return scan_roots(du(r), lambda t: float(du(np.array([t]))[0]), r)
 
 
 def build_test_functions(sol):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (RadialBasisSpec, RadialProfile, basis_matrix,
+from .basis import (RadialBasisSpec, basis_matrix, boundary_weight,
                     stiffness_matrix)
 from .errors import DimensionUnsupported, EngineTooLarge, OracleMismatch
 from .kernels import kappa_ell
@@ -579,7 +579,13 @@ def linearized_block_gate(sol, ell, pair):
     """Check the (0, 0) entry of the linearized block pair of sector ell
     (0 or 1) against quadratic_form_L about the solution sol."""
     spec_d = pair.spec
-    g = RadialProfile(spec_d, np.eye(spec_d.K)[0])
+
+    def g(r):
+        # phi_0 = (1 - r^2)^s in closed form: P_0 = 1, so the profile of
+        # the unit vector e_0 gives these values bit for bit, without
+        # evaluating the other K - 1 rows at every inner node
+        return boundary_weight(spec_d.s, r)
+
     if ell == 0:
         v = SeparableFunction(profile=g, angular="constant")
         conv = 1.0

@@ -5,7 +5,8 @@ quadratic extrapolation, secant interpolation and bisection rules, the same
 tolerances as SciPy's defaults, so it returns the root that
 scipy.optimize.brentq returns with its defaults, bit for bit, without
 importing scipy.optimize and the modules that come with it.  scan_roots
-brackets the sign changes of a function on a grid and refines each one.
+brackets the sign changes of a function's values on a grid and refines each
+one.
 """
 
 import math
@@ -75,11 +76,11 @@ def brentq(f, a, b):
                        f"value is {xcur}")
 
 
-def scan_roots(fn, fn_at, r):
+def scan_roots(values, fn_at, r):
     """brentq(fn_at, r[i], r[i + 1]) for every cell of the ascending grid r
-    over which the values fn(r) change sign strictly; fn is the array
-    evaluator on the grid and fn_at the scalar one on each bracket."""
-    sign = np.sign(fn(r))
+    over which values, the function at r, change sign strictly; fn_at is
+    its scalar evaluator on each bracket."""
+    sign = np.sign(values)
     return [brentq(fn_at, r[i], r[i + 1])
             for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]]
 

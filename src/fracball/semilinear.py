@@ -9,7 +9,13 @@ min(max(12, K + 4), ceil(1.6 K sqrt(h)) + 12) Gauss nodes, because
 phi_m phi_n oscillates about K sqrt(h) times across a graded panel of width
 h near r = 1, and 12 nodes resolve the kink of |u|^{p-2} on every panel of
 the grading toward a root.  The linearization of morse integrates its
-potential on the same rule.  Alongside the solver live the
+potential on the same rule.  A solve builds each of its fixed tables once:
+the root scan's (K, 2049) Jacobi table (basis.RootScan), read by every
+phase's scan; the seed rule's basis matrix, shared by the amplitude match
+and the first phase; a later rule and its basis matrix only when the roots
+move; and the continuation's amplitude grid.  The solution keeps its last
+rule but not its basis matrix, which would hold K x (rule size) floats for
+as long as the solution lives.  Alongside the solver live the
 scalar diagnostics: the subcriticality inequality, the Pohozaev identity for
 the boundary ratio, the energy functional, and psi0(1) itself.
 """
@@ -20,9 +26,9 @@ from math import gamma, inf, isfinite
 
 import numpy as np
 
-from .basis import (RadialBasisSpec, RadialProfile, assemble_radial_operator,
-                    basis_matrix, galerkin_rule, generalized_eigh,
-                    stiffness_matrix)
+from .basis import (RadialBasisSpec, RadialProfile, RootScan,
+                    assemble_radial_operator, basis_matrix, galerkin_rule,
+                    generalized_eigh, stiffness_matrix)
 from .errors import (NoConvergence, NotConverged, TrivialSolution,
                      WrongNodalCount)
 from .nonlocal_quadrature import stiffness_oracle_gate
@@ -159,10 +165,12 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
         lam, vec = generalized_eigh(pair)
         lam_lin = float(lam[target_nodes])
         v_lin = vec[:, target_nodes]
+    # every root scan of this solve reads one Jacobi table
+    roots = RootScan(spec)
     if degenerate:
         c = v_lin.copy()
         prof = RadialProfile(spec, c)
-        breaks = tuple(prof.sign_change_radii())
+        breaks = tuple(roots(prof))
         res_lin = float(np.linalg.norm(A0 @ v_lin - nonlin.lam * (B @ v_lin)))
         return RadialSolution(params, nonlin, spec, c, breaks,
                               prof.boundary_ratio(), residual=res_lin,
@@ -176,20 +184,25 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
         if c.shape != (K,):
             raise ValueError("explicit initial guess must have length K")
         # the first rule splits at the guess's own sign changes
-        seed_breaks = RadialProfile(spec, c).sign_change_radii()
+        breaks = tuple(roots(RadialProfile(spec, c)))
     else:
-        seed_breaks = RadialProfile(spec, v_lin).sign_change_radii()
+        breaks = tuple(roots(RadialProfile(spec, v_lin)))
         # continuation in the exponent: far from p = 2 the amplitude-matched
         # eigenfunction can fall outside Newton's basin, so walk p up from
         # near 2, warm-starting each step
         if nonlin.p > 2.6:
             p_path = list(np.arange(2.5, nonlin.p, 0.25)) + [nonlin.p]
+    # the seed rule, at the seed's breaks: the amplitude match and the first
+    # Newton phase share it and its basis matrix
+    rule_breaks = breaks
+    r, w = _interior_rule(spec, breaks)
+    phi = basis_matrix(spec, r)
+    if init is None:
         # amplitude matching: the scaled eigenfunction alpha*v solves the
         # power problem at the first exponent p0 to leading order when
         # alpha^{p0-2} = lam_lin <v,v>_B / (lam * int |v|^p0)
         p0 = p_path[0]
-        r, w = _interior_rule(spec, seed_breaks)
-        u_lin = v_lin @ basis_matrix(spec, r)
+        u_lin = v_lin @ phi
         ip = ang * float(np.dot(w, np.abs(u_lin) ** p0))
         nb = float(v_lin @ B @ v_lin)
         c = (lam_lin * nb / (nonlin.lam * ip)) ** (1.0 / (p0 - 2.0)) * v_lin
@@ -235,17 +248,19 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
     # the quadrature splits at the profile's sign-change radii, which are not
     # known until convergence: converge on the seed's breaks, then refresh the
     # rule from the converged roots and re-converge (rule fixed within each
-    # phase, so the Jacobian is exact for the discrete system actually solved)
-    breaks = tuple(seed_breaks)
+    # phase, so the Jacobian is exact for the discrete system actually solved).
+    # A rule and its basis matrix are built only when the breaks move.
     total_it = 0
     p_prev = None
+    if len(p_path) > 1:
+        amp_phi = basis_matrix(spec, np.linspace(0, 0.999, 512))
     for p_step in p_path:
         nl_step = nonlin if p_step == nonlin.p else NonlinearitySpec(
             nonlin.lam, p_step)
         if p_prev is not None and p_step != p_prev:
             # amplitude A solves A^{p-2} ~ lam_lin/lam; carry that scaling
             # to the new exponent: A -> A^{(p_prev-2)/(p_step-2)}
-            amp = float(np.max(np.abs(c @ basis_matrix(spec, np.linspace(0, 0.999, 512)))))
+            amp = float(np.max(np.abs(c @ amp_phi)))
             if amp > 0:
                 c = c * amp ** ((p_prev - 2.0) / (p_step - 2.0) - 1.0)
         p_prev = p_step
@@ -254,15 +269,17 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
         tol_step = NEWTON_TOL if nl_step is nonlin else max(
             NEWTON_TOL, 1e-9 * (1.0 + float(np.linalg.norm(A0 @ c))))
         for phase in range(4):
-            r, w = _interior_rule(spec, breaks)
-            phi = basis_matrix(spec, r)
+            if breaks != rule_breaks:
+                rule_breaks = breaks
+                r, w = _interior_rule(spec, breaks)
+                phi = basis_matrix(spec, r)
             c, res_norm, it = newton_phase(nl_step, c, tol_step, w, phi)
             total_it += it
             if phase and not it:
                 # no step: c is the profile whose roots the rule split at
                 new_breaks = breaks
             else:
-                new_breaks = tuple(RadialProfile(spec, c).sign_change_radii())
+                new_breaks = tuple(roots(RadialProfile(spec, c)))
             if len(new_breaks) == len(breaks) and (
                 not breaks
                 or max(abs(a - b) for a, b in zip(new_breaks, breaks)) < 1e-11

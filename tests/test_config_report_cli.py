@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,6 +14,8 @@ from fracball.errors import ConfigError
 from fracball.quadrature import ValueWithError
 from fracball.report import (config_hash, fmt_float, make_document,
                              make_record, render_json, write_csv)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_parse_nonlinearity_families():
@@ -205,6 +210,51 @@ def test_cli_provenance_counts_engine_memo(tmp_path):
         memo.append(json.loads((out / "eigs.json").read_text())
                     ["provenance"]["engine-memo"])
     assert memo == [{"hits": 36, "misses": 4}, {"hits": 40, "misses": 0}]
+
+
+def test_build_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+_MAIN = ("import sys\nfrom fracball.cli import main\n"
+         "sys.exit(main(sys.argv[1:]))\n")
+
+
+def test_cli_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # the parser is shared by every call in a process, so no flag may leak
+    # from one call into the next: each call writes the records and the
+    # config hash that the same command writes alone in a fresh process
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    runs = [["eigs", "--jobs", "2"], ["eigs"], ["conjecture", "--seed", "3"]]
+
+    def argv(flags):
+        return [flags[0], "--config", cfg, "--out", str(out),
+                "--format", "json"] + flags[1:]
+
+    def written(command):
+        path = out / f"{command}.json"
+        doc = json.loads(path.read_text())
+        path.unlink()
+        return doc["records"], doc["provenance"]["config-hash"]
+
+    env = {"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    alone = []
+    for flags in runs:
+        done = subprocess.run([sys.executable, "-c", _MAIN, *argv(flags)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        alone.append((written(flags[0]), done.stdout))
+    hashes = set()
+    for flags, (want, printed) in zip(runs, alone):
+        assert cli.main(argv(flags)) == 0
+        records, digest = written(flags[0])
+        assert (records, digest) == want
+        assert capsys.readouterr().out == printed
+        assert printed.rstrip().endswith(f"(config {digest})")
+        hashes.add(digest)
+    assert len(hashes) == len(runs)
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

@@ -5,11 +5,13 @@ A NaN compares False against every tolerance, so a gate written as
 """
 
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from fracball import acceptance, morse, nonlocal_quadrature
-from fracball.basis import RadialBasisSpec
+from fracball.basis import RadialBasisSpec, RadialProfile
 from fracball.errors import OracleMismatch
 from fracball.nonlocal_quadrature import stiffness_oracle_gate
 from fracball.params import ProblemParams
@@ -87,6 +89,45 @@ def test_block_gate_runs_for_each_solution(monkeypatch):
                                          K=12)
         morse.assemble_linearized(sol, 0)
     assert gated == [5.0, 50.0]
+
+
+class _Trial(Exception):
+    """Carries the block gate's trial function out of quadratic_form_L."""
+
+
+@pytest.fixture(scope="module")
+def gate_points():
+    """Radii the block gate's trial is evaluated at: r = 0, r >= 1, a grid,
+    and the outer and inner nodes of an engine like the gate's, per ell."""
+    points = {}
+    for ell in (0, 1):
+        eng = nonlocal_quadrature.PairFormEngine(
+            2, 0.5, ell, (0.6,), *nonlocal_quadrature._LADDER[1])
+        points[ell] = np.concatenate(([0.0, 1.0, 1.5, 2.0],
+                                      np.linspace(0.0, 1.0, 101),
+                                      eng.r_out, eng.rho))
+    return points
+
+
+@pytest.mark.parametrize("K", [2, 12, 48, 192])
+@pytest.mark.parametrize("ell", [0, 1])
+def test_block_gate_phi0_is_the_unit_profile_bit_for_bit(monkeypatch,
+                                                         gate_points, ell, K):
+    # the gate's phi_0 is the closed form (1 - r^2)^s; it must equal the
+    # profile of the unit coefficient vector e_0, whose sum is 1.0 exactly
+    def trial(sol, v, w):
+        raise _Trial(v)
+
+    monkeypatch.setattr(nonlocal_quadrature, "quadratic_form_L", trial)
+    spec = RadialBasisSpec(2 + 2 * ell, 0.5, K)
+    pair = SimpleNamespace(spec=spec, A=np.zeros((1, 1)))
+    with pytest.raises(_Trial) as info:
+        nonlocal_quadrature.linearized_block_gate(
+            SimpleNamespace(params=ProblemParams(2, 0.5)), ell, pair)
+    r = gate_points[ell]
+    phi0 = RadialProfile(spec, np.eye(K)[0])(r)
+    got = info.value.args[0].profile(r)
+    assert np.array_equal(got, phi0 if ell == 0 else r * phi0)
 
 
 def test_value_with_error_finite():

@@ -7,13 +7,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracball import semilinear, truncation
+from fracball import basis, semilinear, truncation
 from fracball.basis import (basis_matrix, radial_weighted_integrals,
                             stiffness_matrix)
 from fracball.errors import (NoConvergence, NotConverged, TrivialSolution,
                              TruncationUnsafe, WrongNodalCount)
 from fracball.params import ProblemParams, sphere_area
 from fracball.quadrature import kink_rule
+from fracball.roots import scan_roots
 from fracball.semilinear import (NonlinearitySpec, check_subcriticality,
                                  energy, energy_gradient, pohozaev_residual,
                                  solve_radial_resolved,
@@ -303,3 +304,116 @@ def test_seed_eigenpair_from_one_eigh(monkeypatch, nonlin):
     solve_radial_sign_changing(ProblemParams(2, 0.6), nonlin, target_nodes=1,
                                K=24)
     assert len(calls) == 1
+
+
+def _profile_scan(prof):
+    """sign_change_radii as a scan of the profile's own poly_part."""
+    grid = np.linspace(0.0, 1.0, 2049)
+    return scan_roots(prof.poly_part(grid), prof.poly_at, grid)
+
+
+class _FreshRootScan:
+    def __init__(self, spec):
+        pass
+
+    def __call__(self, prof):
+        return _profile_scan(prof)
+
+
+def _fresh_tables_solve(monkeypatch, params, nonlin, nodes, K):
+    """solve_radial_sign_changing with no table built once per solve: each
+    root scan evaluates its profile on the grid afresh, and each load and
+    Jacobian reads a basis matrix built for that call at its rule's nodes."""
+    spec = basis.RadialBasisSpec(params.N, params.s, K)
+    nodes_of = {}  # id of a rule's weights -> its nodes
+    rule, load, jac = (semilinear._interior_rule, semilinear._load,
+                       semilinear._jacobian)
+
+    def recorded_rule(spec, breaks):
+        r, w = rule(spec, breaks)
+        nodes_of[id(w)] = r
+        return r, w
+
+    def fresh(fn):
+        def call(nl, phi, w, c, ang):
+            return fn(nl, basis_matrix(spec, nodes_of[id(w)]), w, c, ang)
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(semilinear, "RootScan", _FreshRootScan)
+        m.setattr(semilinear, "_interior_rule", recorded_rule)
+        m.setattr(semilinear, "_load", fresh(load))
+        m.setattr(semilinear, "_jacobian", fresh(jac))
+        return solve_radial_sign_changing(params, nonlin, nodes, K=K)
+
+
+def _outcome(solve):
+    """The solution's reported values, or the failure's class and message."""
+    try:
+        sol = solve()
+    except NoConvergence as exc:
+        return type(exc).__name__, str(exc)
+    return (sol.coefficients.tobytes(), sol.breaks, sol.residual,
+            sol.newton_iterations, sol.psi0_at_1,
+            energy(sol, sol.coefficients), pohozaev_residual(sol))
+
+
+@pytest.mark.parametrize("N,s", [(1, 0.35), (2, 0.7), (3, 0.6)])
+@pytest.mark.parametrize("K", [24, 48])
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_tables_built_once_per_solve_change_no_bit(monkeypatch, N, s, K,
+                                                   nodes):
+    # p = 3 walks the continuation path 2.5, 2.75, 3, so the amplitude
+    # grid's table and the rule carried across p-steps are both exercised
+    params, nl = ProblemParams(N, s), NonlinearitySpec(1.0, 3.0)
+    scans = []
+    breaks_of = {}  # id of a rule's weights -> the breaks it splits at
+    jacobi_all, rule = basis.jacobi_all, semilinear._interior_rule
+
+    def counted(K, a, b, x):
+        scans.append(np.size(x) == 2049)
+        return jacobi_all(K, a, b, x)
+
+    def recorded_rule(spec, breaks):
+        r, w = rule(spec, breaks)
+        breaks_of[id(w)] = breaks
+        return r, w
+
+    def solve():
+        sols.append(solve_radial_sign_changing(params, nl, nodes, K=K))
+        return sols[0]
+
+    sols = []
+    with monkeypatch.context() as m:
+        m.setattr(basis, "jacobi_all", counted)
+        m.setattr(semilinear, "_interior_rule", recorded_rule)
+        got = _outcome(solve)
+    assert sum(scans) == 1
+    for sol in sols:
+        # the last phase ran on the rule at the returned roots, to 1e-11
+        ran_on = breaks_of[id(sol.rule[1])]
+        assert len(ran_on) == len(sol.breaks)
+        assert all(abs(a - b) < 1e-11 for a, b in zip(ran_on, sol.breaks))
+    assert got == _outcome(lambda: _fresh_tables_solve(monkeypatch, params,
+                                                       nl, nodes, K))
+
+
+def test_tables_built_once_keep_the_stall_message(monkeypatch):
+    params, nl = ProblemParams(3, 0.6), NonlinearitySpec(1.0, 2.5)
+    got = _outcome(lambda: solve_radial_sign_changing(params, nl, 2, K=24))
+    assert got[0] == "NoConvergence"
+    assert got == _outcome(lambda: _fresh_tables_solve(monkeypatch, params,
+                                                       nl, 2, 24))
+
+
+def test_root_scan_table_matches_a_fresh_profile_scan():
+    rng = np.random.default_rng(28)
+    for K in (2, 24, 48, 192):
+        spec = basis.RadialBasisSpec(int(rng.integers(1, 6)),
+                                     float(rng.uniform(0.1, 0.9)), K)
+        scan = basis.RootScan(spec)
+        for _ in range(5):
+            prof = basis.RadialProfile(spec, rng.standard_normal(K)
+                                       / np.arange(1, K + 1))
+            roots = scan(prof)
+            assert roots == prof.sign_change_radii() == _profile_scan(prof)

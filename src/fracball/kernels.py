@@ -34,29 +34,23 @@ d <= 9 and x in [2^-79, 1].  The table matches the rule to
 import functools
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .params import sphere_area
+from .quadrature import panel_rule
 
-# region A: smooth inner region phi in (0, phi0).  For x > 0.83 it is the
-# whole rule (phi0 = pi/2), and 16 nodes there are off by up to 1e-9 at d = 9.
-_XA, _WA = roots_legendre(24)
-_XA = (_XA + 1.0) / 2.0
-_WA = _WA / 2.0
+# region A: smooth inner region phi in (0, phi0), one 24-node Gauss panel.
+# For x > 0.83 it is the whole rule (phi0 = pi/2), and 16 nodes there are
+# off by up to 1e-9 at d = 9.
+_XA, _WA = panel_rule(0.0, 1.0, 24)
 
-# region B: logarithmic sweep phi0 -> pi/2.  kappa_0 mass sits near tau = 0,
-# the (1 - cos) moment's near tau = 1 (for s < 1/2), so refine toward both ends.
+# region B: logarithmic sweep phi0 -> pi/2, 10-node Gauss panels.  kappa_0
+# mass sits near tau = 0, the (1 - cos) moment's near tau = 1 (for s < 1/2),
+# so the panels refine toward both ends.
 _TAU_EDGES = np.array(
     [0.0, 1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2,
      1 - 1 / 4, 1 - 1 / 8, 1 - 1 / 16, 1 - 1 / 32, 1 - 1 / 64, 1.0]
 )
-_xb, _wb = roots_legendre(10)
-_XB = np.concatenate(
-    [lo + (hi - lo) * (_xb + 1.0) / 2.0 for lo, hi in zip(_TAU_EDGES[:-1], _TAU_EDGES[1:])]
-)
-_WB = np.concatenate(
-    [(hi - lo) * _wb / 2.0 for lo, hi in zip(_TAU_EDGES[:-1], _TAU_EDGES[1:])]
-)
+_XB, _WB = panel_rule(_TAU_EDGES[:-1], _TAU_EDGES[1:], 10)
 
 _HALF_PI = np.pi / 2.0
 # log of the smallest normal double: a power below it has lost digits

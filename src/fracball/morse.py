@@ -32,7 +32,7 @@ from .nonlocal_quadrature import (SeparableFunction, SignedPart,
                                   radial_potential_integral,
                                   stiffness_oracle_gate)
 from .params import ProblemParams, harmonic_multiplicity, sphere_area
-from .quadrature import ValueWithError, graded_rule, join_rules, legendre_panel
+from .quadrature import ValueWithError, graded_edges, panel_rule
 from .roots import scan_roots
 from .semilinear import solve_radial_sign_changing
 from .truncation import ELL_START, angular_sectors, coarse_K
@@ -283,10 +283,11 @@ _SERIES_RATE_TOL = 0.1
 
 
 def _series_rule(fn):
-    """Nodes and weights on the support of fn's profile: _SERIES_PANELS
-    Gauss-Legendre panels on each piece between its breaks, up to its
-    support_radius, equal in r; or up to r = 1, with the last piece's
-    panels equal in arccos r and its last panel graded toward r = 1."""
+    """Nodes and weights on the support of fn's profile, one panel_rule
+    call: _SERIES_PANELS Gauss-Legendre panels on each piece between its
+    breaks, up to its support_radius, equal in r; or up to r = 1, with the
+    last piece's panels equal in arccos r and its last panel replaced by
+    panels graded toward r = 1."""
     end = 1.0 if fn.support_radius is None else fn.support_radius
     pts = sorted({0.0, end} | {b for b in fn.breaks if 0.0 < b < end})
     edges = [np.linspace(lo, hi, _SERIES_PANELS + 1)[:-1]
@@ -297,12 +298,12 @@ def _series_rule(fn):
     else:
         edges.append(np.linspace(pts[-2], end, _SERIES_PANELS + 1))
     edges = np.concatenate(edges)
-    r, w = legendre_panel(edges[:-1, None], edges[1:, None], _SERIES_NODES)
+    lo, hi = edges[:-1], edges[1:]
     if fn.support_radius is None:
-        return join_rules((r[:-1].ravel(), w[:-1].ravel()),
-                          graded_rule(edges[-2], 1.0, "right", *_SERIES_EDGE,
-                                      _SERIES_NODES))
-    return r.ravel(), w.ravel()
+        graded = graded_edges(edges[-2], 1.0, "right", *_SERIES_EDGE)
+        lo = np.concatenate((lo[:-1], graded[:-1]))
+        hi = np.concatenate((hi[:-1], graded[1:]))
+    return panel_rule(lo, hi, _SERIES_NODES)
 
 
 def _diagonal_series(fn, params):

@@ -2,9 +2,10 @@
 
 All singular integrals in the toolkit are handled by composite Gauss rules on
 panels that are geometrically graded into algebraic singularities, plus
-Gauss-Jacobi panels that absorb a known |h|^gamma weight exactly; every radial
-rule is built by graded_rule, kink_rule, or panel_rule on kink_panels (the
-same panels, each with its own order).  The Gauss rules on (0, 1) are
+Gauss-Jacobi panels that absorb a known |h|^gamma weight exactly.  panel_rule
+places every Gauss-Legendre panel of the package: graded_rule, kink_rule,
+galerkin_rule (kink_panels, each with its own order), the morse series rule
+and the kernels tables all go through it.  The Gauss rules on (0, 1) are
 memoised per process by functools.cache on their exact (n, gamma).
 """
 
@@ -58,12 +59,6 @@ def _jacobi01(n, gamma):
     return (x + 1.0) / 2.0, w / 2.0 ** (gamma + 1.0)
 
 
-def legendre_panel(a, b, n):
-    """Gauss-Legendre rule on (a, b)."""
-    x, w = _legendre01(n)
-    return a + (b - a) * x, (b - a) * w
-
-
 def jacobi_panel(a, b, gamma, n, singular_at="left"):
     """Rule for int_a^b |t - t_sing|^gamma f(t) dt with t_sing = a or b.
 
@@ -114,7 +109,8 @@ def join_rules(*rules):
 
 
 def graded_rule(a, b, toward, levels, ratio, n, gamma=None):
-    """n-point Gauss-Legendre panels on the graded_edges of (a, b).
+    """n-point Gauss-Legendre panels on the graded_edges of (a, b), placed
+    by panel_rule.
 
     With gamma set, the innermost panel (at the end `toward` names) is
     Gauss-Jacobi for |t - end|^gamma instead, and its weights are multiplied
@@ -129,9 +125,8 @@ def graded_rule(a, b, toward, levels, ratio, n, gamma=None):
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     edges = graded_edges(np.reshape(a, (-1, 1)), np.reshape(b, (-1, 1)),
                          toward, levels, ratio)
-    x, w = _legendre01(n)
     lo, hi = edges[:, :-1, None], edges[:, 1:, None]
-    nodes, weights = lo + (hi - lo) * x, (hi - lo) * w
+    nodes, weights = (v.reshape(len(edges), -1, n) for v in panel_rule(lo, hi, n))
     if gamma is not None:
         i = 0 if toward == "left" else -1
         t, wj = jacobi_panel(lo[:, i], hi[:, i], gamma, n, toward)
@@ -170,26 +165,29 @@ def segment_panels(breaks, grade, levels, ratio):
 def panel_rule(lo, hi, n):
     """Gauss-Legendre panels: n[i] nodes on (lo[i], hi[i]), in panel order.
 
-    n may be one order for every panel.  Panels of equal order are placed in
-    one step, each as legendre_panel places it.
+    The one placer of Gauss-Legendre nodes.  lo and hi may have any shape
+    and are read in C order; n is one order for every panel or one per
+    panel.  Every panel is placed in one array step, nodes lo + (hi - lo) * x
+    and weights (hi - lo) * w: with one order x, w are that order's rule on
+    (0, 1) and broadcast against the panels, with one order per panel they
+    are the panels' rules laid end to end and lo, hi - lo are repeated.
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    n = np.broadcast_to(n, lo.shape)
-    start = np.cumsum(n) - n
-    nodes, weights = np.empty(n.sum()), np.empty(n.sum())
-    for m in np.unique(n):
-        i = np.flatnonzero(n == m)
-        x, w = _legendre01(int(m))
-        at = start[i, None] + np.arange(m)
-        L = (hi[i] - lo[i])[:, None]
-        nodes[at], weights[at] = lo[i, None] + L * x, L * w
-    return Rule(nodes, weights)
+    lo = np.asarray(lo, dtype=float).ravel()
+    L = np.asarray(hi, dtype=float).ravel() - lo
+    if np.ndim(n) == 0:
+        x, w = _legendre01(int(n))
+        lo, L = lo[:, None], L[:, None]
+    else:
+        rules = [_legendre01(m) for m in np.asarray(n).tolist()]
+        x, w = (np.concatenate(v) for v in zip(*rules))
+        lo, L = np.repeat(lo, n), np.repeat(L, n)
+    return Rule((lo + L * x).ravel(), (L * w).ravel())
 
 
 def segment_rule(breaks, n, grade, levels, ratio):
     """Composite n-point Gauss-Legendre rule on the segment_panels of
-    [breaks[0], breaks[-1]]: the same nodes as graded_rule and
-    legendre_panel on each segment."""
+    [breaks[0], breaks[-1]]: the same nodes as graded_rule on each graded
+    segment."""
     return panel_rule(*segment_panels(breaks, grade, levels, ratio), n)
 
 

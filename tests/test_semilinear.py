@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracball import basis, semilinear, truncation
+from fracball import basis, quadrature, semilinear, truncation
 from fracball.basis import (basis_matrix, radial_weighted_integrals,
                             stiffness_matrix)
 from fracball.errors import (NoConvergence, NotConverged, TrivialSolution,
@@ -145,6 +145,21 @@ def test_scaling_covariance_of_power_solutions():
     c1 = np.asarray(sol1.coefficients)
     c4 = np.asarray(sol4.coefficients)
     assert np.allclose(c4, c1 / 4.0, rtol=1e-8, atol=1e-8 * np.abs(c1).max())
+
+
+def test_pohozaev_residual_builds_its_rule_through_segment_rule(monkeypatch, cubic_n1):
+    # the benchmark's tracer times quadrature.segment_rule, and a light
+    # campaign reaches it through pohozaev_residual -> kink_rule
+    calls = []
+    real = quadrature.segment_rule
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "segment_rule", counted)
+    pohozaev_residual(cubic_n1[2])
+    assert len(calls) == 1
 
 
 def test_pohozaev_residual_decreases_with_truncation():

@@ -17,6 +17,12 @@ near r = 1 holds about K sqrt(h) of its waves, and a fixed order on every
 panel would spend K + 4 nodes where a dozen resolve the integrand.
 nonlocal_quadrature checks the closed forms against the singular-kernel
 oracle where a sector is built.
+
+A potential-free radial eigenproblem A x = lambda B x has the diagonal A =
+diag(a), so solve_radial_eigs solves it as the symmetric eigenproblem of
+C = diag(a)^{-1/2} B diag(a)^{-1/2}, eigenvalues only, with no Cholesky
+factor of B; a pair with a potential (the linearization's blocks) is solved
+as a generalized pencil.
 """
 
 import functools
@@ -68,28 +74,33 @@ def jacobi_all(K, a, b, x):
     """Values of P_0^{(a,b)} .. P_{K-1}^{(a,b)} at x via the three-term recurrence.
 
     Returns an array of shape (K, len(x)).  Each step is
-    P_n = (c2 P_{n-1} - c3 P_{n-2}) / c1 with c2 = (h-1) (h (h-2) x + a^2 - b^2),
-    run in place through two scratch rows, operation by operation in that
-    order.
+    P_n = (c2 P_{n-1} - c3 P_{n-2}) / c1 with c2 = (h-1) (h (h-2) x + a^2 - b^2).
+    c2 depends on x and n only, so rows 2 .. K-1 are first filled with it for
+    every n at once; each step then multiplies its row by P_{n-1} in place.
+    Each element still goes through the step's operations in the order
+    written above.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     P = np.empty((K, x.size))
     P[0] = 1.0
     if K > 1:
         P[1] = 0.5 * (a + b + 2.0) * x + 0.5 * (a - b)
-    row, tmp = np.empty(x.size), np.empty(x.size)
-    for n in range(2, K):
-        h = 2.0 * n + a + b
-        c1 = 2.0 * n * (n + a + b) * (h - 2.0)
-        c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * h
-        np.multiply(h * (h - 2.0), x, out=row)
-        np.add(row, a * a, out=row)
-        np.subtract(row, b * b, out=row)
-        np.multiply(h - 1.0, row, out=row)
-        np.multiply(row, P[n - 1], out=row)
-        np.multiply(c3, P[n - 2], out=tmp)
-        np.subtract(row, tmp, out=P[n])
-        np.divide(P[n], c1, out=P[n])
+    n = np.arange(2, K)
+    h = 2.0 * n + a + b
+    c1 = 2.0 * n * (n + a + b) * (h - 2.0)
+    c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * h
+    np.multiply((h * (h - 2.0))[:, None], x, out=P[2:])
+    P[2:] += a * a
+    P[2:] -= b * b
+    P[2:] *= (h - 1.0)[:, None]
+    tmp = np.empty(x.size)
+    rows = list(P)
+    for prev2, prev, row, c1n, c3n in zip(rows, rows[1:], rows[2:],
+                                          c1.tolist(), c3.tolist()):
+        np.multiply(row, prev, out=row)
+        np.multiply(c3n, prev2, out=tmp)
+        np.subtract(row, tmp, out=row)
+        np.divide(row, c1n, out=row)
     return P
 
 
@@ -179,14 +190,20 @@ def jacobi_norm_radial(spec):
     ) / (2.0 * n + s + d / 2.0)
 
 
+def stiffness_diagonal(spec):
+    """The diagonal a of the potential-free stiffness A0:
+    a_n = |S^{d-1}| mu_n g_n."""
+    return sphere_area(spec.d) * (dyda_factor(spec) * jacobi_norm_radial(spec))
+
+
 def stiffness_matrix(spec):
     """Potential-free stiffness A0 with A0_mn = E_s(phi_m, phi_n).
 
     The angular measure |S^{d-1}| is folded in, matching mass_matrix, so the
     generalized eigenvalues are measure-convention independent.  Diagonal in
-    this basis: A0_nn = |S^{d-1}| mu_n g_n.
+    this basis: A0 = diag(stiffness_diagonal(spec)).
     """
-    return sphere_area(spec.d) * np.diag(dyda_factor(spec) * jacobi_norm_radial(spec))
+    return np.diag(stiffness_diagonal(spec))
 
 
 def mass_matrix(spec):
@@ -241,11 +258,17 @@ def radial_weighted_integrals(spec, fn, breaks=()):
 
 @dataclass
 class RadialOperatorPair:
-    """Stiffness/mass pair for the generalized radial eigenproblem."""
+    """Stiffness/mass pair of the radial eigenproblem A x = lambda B x.
+
+    diagonal is A's closed-form diagonal (stiffness_diagonal) when A has no
+    potential term, and None otherwise; solve_radial_eigs solves a pair with
+    it in scaled form.
+    """
 
     spec: RadialBasisSpec
     A: np.ndarray
     B: np.ndarray
+    diagonal: np.ndarray | None = None
 
     def __post_init__(self):
         scale = np.abs(self.A).max()
@@ -254,25 +277,32 @@ class RadialOperatorPair:
 
 
 def assemble_radial_operator(spec, potential=None, potential_breaks=()):
-    """Assemble (A, B) for E_s minus an optional radial potential term."""
-    A = stiffness_matrix(spec)
+    """Assemble (A, B) for E_s minus an optional radial potential term.
+    Without a potential the pair records A's closed-form diagonal."""
     B = mass_matrix(spec)
-    if potential is not None:
-        A = A - sphere_area(spec.d) * radial_weighted_integrals(
-            spec, potential, breaks=potential_breaks
-        )
+    if potential is None:
+        a = stiffness_diagonal(spec)
+        return RadialOperatorPair(spec, np.diag(a), B, diagonal=a)
+    A = stiffness_matrix(spec) - sphere_area(spec.d) * radial_weighted_integrals(
+        spec, potential, breaks=potential_breaks)
     return RadialOperatorPair(spec, A, B)
 
 
 @dataclass
 class RadialEigenResult:
-    """Ascending eigenvalues, B-orthonormal coefficient columns, and
-    per-eigenvalue convergence estimates (against the K-2 truncation)."""
+    """Ascending eigenvalues and per-eigenvalue convergence estimates
+    (against the K-2 truncation).  eigenvectors, the B-orthonormal
+    coefficient columns, are computed by the zero-argument vectors on first
+    access."""
 
     spec: RadialBasisSpec
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     convergence: np.ndarray
+    vectors: object
+
+    @functools.cached_property
+    def eigenvectors(self):
+        return self.vectors()
 
 
 def generalized_eigh(pair):
@@ -287,16 +317,46 @@ def generalized_eigh(pair):
 
 
 def solve_radial_eigs(pair):
-    """Solve A x = lambda B x; eigenpairs ascending and B-orthonormal, with
-    convergence estimates against the K-2 truncation."""
-    lam, vec = generalized_eigh(pair)
+    """Solve A x = lambda B x: ascending eigenvalues, B-orthonormal
+    eigenvectors, and convergence estimates |lambda_n(K) - lambda_n(K-2)|
+    against the K-2 truncation.
+
+    A pair with a potential goes through generalized_eigh (a Cholesky
+    factor of B), and its K-2 problem through a second one.  A
+    potential-free pair is solved in scaled form: with D = diag(a)^{-1/2},
+    its eigenvalues are 1 / mu for the eigenvalues mu of the symmetric
+    C = D B D, eigenvalues only, and C's leading (K-2) block is exactly the
+    K-2 problem's C, since the scaling is elementwise.  No factor of B is
+    formed, so no rounding of one enters: an estimate can be exactly 0.
+    The eigenvectors, x = D y / sqrt(mu) for C's eigenvectors y, are
+    computed only when read.  Raises MassNotPD when B cannot be factorized
+    or an eigenvalue of C is not positive.
+    """
     K = pair.spec.K
     conv = np.full(K, np.inf)
+    if pair.diagonal is None:
+        lam, vec = generalized_eigh(pair)
+        if K > 2:
+            sub = scipy.linalg.eigh(pair.A[: K - 2, : K - 2], pair.B[: K - 2, : K - 2],
+                                    eigvals_only=True)
+            conv[: K - 2] = np.abs(lam[: K - 2] - sub)
+        return RadialEigenResult(pair.spec, lam, conv, lambda: vec)
+    D = 1.0 / np.sqrt(pair.diagonal)
+    C = D[:, None] * pair.B * D[None, :]
+    mu = scipy.linalg.eigvalsh(C)
+    if not mu[0] > 0.0:
+        raise MassNotPD(f"mass matrix is not positive definite: eigenvalue "
+                        f"{mu[0]:.3e} of its scaled form")
+    lam = 1.0 / mu[::-1]
     if K > 2:
-        sub = scipy.linalg.eigh(pair.A[: K - 2, : K - 2], pair.B[: K - 2, : K - 2],
-                                eigvals_only=True)
-        conv[: K - 2] = np.abs(lam[: K - 2] - sub)
-    return RadialEigenResult(pair.spec, lam, vec, conv)
+        conv[: K - 2] = np.abs(lam[: K - 2] - 1.0 / scipy.linalg.eigvalsh(
+            C[: K - 2, : K - 2])[::-1])
+
+    def vectors():
+        mu, y = scipy.linalg.eigh(C)
+        return (D[:, None] * (y / np.sqrt(mu)))[:, ::-1]
+
+    return RadialEigenResult(pair.spec, lam, conv, vectors)
 
 
 # points per block when a RadialProfile is evaluated: bounds its K x block

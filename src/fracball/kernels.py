@@ -157,14 +157,16 @@ def _table(d, s):
 
 
 def _kappa_table(coef, x):
-    """F(x), shape (2, npts), for x in [_X_MIN, 1] by Clenshaw's recurrence."""
+    """F(x), one row per moment row of coef, for x in [_X_MIN, 1] by
+    Clenshaw's recurrence."""
     _, e = np.frexp(x)
     k = np.maximum(-e, 0)
     t = np.ldexp(4.0 * x, k) - 3.0  # panel coordinate in [-1, 1], exact
     t2 = 2.0 * t
-    b1 = np.zeros((2, x.size))
-    b2 = np.zeros((2, x.size))
-    b0 = np.empty((2, x.size))
+    rows = (coef.shape[1], x.size)
+    b1 = np.zeros(rows)
+    b2 = np.zeros(rows)
+    b0 = np.empty(rows)
     for c in coef[:0:-1]:
         np.multiply(t2, b1, out=b0)
         b0 -= b2
@@ -173,11 +175,14 @@ def _kappa_table(coef, x):
     return t * b1 - b2 + coef[0].take(k, axis=1)
 
 
-def kappa_moments(r, rho, h, d, s):
+def kappa_moments(r, rho, h, d, s, moments=2):
     """Sphere-averaged kernel moments (kappa_0, kappa_diff) for dimension d >= 2.
 
     r, rho, h broadcast; h must equal |r - rho| (supplied separately so that
-    the gap keeps full precision near the diagonal).
+    the gap keeps full precision near the diagonal).  With moments = 1 only
+    kappa_0 is evaluated and returned, as a 1-tuple: every step is
+    elementwise in the moment, so it is the two-moment call's kappa_0 bit
+    for bit.
     """
     if d < 2:
         raise ValueError("kappa_moments requires d >= 2; use kappa_moments_1d")
@@ -187,8 +192,8 @@ def kappa_moments(r, rho, h, d, s):
     r, rho, h = np.broadcast_arrays(r, rho, h)
     shape = r.shape
     r, rho, h = r.ravel(), rho.ravel(), h.ravel()
-    coef = _table(d, s)
-    out = np.empty((2, r.size))
+    coef = _table(d, s)[:, :moments]
+    out = np.empty((moments, r.size))
     for lo in range(0, r.size, _CHUNK):
         sl = slice(lo, lo + _CHUNK)
         R = np.maximum(r[sl], rho[sl])
@@ -199,8 +204,8 @@ def kappa_moments(r, rho, h, d, s):
         rest = ~((x >= _X_MIN) & (x <= 1.0))
         if rest.any():
             out[:, lo + np.flatnonzero(rest)] = _kappa_fallback(
-                r[sl][rest], rho[sl][rest], h[sl][rest], d, s)
-    return out[0].reshape(shape), out[1].reshape(shape)
+                r[sl][rest], rho[sl][rest], h[sl][rest], d, s)[:moments]
+    return tuple(row.reshape(shape) for row in out)
 
 
 def kappa_moments_1d(r, rho, h, s):
@@ -216,11 +221,15 @@ def kappa_moments_1d(r, rho, h, s):
 
 
 def kappa_ell(r, rho, h, d, s, ell):
-    """kappa for the angular class: kappa_0 (ell = 0) or kappa_1 (ell = 1)."""
+    """kappa for the angular class: kappa_0 (ell = 0) or kappa_1 (ell = 1).
+
+    At ell = 0 and d >= 2 only kappa_0 is evaluated (kappa_moments with
+    moments = 1).
+    """
     if d == 1:
         k0, kd = kappa_moments_1d(r, rho, h, s)
+    elif ell == 0:
+        return kappa_moments(r, rho, h, d, s, moments=1)[0]
     else:
         k0, kd = kappa_moments(r, rho, h, d, s)
-    if ell == 0:
-        return k0
-    return k0 - kd
+    return k0 if ell == 0 else k0 - kd

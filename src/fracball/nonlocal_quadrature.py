@@ -42,7 +42,7 @@ from .basis import (RadialBasisSpec, basis_matrix, boundary_weight,
 from .errors import DimensionUnsupported, EngineTooLarge, OracleMismatch
 from .kernels import kappa_ell
 from .params import frac_constant, sphere_area
-from .quadrature import (ValueWithError, graded_rule, jacobi_panel,
+from .quadrature import (Rule, ValueWithError, graded_rule, jacobi_panel,
                          join_rules, kink_points, kink_rule, segment_rule)
 
 _RATIO = 0.35
@@ -141,6 +141,12 @@ def _gap_rule(G, s, n, lev_far, far_sing):
         graded_rule(mid, G, "right", lev_far if far_sing else 2, _RATIO, n))
 
 
+def _gap_width(n, lev_far, far_sing):
+    """Nodes per row of _gap_rule(G, s, n, lev_far, far_sing): graded_rule
+    places levels + 1 panels of n nodes on each half."""
+    return n * (_LEV_DIAG + 1 + (lev_far if far_sing else 2) + 1)
+
+
 def _far_levels(r, p, q, lev_sing, sing):
     """Grading depths at p and q of the rule on a segment (p, q) not
     containing the outer node r: the end nearer r is graded by its distance
@@ -169,8 +175,9 @@ def _runs(r_out, pts, sing, s, n, lev):
     nodes follow one layout, width per node.  The layout goes segment by
     segment: (sgn, end) for each side of the segment holding the node,
     whose gap rule steps from r toward end, and (p, q, lev_p, lev_q) for
-    every other segment.  columns(i), for outer nodes i of the run, returns
-    their (rho, |rho - r|, inner weights), each of shape (len(i), width).
+    every other segment, whose rule is built once per run.  columns(i), for
+    outer nodes i of the run, returns their (rho, |rho - r|, inner
+    weights), each of shape (len(i), width).
     A gap rule's |rho - r| is its own gap node delta, which keeps the
     digits near the diagonal that rho - r has lost.  Nothing pair-length is
     held until columns is called.
@@ -188,22 +195,29 @@ def _runs(r_out, pts, sing, s, n, lev):
 
     runs, lo = [], 0
     for parts, nodes in itertools.groupby(map(layout, r_out)):
+        # a far segment's rule does not depend on the outer node, so each
+        # run builds its far rules once
+        parts = [part if len(part) == 2 else _far_segment_rule(*part, n)
+                 for part in parts]
+        width = sum(part.nodes.size if isinstance(part, Rule)
+                    else _gap_width(n, lev, part[1] in sing) for part in parts)
+
         def columns(i, parts=parts):
             r = r_out[i, None]
             cols = []
             for part in parts:
-                if len(part) == 2:
+                if not isinstance(part, Rule):
                     sgn, end = part
                     delta, w = _gap_rule(np.abs(end - r[:, 0]), s, n, lev, end in sing)
                     cols.append((r + sgn * delta, delta, w))
                 else:
-                    rho, w = _far_segment_rule(*part, n)
+                    rho, w = part
                     h = np.abs(rho - r)
                     cols.append((np.broadcast_to(rho, h.shape), h, np.broadcast_to(w, h.shape)))
             return tuple(np.concatenate(c, axis=1) for c in zip(*cols))
 
         hi = lo + len(list(nodes))
-        runs.append((lo, hi, columns(np.arange(lo, lo + 1))[0].shape[1], columns))
+        runs.append((lo, hi, width, columns))
         lo = hi
     return runs
 

@@ -11,7 +11,12 @@ verify_conjecture examines.
 
 A potential-free sector depends on (d, s, K) alone, and the same sector
 recurs across N (N = 1, ell = 1 is N = 3, ell = 0) and between commands, so
-its eigenvalues are solved once per process and memoised.
+its eigenvalues are solved once per process and memoised.  Its stiffness is
+the closed-form diagonal a, so basis.solve_radial_eigs takes its eigenvalues
+from the symmetric diag(a)^{-1/2} B diag(a)^{-1/2}, without a Cholesky
+factor of B and without eigenvectors.  The convergence estimate of an
+eigenvalue is its difference from the K-2 truncation's, which can be
+exactly 0.
 """
 
 import functools
@@ -69,7 +74,8 @@ def solve_sector(spec):
     """The RadialSector of spec, solved once per process.
 
     Keyed on the exact spec (s is not rounded), and holding values only:
-    the operator pair and eigenvectors are dropped, so the memo stays small.
+    the operator pair is dropped and no eigenvectors are computed, so the
+    memo stays small.
     """
     res = solve_radial_eigs(assemble_radial_operator(spec))
     for arr in (res.eigenvalues, res.convergence):

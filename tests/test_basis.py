@@ -58,6 +58,77 @@ def test_eigenvectors_mass_orthonormal():
     assert np.allclose(G, np.eye(G.shape[0]), atol=1e-10)
 
 
+def _generalized_eigvals_mp(A, B, dps=30):
+    """Eigenvalues of the float pencil (A, B) in dps-digit arithmetic:
+    Cholesky B = L L^T, then the symmetric L^{-1} A L^{-T}."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        Li = mpmath.inverse(mpmath.cholesky(mpmath.matrix(B.tolist())))
+        M = Li * mpmath.matrix(A.tolist()) * Li.T
+        M = (M + M.T) / 2
+        return np.array(sorted(float(v) for v in mpmath.eigsy(M, eigvals_only=True)))
+
+
+def test_potential_free_sector_matches_a_30_digit_solve():
+    # the scaled form's eigenvalues against the same float (A, B) solved in
+    # 30 digits; a Cholesky of B (condition about 1e3 here) leaves 9e-13
+    pair = assemble_radial_operator(RadialBasisSpec(6, 0.9, 48))
+    ref = _generalized_eigvals_mp(pair.A, pair.B)
+    got = solve_radial_eigs(pair).eigenvalues
+    assert np.abs(got[:9] / ref[:9] - 1.0).max() <= 1e-14
+
+
+def test_potential_free_eigenvectors_solve_the_pencil():
+    pair = assemble_radial_operator(RadialBasisSpec(5, 0.8, 32))
+    assert pair.diagonal is not None
+    res = solve_radial_eigs(pair)
+    X, lam = res.eigenvectors, res.eigenvalues
+    assert np.all(np.diff(lam) > 0.0)
+    G = X.T @ pair.B @ X
+    assert np.abs(G - np.eye(pair.spec.K)).max() <= 1e-12
+    R = pair.A @ X - (pair.B @ X) * lam
+    scale = np.abs(pair.A @ X).max(axis=0)
+    assert np.all(np.abs(R).max(axis=0) <= 1e-12 * scale)
+    # the same eigenvectors as the generalized solve, up to sign
+    _, vec = generalized_eigh(pair)
+    sign = np.sign(np.sum(X * (pair.B @ vec), axis=0))
+    assert np.abs(X - vec * sign).max() <= 1e-8 * np.abs(vec).max()
+
+
+def test_potential_free_sector_computes_no_eigenvectors(monkeypatch):
+    # the estimates come from eigenvalues alone; eigh runs only when the
+    # eigenvectors are read
+    import scipy.linalg
+
+    calls = []
+    eigh = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        lambda *a, **k: calls.append(a) or eigh(*a, **k))
+    res = solve_radial_eigs(assemble_radial_operator(RadialBasisSpec(3, 0.5, 24)))
+    assert calls == [] and np.all(np.isfinite(res.convergence[:22]))
+    res.eigenvectors
+    assert len(calls) == 1
+
+
+def test_potential_pair_keeps_the_generalized_solve():
+    spec = RadialBasisSpec(3, 0.6, 20)
+    pair = assemble_radial_operator(spec, potential=lambda r: 3.0 - r**2)
+    assert pair.diagonal is None
+    lam, vec = generalized_eigh(pair)
+    res = solve_radial_eigs(pair)
+    assert np.array_equal(res.eigenvalues, lam)
+    assert np.array_equal(res.eigenvectors, vec)
+
+
+def test_potential_free_indefinite_mass_raises_mass_not_pd():
+    spec = RadialBasisSpec(2, 0.5, 16)
+    a = assemble_radial_operator(spec).diagonal
+    pair = RadialOperatorPair(spec, np.diag(a), -mass_matrix(spec), diagonal=a)
+    with pytest.raises(MassNotPD):
+        solve_radial_eigs(pair)
+
+
 def test_convergence_estimates_shrink_with_K():
     lams = {}
     for K in (12, 18, 24):
@@ -196,6 +267,16 @@ def test_in_place_jacobi_recurrence_is_bit_identical(K):
                                   _jacobi_all_allocating(K, a, b, t)), (d, s)
             assert np.array_equal(jacobi_deriv_all(K, a, b, t),
                                   _jacobi_deriv_all_allocating(K, a, b, t)), (d, s)
+
+
+@pytest.mark.parametrize("a,b", [(0.3, -0.5), (0.9, 2.0)])
+@pytest.mark.parametrize("size", [1, 3, 26, 2049])
+@pytest.mark.parametrize("K", [2, 3, 12, 48, 96])
+def test_hoisted_jacobi_recurrence_is_bit_identical(K, size, a, b):
+    # jacobi_all fills every row's x-only factor before the recurrence runs;
+    # each element still sees the row loop's operations in its order
+    x = np.random.default_rng(K + size).uniform(-1.0, 1.0, size)
+    assert np.array_equal(jacobi_all(K, a, b, x), _jacobi_all_allocating(K, a, b, x))
 
 
 # RadialProfile's blocked evaluations against the one-shot formulas.  Run with

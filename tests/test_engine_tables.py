@@ -88,6 +88,10 @@ def _reference_tables(N, s, ell, breaks, n, lev):
     (2, 0.25, 1, BREAKS, 0),
     (3, 0.6, 0, BREAKS, 0),
     (3, 0.4, 1, (), 1),
+    (2, 0.55, 0, (0.4,), 0),
+    (2, 0.55, 1, (0.4,), 0),
+    (2, 0.55, 0, (0.2, 0.6), 0),
+    (2, 0.55, 1, (0.2, 0.6), 0),
 ])
 def test_engine_tables_equal_the_per_node_build(N, s, ell, breaks, pos):
     eng = nq.PairFormEngine(N, s, ell, breaks, *nq._LADDER[pos])

@@ -91,6 +91,24 @@ def test_kappa_ell_ordering():
         assert 0.0 < k1 < k0
 
 
+@pytest.mark.parametrize("d,s", [(2, 0.3), (3, 0.75), (7, 0.5), (14, 0.9)])
+def test_kappa_ell_0_is_the_two_moment_kappa_0(d, s):
+    # kappa_ell at ell = 0 evaluates kappa_0 alone, on the table and, below
+    # _X_MIN, on the fallback; it equals the two-moment call's kappa_0 bit
+    # for bit, in the broadcast shape
+    rng = np.random.default_rng(3)
+    r = rng.uniform(0.05, 1.0, (40, 1))
+    rho = rng.uniform(0.0, 1.0, (1, 30))
+    h = np.abs(r - rho)
+    h[:, :3] = r * kernels._X_MIN * np.array([0.25, 1e-3, 1e-9])
+    rho = np.where(h < r * kernels._X_MIN, r - h, rho)
+    assert (h < np.maximum(r, rho) * kernels._X_MIN).sum() >= 100
+    got = kappa_ell(r, rho, h, d, s, 0)
+    want = kappa_moments(r, rho, h, d, s)[0]
+    assert got.shape == want.shape == (40, 30)
+    assert np.array_equal(got, want)
+
+
 def test_kappa_moments_rejects_d1():
     with pytest.raises(ValueError):
         kappa_moments(0.5, 0.6, 0.1, 1, 0.5)

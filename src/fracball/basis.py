@@ -18,19 +18,20 @@ panel would spend K + 4 nodes where a dozen resolve the integrand.
 nonlocal_quadrature checks the closed forms against the singular-kernel
 oracle where a sector is built.
 
+The mass matrix B is a closed form in the same Jacobi family (mass_matrix).
 A potential-free radial eigenproblem A x = lambda B x has the diagonal A =
 diag(a), so solve_radial_eigs solves it as the symmetric eigenproblem of
 C = diag(a)^{-1/2} B diag(a)^{-1/2}, eigenvalues only, with no Cholesky
 factor of B; a pair with a potential (the linearization's blocks) is solved
-as a generalized pencil.
+as a generalized pencil, through the Cholesky factor of B.  Both are NumPy
+eigensolves.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln, roots_jacobi
 
 from .errors import MassNotPD, PotentialUnbounded
 from .params import harmonic_multiplicity, sphere_area
@@ -144,10 +145,15 @@ def jacobi_deriv_all(K, a, b, x):
     return D
 
 
+def _lgamma(x):
+    """log Gamma at each entry of the 1-D array x."""
+    return np.fromiter(map(math.lgamma, x.tolist()), float, x.size)
+
+
 def jacobi_at_one(K, a):
     """P_n^{(a,b)}(1) = binom(n+a, n), independent of b."""
     n = np.arange(K, dtype=float)
-    return np.exp(gammaln(n + a + 1.0) - gammaln(a + 1.0) - gammaln(n + 1.0))
+    return np.exp(_lgamma(n + a + 1.0) - math.lgamma(a + 1.0) - _lgamma(n + 1.0))
 
 
 def boundary_weight(s, r):
@@ -171,10 +177,10 @@ def dyda_factor(spec):
     n = np.arange(spec.K, dtype=float)
     return np.exp(
         2.0 * s * np.log(2.0)
-        + gammaln(s + n + 1.0)
-        + gammaln((d + 2.0 * s) / 2.0 + n)
-        - gammaln(n + 1.0)
-        - gammaln(d / 2.0 + n)
+        + _lgamma(s + n + 1.0)
+        + _lgamma((d + 2.0 * s) / 2.0 + n)
+        - _lgamma(n + 1.0)
+        - _lgamma(d / 2.0 + n)
     )
 
 
@@ -183,10 +189,10 @@ def jacobi_norm_radial(spec):
     d, s = spec.d, spec.s
     n = np.arange(spec.K, dtype=float)
     return 0.5 * np.exp(
-        gammaln(n + s + 1.0)
-        + gammaln(n + d / 2.0)
-        - gammaln(n + s + d / 2.0)
-        - gammaln(n + 1.0)
+        _lgamma(n + s + 1.0)
+        + _lgamma(n + d / 2.0)
+        - _lgamma(n + s + d / 2.0)
+        - _lgamma(n + 1.0)
     ) / (2.0 * n + s + d / 2.0)
 
 
@@ -209,14 +215,42 @@ def stiffness_matrix(spec):
 def mass_matrix(spec):
     """B_mn = int_{R^d} phi_m phi_n dx = |S^{d-1}| int_0^1 phi_m phi_n r^{d-1} dr.
 
-    Exact by Gauss-Jacobi in t = 2r^2 - 1.
+    In closed form.  With t = 2r^2 - 1, beta = d/2 - 1 and P_n =
+    P_n^{(s,beta)}, B_mn = scale int (1-t)^{2s} (1+t)^beta P_m P_n dt with
+    scale = |S^{d-1}| 2^{-(a+1)}, a = 2s + beta + 1.  Each P_n expands in
+    the P_k^{(2s,beta)}, orthogonal for that weight, with the connection
+    coefficients (DLMF 18.18.14; Askey, Orthogonal Polynomials and Special
+    Functions, 1975, Lecture 7), zero for k > n,
+
+        c_nk = (beta+1)_n / (a+1)_n * (a+2k) / a * (a)_k (n+beta+s+1)_k
+               / ((beta+1)_k (n+a+1)_k) * (-s)_{n-k} / (n-k)!,
+
+    so B = G G^T with G_nk = c_nk sqrt(scale h_k), h_k the norms of the
+    P_k^{(2s,beta)}.  c_n0 is a cumulative product of its ratio in n, c_nk
+    one of its ratio in k, and scale h_k one of its ratio in k from
+    scale h_0 = |S^{d-1}| Gamma(2s+1) Gamma(beta+1) / (2 Gamma(a+1)).  G G^T
+    is exactly symmetric.
     """
-    d, s = spec.d, spec.s
-    nq = spec.K + 2
-    t, w = roots_jacobi(nq, 2.0 * s, d / 2.0 - 1.0)
-    P = jacobi_all(spec.K, s, d / 2.0 - 1.0, t)
-    scale = sphere_area(d) * 2.0 ** (-(2.0 * s + d / 2.0 + 1.0))
-    return scale * (P * w[None, :]) @ P.T
+    s, b, K = spec.s, spec.beta, spec.K
+    a = 2.0 * s + b + 1.0
+    n = np.arange(K, dtype=float)
+    j = n[:-1]
+    C = np.empty((K, K))
+    C[0, 0] = 1.0
+    np.cumprod((j + b + 1.0) / (j + a + 1.0) * (j - s) / (j + 1.0), out=C[1:, 0])
+    m, k = n[:, None], j[None, :]
+    np.cumprod((a + 2.0 * k + 2.0) / (a + 2.0 * k) * (a + k) * (m + b + s + 1.0 + k)
+               / ((b + 1.0 + k) * (m + a + 1.0 + k)) * (m - k) / (m - k - 1.0 - s),
+               axis=1, out=C[:, 1:])
+    C[:, 1:] *= C[:, :1]
+    h = np.empty(K)
+    h[0] = (0.5 * sphere_area(spec.d) * math.gamma(2.0 * s + 1.0) * math.gamma(b + 1.0)
+            / math.gamma(a + 1.0))
+    np.cumprod((a + 2.0 * j) / (a + 2.0 * j + 2.0) * (j + 2.0 * s + 1.0) * (j + b + 1.0)
+               / ((j + a) * (j + 1.0)), out=h[1:])
+    h[1:] *= h[0]
+    G = C * np.sqrt(h)
+    return G @ G.T
 
 
 def galerkin_rule(K, breaks):
@@ -305,56 +339,77 @@ class RadialEigenResult:
         return self.vectors()
 
 
-def generalized_eigh(pair):
-    """Eigenpairs of A x = lambda B x, ascending and B-orthonormal.
+def _centre_positive(spec, X):
+    """The coefficient columns of X, each negated where its profile is
+    negative at r = 0: u(0) = sum_n c_n P_n(-1), P_n^{(s,beta)}(-1) =
+    (-1)^n binom(n + beta, n).  Where |u(0)| is within the rounding of that
+    sum, K eps sum_n |c_n P_n(-1)|, the column's first coefficient of
+    largest magnitude is made positive instead.  Fixes the sign LAPACK
+    leaves open."""
+    at_centre = jacobi_at_one(spec.K, spec.beta) * (-1.0) ** np.arange(spec.K)
+    u0 = at_centre @ X
+    tied = np.abs(u0) <= spec.K * np.finfo(float).eps * (np.abs(at_centre) @ np.abs(X))
+    lead = X[np.abs(X).argmax(axis=0), np.arange(X.shape[1])]
+    return X * np.where(np.where(tied, lead, u0) < 0.0, -1.0, 1.0)
+
+
+def _cholesky_eigh(pair):
+    """(lambda, x, C): the eigenpairs of A x = lambda B x, ascending and
+    B-orthonormal, as the eigenpairs (lambda, y) of the symmetric
+    C = L^{-1} A L^{-T}, x = L^{-T} y, for the Cholesky factor L of B.
+    L^{-1} is lower triangular, so C's leading k x k block is the C of the
+    leading k x k pencil.
 
     Raises MassNotPD when B cannot be factorized.
     """
     try:
-        return scipy.linalg.eigh(pair.A, pair.B)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        Li = np.linalg.inv(np.linalg.cholesky(pair.B))
+    except np.linalg.LinAlgError as exc:
         raise MassNotPD(f"mass matrix factorization failed: {exc}") from exc
+    C = Li @ pair.A @ Li.T
+    lam, y = np.linalg.eigh(C)
+    return lam, _centre_positive(pair.spec, Li.T @ y), C
 
 
 def solve_radial_eigs(pair):
     """Solve A x = lambda B x: ascending eigenvalues, B-orthonormal
-    eigenvectors, and convergence estimates |lambda_n(K) - lambda_n(K-2)|
-    against the K-2 truncation.
+    eigenvectors with each profile positive at r = 0 (_centre_positive), and
+    convergence estimates |lambda_n(K) - lambda_n(K-2)| against the K-2
+    truncation.
 
-    A pair with a potential goes through generalized_eigh (a Cholesky
-    factor of B), and its K-2 problem through a second one.  A
-    potential-free pair is solved in scaled form: with D = diag(a)^{-1/2},
-    its eigenvalues are 1 / mu for the eigenvalues mu of the symmetric
-    C = D B D, eigenvalues only, and C's leading (K-2) block is exactly the
-    K-2 problem's C, since the scaling is elementwise.  No factor of B is
-    formed, so no rounding of one enters: an estimate can be exactly 0.
-    The eigenvectors, x = D y / sqrt(mu) for C's eigenvectors y, are
-    computed only when read.  Raises MassNotPD when B cannot be factorized
-    or an eigenvalue of C is not positive.
+    A pair with a potential is solved through C = L^{-1} A L^{-T} for the
+    Cholesky factor L of B (_cholesky_eigh), and its K-2 problem by the
+    eigenvalues of C's leading (K-2) block.  A potential-free pair is
+    solved in scaled form: with D = diag(a)^{-1/2}, its eigenvalues are
+    1 / mu for the eigenvalues mu of the symmetric C = D B D, eigenvalues
+    only, and C's leading (K-2) block is exactly the K-2 problem's C, since
+    the scaling is elementwise.  No factor of B is formed, so no rounding of
+    one enters: an estimate can be exactly 0.  The eigenvectors,
+    x = D y / sqrt(mu) for C's eigenvectors y, are computed only when read.
+    Raises MassNotPD when B cannot be factorized or an eigenvalue of C is
+    not positive.
     """
     K = pair.spec.K
     conv = np.full(K, np.inf)
     if pair.diagonal is None:
-        lam, vec = generalized_eigh(pair)
+        lam, vec, C = _cholesky_eigh(pair)
         if K > 2:
-            sub = scipy.linalg.eigh(pair.A[: K - 2, : K - 2], pair.B[: K - 2, : K - 2],
-                                    eigvals_only=True)
-            conv[: K - 2] = np.abs(lam[: K - 2] - sub)
+            conv[: K - 2] = np.abs(lam[: K - 2] - np.linalg.eigvalsh(C[: K - 2, : K - 2]))
         return RadialEigenResult(pair.spec, lam, conv, lambda: vec)
     D = 1.0 / np.sqrt(pair.diagonal)
     C = D[:, None] * pair.B * D[None, :]
-    mu = scipy.linalg.eigvalsh(C)
+    mu = np.linalg.eigvalsh(C)
     if not mu[0] > 0.0:
         raise MassNotPD(f"mass matrix is not positive definite: eigenvalue "
                         f"{mu[0]:.3e} of its scaled form")
     lam = 1.0 / mu[::-1]
     if K > 2:
-        conv[: K - 2] = np.abs(lam[: K - 2] - 1.0 / scipy.linalg.eigvalsh(
+        conv[: K - 2] = np.abs(lam[: K - 2] - 1.0 / np.linalg.eigvalsh(
             C[: K - 2, : K - 2])[::-1])
 
     def vectors():
-        mu, y = scipy.linalg.eigh(C)
-        return (D[:, None] * (y / np.sqrt(mu)))[:, ::-1]
+        mu, y = np.linalg.eigh(C)
+        return _centre_positive(pair.spec, (D[:, None] * (y / np.sqrt(mu)))[:, ::-1])
 
     return RadialEigenResult(pair.spec, lam, conv, vectors)
 

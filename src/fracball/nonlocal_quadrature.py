@@ -281,7 +281,7 @@ def exterior_tail(r, N, s, ell=0):
     gap = 1.0 - r
     levs = np.array([_lev_for(g, 1.0, base=6) for g in gap], dtype=int)
     groups = []
-    for lev in np.unique(levs):
+    for lev in sorted(set(levs.tolist())):  # np.unique would import numpy.ma
         zeta, wz = graded_rule(0.0, 1.0, "left", lev, _RATIO, 10)
         rho = 1.0 + zeta
         i = levs == lev

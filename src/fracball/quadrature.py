@@ -5,16 +5,17 @@ panels that are geometrically graded into algebraic singularities, plus
 Gauss-Jacobi panels that absorb a known |h|^gamma weight exactly.  panel_rule
 places every Gauss-Legendre panel of the package: graded_rule, kink_rule,
 galerkin_rule (kink_panels, each with its own order), the morse series rule
-and the kernels tables all go through it.  The Gauss rules on (0, 1) are
-memoised per process by functools.cache on their exact (n, gamma).
+and the kernels tables all go through it.  Every Gauss rule comes from
+gauss_jacobi (SciPy's Golub-Welsch scheme in NumPy); the rules on (0, 1)
+are memoised per process by functools.cache on their exact (n, gamma).
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 
 @dataclass(frozen=True)
@@ -44,17 +45,79 @@ class QuadratureRule:
     seed: int
 
 
+def _jacobi_last_two(n, a, b, x):
+    """p_{n-1} and p_n at the points x, n >= 1, for p_k = P_k^{(a,b)} /
+    P_k^{(a,b)}(1), by the recurrence of SciPy's eval_jacobi in the
+    differences d_k = p_k - p_{k-1}: d_{k+1} = A_k (x - 1) p_k + B_k d_k.
+    At a = b = 0, A_k = (2k+1)/(k+1) and B_k = k/(k+1), each one rounding
+    of a quotient of exact integers: SciPy's eval_legendre bit for bit."""
+    k = np.arange(1, n, dtype=float)
+    t = 2.0 * k + a + b
+    den = (k + a + 1.0) * (k + a + b + 1.0)
+    rows = np.multiply.outer((t + 1.0) * (t + 2.0) / (2.0 * den), x - 1.0)
+    p = ((a + b + 2.0) * x + (a - b)) / (2.0 * (a + 1.0))
+    prev, d = np.ones_like(x), p - 1.0
+    for row, c in zip(rows, (k * (k + b) * (t + 2.0) / (den * t)).tolist()):
+        row *= p
+        d *= c
+        d += row
+        prev, p = p, p + d
+    return prev, p
+
+
+def gauss_jacobi(n, a, b):
+    """The n-point Gauss rule (x, w) on (-1, 1) for the weight
+    (1 - x)^a (1 + x)^b, a, b > -1: nodes ascending, sum(w) = mu_0.
+
+    The Golub-Welsch scheme of SciPy's roots_jacobi, in NumPy.  The nodes
+    are the eigenvalues of the symmetric Jacobi matrix, each taken one
+    Newton step on p_n, with p_n' from (2n+a+b)(1-x^2) p_n' =
+    n((a-b) - (2n+a+b)x) p_n + 2n(n+b) p_{n-1} at the eigenvalues.  The
+    weights are 1 / (p_{n-1} p_n'), p_{n-1} at the stepped nodes, scaled to
+    sum to mu_0; a rule with a = b is symmetrized.  Every step is written so
+    that at a = b = 0 it rounds as roots_legendre does: the Legendre rule is
+    SciPy's bit for bit, its nodes at every n and its weights at even n (at
+    odd n SciPy takes p_{n-1} at the middle node from a power series).
+    """
+    k = np.arange(1, n, dtype=float)
+    h = 2.0 * k + a + b
+    first = k == 1.0  # there k + a + b = h - 1, which cancel (a + b may be -1)
+    J = np.zeros((n, n))  # the lower triangle is read
+    J.flat[0] = (b - a) / (a + b + 2.0)
+    J.flat[n + 1::n + 1] = (b * b - a * a) / (h * (h + 2.0))
+    J.flat[n::n + 1] = (2.0 * np.sqrt(k * (k + a) * (k + b) * np.where(first, 1.0, k + a + b))
+                        / h * np.sqrt(1.0 / ((h + 1.0) * np.where(first, 1.0, h - 1.0))))
+    x = np.linalg.eigvalsh(J)
+    pm, p = _jacobi_last_two(n, a, b, x)
+    hn = 2.0 * n + a + b
+    dp = (n * ((a - b) / hn - x) * p + (2.0 * n * (n + b) / hn) * pm) / (1.0 - x**2)
+    x = x - p / dp
+    pm = _jacobi_last_two(n, a, b, x)[0]
+    # each factor over the geometric mean of its extreme magnitudes, as
+    # SciPy keeps the product in range
+    for v in (pm, dp):
+        log_v = np.log(np.abs(v))
+        v /= np.exp((log_v.max() + log_v.min()) / 2.0)
+    w = 1.0 / (pm * dp)
+    if a == b:
+        w = (w + w[::-1]) / 2.0
+        x = (x - x[::-1]) / 2.0
+    w *= (2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0)
+          / math.gamma(a + b + 2.0)) / w.sum()
+    return x, w
+
+
 @functools.cache
 def _legendre01(n):
     """Gauss-Legendre nodes/weights on (0, 1)."""
-    x, w = roots_legendre(n)
+    x, w = gauss_jacobi(n, 0.0, 0.0)
     return (x + 1.0) / 2.0, w / 2.0
 
 
 @functools.cache
 def _jacobi01(n, gamma):
     """Nodes/weights for integrals int_0^1 t^gamma f(t) dt, gamma > -1."""
-    x, w = roots_jacobi(n, 0.0, gamma)
+    x, w = gauss_jacobi(n, 0.0, gamma)
     # weight on [-1,1] is (1+x)^gamma; map t = (1+x)/2
     return (x + 1.0) / 2.0, w / 2.0 ** (gamma + 1.0)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .basis import (RadialBasisSpec, RadialProfile, RootScan,
                     assemble_radial_operator, basis_matrix, galerkin_rule,
-                    generalized_eigh, stiffness_matrix)
+                    solve_radial_eigs, stiffness_matrix)
 from .errors import (NoConvergence, NotConverged, TrivialSolution,
                      WrongNodalCount)
 from .nonlocal_quadrature import stiffness_oracle_gate
@@ -137,7 +137,8 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
     to a residual norm below NEWTON_TOL in at most MAX_ITER steps per phase.
 
     init is an explicit coefficient vector, or None for the amplitude-matched
-    radial eigenfunction with target_nodes sign changes.  At p = 2 (the
+    radial eigenfunction with target_nodes sign changes, positive at r = 0
+    (solve_radial_eigs' sign).  At p = 2 (the
     linear f = lam t) the B-normalised radial eigenvector with target_nodes
     sign changes is returned, flagged linear-degenerate, with residual
     ||A0 c - lam B c||: zero up to rounding only when lam is its eigenvalue.
@@ -162,9 +163,9 @@ def solve_radial_sign_changing(params, nonlin, target_nodes=1, K=K_START,
 
     degenerate = nonlin.p == 2.0
     if degenerate or init is None:
-        lam, vec = generalized_eigh(pair)
-        lam_lin = float(lam[target_nodes])
-        v_lin = vec[:, target_nodes]
+        seed = solve_radial_eigs(pair)
+        lam_lin = float(seed.eigenvalues[target_nodes])
+        v_lin = seed.eigenvectors[:, target_nodes]
     # every root scan of this solve reads one Jacobi table
     roots = RootScan(spec)
     if degenerate:

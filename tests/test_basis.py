@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracball.basis import (RadialBasisSpec, RadialOperatorPair,
-                            RadialProfile, assemble_radial_operator,
-                            basis_matrix, dyda_factor, galerkin_rule,
-                            generalized_eigh, jacobi_all, jacobi_at_one,
-                            jacobi_deriv_all, mass_matrix,
+                            RadialProfile, _centre_positive,
+                            assemble_radial_operator, basis_matrix,
+                            dyda_factor, galerkin_rule, jacobi_all,
+                            jacobi_at_one, jacobi_deriv_all, mass_matrix,
                             radial_weighted_integrals, solve_radial_eigs,
                             stiffness_matrix)
 from fracball.errors import MassNotPD, PotentialUnbounded
@@ -90,20 +90,18 @@ def test_potential_free_eigenvectors_solve_the_pencil():
     R = pair.A @ X - (pair.B @ X) * lam
     scale = np.abs(pair.A @ X).max(axis=0)
     assert np.all(np.abs(R).max(axis=0) <= 1e-12 * scale)
-    # the same eigenvectors as the generalized solve, up to sign
-    _, vec = generalized_eigh(pair)
-    sign = np.sign(np.sum(X * (pair.B @ vec), axis=0))
-    assert np.abs(X - vec * sign).max() <= 1e-8 * np.abs(vec).max()
+    # the same eigenvectors, signs included, as the Cholesky solve of the
+    # same pencil with no diagonal recorded
+    vec = solve_radial_eigs(RadialOperatorPair(pair.spec, pair.A, pair.B)).eigenvectors
+    assert np.abs(X - vec).max() <= 1e-8 * np.abs(vec).max()
 
 
 def test_potential_free_sector_computes_no_eigenvectors(monkeypatch):
-    # the estimates come from eigenvalues alone; eigh runs only when the
-    # eigenvectors are read
-    import scipy.linalg
-
+    # the estimates come from eigenvalues alone; NumPy's eigh runs only when
+    # the eigenvectors are read
     calls = []
-    eigh = scipy.linalg.eigh
-    monkeypatch.setattr(scipy.linalg, "eigh",
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
                         lambda *a, **k: calls.append(a) or eigh(*a, **k))
     res = solve_radial_eigs(assemble_radial_operator(RadialBasisSpec(3, 0.5, 24)))
     assert calls == [] and np.all(np.isfinite(res.convergence[:22]))
@@ -111,14 +109,31 @@ def test_potential_free_sector_computes_no_eigenvectors(monkeypatch):
     assert len(calls) == 1
 
 
+def test_centre_sign_falls_back_to_the_largest_coefficient():
+    # d = 3: P_0(-1) = 1 and P_1(-1) = -1.5, so (1.5, 1, 0, 0) has u(0) = 0
+    # exactly and its sign goes by its largest coefficient; (1, 1, 0, 0) has
+    # u(0) = -0.5 and is negated
+    spec = RadialBasisSpec(3, 0.5, 4)
+    X = np.array([[-1.5, 1.0], [-1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(_centre_positive(spec, X), [[1.5, -1.0], [1.0, -1.0],
+                                                      [0.0, 0.0], [0.0, 0.0]])
+
+
 def test_potential_pair_keeps_the_generalized_solve():
+    # a pair with a potential is solved as the pencil itself: its eigenvalues
+    # against those of B^{-1} A from a nonsymmetric solve (measured 4e-16 of
+    # the largest; B's condition number is 155), its eigenvectors
+    # B-orthonormal with a residual at rounding
     spec = RadialBasisSpec(3, 0.6, 20)
     pair = assemble_radial_operator(spec, potential=lambda r: 3.0 - r**2)
     assert pair.diagonal is None
-    lam, vec = generalized_eigh(pair)
     res = solve_radial_eigs(pair)
-    assert np.array_equal(res.eigenvalues, lam)
-    assert np.array_equal(res.eigenvectors, vec)
+    lam, X = res.eigenvalues, res.eigenvectors
+    ref = np.sort(np.linalg.eigvals(np.linalg.solve(pair.B, pair.A)).real)
+    assert np.abs(lam - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(X.T @ pair.B @ X - np.eye(spec.K)).max() <= 1e-12
+    R = pair.A @ X - (pair.B @ X) * lam
+    assert np.all(np.abs(R).max(axis=0) <= 1e-12 * np.abs(pair.A @ X).max(axis=0))
 
 
 def test_potential_free_indefinite_mass_raises_mass_not_pd():
@@ -166,7 +181,7 @@ def test_galerkin_rule_needs_a_fraction_of_the_fixed_law(K, share, b):
 
 @pytest.mark.parametrize("d,s", [(1, 0.2), (3, 0.9), (5, 0.5)])
 def test_galerkin_rule_integrates_the_mass_matrix(d, s):
-    # the exact Gauss-Jacobi mass matrix; measured at most 1.3e-12 of its
+    # the closed-form mass matrix; measured at most 1.3e-12 of its
     # largest entry (d = 1, s = 0.2), as on the fixed law's rule
     spec = RadialBasisSpec(d, s, 192)
     r, w = galerkin_rule(spec.K, (0.5,))
@@ -202,7 +217,7 @@ def test_indefinite_mass_raises_mass_not_pd():
     spec = RadialBasisSpec(2, 0.5, 16)
     pair = RadialOperatorPair(spec, stiffness_matrix(spec), -mass_matrix(spec))
     with pytest.raises(MassNotPD):
-        generalized_eigh(pair)
+        solve_radial_eigs(pair)
 
 
 def test_second_radial_eigenfunction_has_one_node():

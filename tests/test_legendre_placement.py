@@ -1,17 +1,21 @@
 """Every Gauss-Legendre rule of the package, bit for bit against references
-placed here panel by panel from scipy's roots_legendre on (-1, 1):
-nodes lo + (hi - lo)(x + 1)/2 and weights (hi - lo) w/2.  None of the
-references goes through quadrature.panel_rule."""
+placed here panel by panel from the package's gauss_jacobi(n, 0, 0) on
+(-1, 1): nodes lo + (hi - lo)(x + 1)/2 and weights (hi - lo) w/2.  None of
+the references goes through quadrature.panel_rule."""
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
 
 from fracball import kernels, morse
 from fracball.basis import galerkin_rule
 from fracball.nonlocal_quadrature import SeparableFunction
-from fracball.quadrature import (graded_edges, graded_rule, jacobi_panel,
-                                 kink_panels)
+from fracball.quadrature import (gauss_jacobi, graded_edges, graded_rule,
+                                 jacobi_panel, kink_panels)
+
+
+def gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on (-1, 1)."""
+    return gauss_jacobi(n, 0.0, 0.0)
 
 
 def _placed(lo, hi, n):
@@ -19,7 +23,7 @@ def _placed(lo, hi, n):
     lo, hi = np.ravel(lo), np.ravel(hi)
     nodes, weights = [], []
     for a, b, m in zip(lo, hi, np.broadcast_to(n, lo.shape)):
-        x, w = roots_legendre(int(m))
+        x, w = gauss_legendre(int(m))
         nodes.append(a + (b - a) * (x + 1.0) / 2.0)
         weights.append((b - a) * w / 2.0)
     return np.concatenate(nodes), np.concatenate(weights)
@@ -63,10 +67,10 @@ def test_graded_rule_places_its_panels_in_scalar_and_row_mode(toward, gamma):
 
 
 def test_kernel_rules_are_the_hand_built_ones():
-    x, w = roots_legendre(24)
+    x, w = gauss_legendre(24)
     assert np.array_equal(kernels._XA, (x + 1.0) / 2.0)
     assert np.array_equal(kernels._WA, w / 2.0)
-    x, w = roots_legendre(10)
+    x, w = gauss_legendre(10)
     edges = kernels._TAU_EDGES
     assert np.array_equal(kernels._XB, np.concatenate(
         [lo + (hi - lo) * (x + 1.0) / 2.0 for lo, hi in zip(edges[:-1], edges[1:])]))
@@ -88,7 +92,7 @@ def _series_reference(fn):
     else:
         edges.append(np.linspace(pts[-2], end, morse._SERIES_PANELS + 1))
     edges = np.concatenate(edges)
-    x, w = roots_legendre(morse._SERIES_NODES)
+    x, w = gauss_legendre(morse._SERIES_NODES)
     lo, hi = edges[:-1, None], edges[1:, None]
     r, wr = lo + (hi - lo) * (x + 1.0) / 2.0, (hi - lo) * w / 2.0
     if fn.support_radius is not None:

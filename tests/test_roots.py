@@ -1,5 +1,5 @@
-"""The Brent root finder against scipy.optimize.brentq, which the package no
-longer imports."""
+"""The Brent root finder against scipy.optimize.brentq, and the package's
+commands without scipy."""
 
 import subprocess
 import sys
@@ -74,19 +74,30 @@ def test_brentq_nan_raises():
         brentq(lambda x: float("nan") if x > 0.5 else -1.0, 0.0, 1.0)
 
 
-def test_solve_does_not_import_scipy_optimize(tmp_path):
+# each command in turn in one fresh interpreter, printing the scipy modules
+# loaded so far after each
+_COMMANDS = """
+import sys
+from fracball.cli import main
+cfg, out = sys.argv[1:]
+for argv in (["eigs"], ["conjecture"], ["solve"], ["morse"],
+             ["eigs", "--oracle-budget", "40000"]):
+    assert main([argv[0], "--config", cfg, "--out", out, *argv[1:]]) == 0, argv
+    print("loaded", *argv, sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_commands_import_no_scipy(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text('grid.N = [1]\ngrid.s = [0.5]\n'
                    'grid.nonlinearity = ["power(1.0, 3.0)"]\n'
                    'trunc.K = 12\n')
-    code = ("import sys\n"
-            "from fracball.cli import main\n"
-            f"assert main(['solve', '--config', {str(cfg)!r}, "
-            f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
-            "print('scipy.optimize' in sys.modules)\n")
     env = {"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", _COMMANDS, str(cfg), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
-    assert (tmp_path / "out" / "solve.json").exists()
+    assert [line for line in done.stdout.splitlines() if line.startswith("loaded")] == [
+        "loaded eigs []", "loaded conjecture []", "loaded solve []", "loaded morse []",
+        "loaded eigs --oracle-budget 40000 []"]
+    for command in ("eigs", "conjecture", "solve", "morse"):
+        assert (tmp_path / "out" / f"{command}.json").exists()

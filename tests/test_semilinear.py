@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -307,15 +306,16 @@ def test_jacobian_formed_only_to_take_a_step(monkeypatch):
                                     NonlinearitySpec(10.0)],
                          ids=["power", "linear"])
 def test_seed_eigenpair_from_one_eigh(monkeypatch, nonlin):
-    # the seed reads one eigenpair; the K-2 convergence re-solve is not run
+    # the seed's eigenvectors come from one NumPy eigh, of the scaled
+    # potential-free pencil
     calls = []
-    eigh = scipy.linalg.eigh
+    eigh = np.linalg.eigh
 
     def counted(*args, **kwargs):
         calls.append(1)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     solve_radial_sign_changing(ProblemParams(2, 0.6), nonlin, target_nodes=1,
                                K=24)
     assert len(calls) == 1

@@ -424,9 +424,11 @@ def _in_blocks(fn, r):
     """fn on the 1-D points r, _PROFILE_BLOCK points at a time.
 
     Every value is computed as fn on all of r computes it: the recurrence is
-    elementwise and each point's sum sum_n c_n P_n(t) is one gemv row.  A
-    remainder of fewer than four points joins the block before it, because
-    OpenBLAS's gemv sums a matrix of fewer than four rows in another order.
+    elementwise and each point's sum sum_n c_n P_n(t) is one gemv row.
+    OpenBLAS's gemv sums rows in groups of four, the last len % 4 rows in
+    another order and a gemv of two or three rows in a third; the blocks
+    are multiples of four, and a remainder of fewer than four points joins
+    the block before it, so each point keeps its order.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if r.size < _PROFILE_BLOCK + 4:
@@ -435,6 +437,35 @@ def _in_blocks(fn, r):
     starts = list(range(0, r.size - 3, _PROFILE_BLOCK)) + [r.size]
     for lo, hi in zip(starts[:-1], starts[1:]):
         out[lo:hi] = fn(r[lo:hi])
+    return out
+
+
+# an array of a multiple of this many points has every point in one of
+# OpenBLAS's four-row gemv groups, under one BLAS thread or two (which split
+# the rows in halves)
+_GEMV_ALIGN = 8
+
+
+def values_inside(fn, r, inside):
+    """fn(r) at the points of the 1-D array r where the boolean mask inside
+    holds, each value as fn on all of r computes it, and 0 at the others.
+
+    When len(r) is a multiple of _GEMV_ALIGN, fn sees only the inside
+    points, padded with copies of the first to a multiple of _GEMV_ALIGN so
+    that each stays in a four-row group (_in_blocks); otherwise fn sees all
+    of r.
+    """
+    if r.size % _GEMV_ALIGN:
+        return np.where(inside, fn(r), 0.0)
+    k = np.count_nonzero(inside)
+    if not k:
+        return np.zeros(r.shape)
+    pts = np.empty(k - k % -_GEMV_ALIGN)
+    np.compress(inside, r, out=pts[:k])
+    pts[k:] = pts[0]
+    vals = fn(pts)
+    out = np.zeros(r.shape)
+    out[inside] = vals[:k]
     return out
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (RadialBasisSpec, basis_matrix, boundary_weight,
-                    stiffness_matrix)
+                    stiffness_matrix, values_inside)
 from .errors import DimensionUnsupported, EngineTooLarge, OracleMismatch
 from .kernels import kappa_ell
 from .params import frac_constant, sphere_area
@@ -69,7 +69,10 @@ class SeparableFunction:
     collapses to this separable form.  The profile must evaluate to 0 for
     r >= 1 and, for 'coordinate', to 0 at r = 0.  support_radius is the
     radius beyond which the profile vanishes, when that is known to happen
-    inside the ball, and None otherwise.
+    inside the ball, and None otherwise.  That zero contract is
+    load-bearing: a call gives every point at or beyond end = support_radius
+    (or 1) the value 0, and on Monte-Carlo chunks never computes the
+    profile there.
     """
 
     profile: object
@@ -89,14 +92,22 @@ class SeparableFunction:
         return 0 if self.angular == "constant" else 1
 
     def __call__(self, x):
-        """Evaluate at points x of shape (npts, N) (or (N,) for one point)."""
+        """Evaluate at points x of shape (npts, N) (or (N,) for one point).
+
+        The points with r < end, end the support_radius or 1, take the
+        profile's values as on the whole array (basis.values_inside), and the
+        profile is evaluated only there when npts is a multiple of eight,
+        as in mc_offset_sample's chunks.  Every other point is exactly 0.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         r = np.linalg.norm(x, axis=1)
-        vals = np.asarray(self.profile(r), dtype=float)
+        end = 1.0 if self.support_radius is None else self.support_radius
+        vals = values_inside(self.profile, r, r < end)
         if self.ell == 1:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ang = np.where(r > 0.0, x[:, self.j - 1] / np.where(r > 0, r, 1.0), 0.0)
-            vals = vals * ang
+            ang = np.zeros(r.shape)
+            with np.errstate(invalid="ignore"):
+                np.divide(x[:, self.j - 1], r, out=ang, where=r > 0.0)
+            vals *= ang
         return vals
 
 
@@ -645,7 +656,8 @@ def mc_offset_sample(u, v, N, s, vol, M, rng, draw_x, draw_dir):
     t * draw_dir(rng, m), a unit direction, with t drawn from the density
     ~ t^{-beta} on (0, 2], beta = max(0, 2s - 1/2).  That density has no
     normalisation once beta >= 1 (s >= 3/4), and close to it the samples
-    overflow, so both raise DimensionUnsupported.
+    overflow, so both raise DimensionUnsupported.  The offset point
+    y = x + t * direction is formed in place in the direction's array.
     """
     beta = max(0.0, 2.0 * s - 0.5)
     if beta >= 1.0:
@@ -660,7 +672,9 @@ def mc_offset_sample(u, v, N, s, vol, M, rng, draw_x, draw_dir):
         m = min(200_000, M - done)
         x = draw_x(rng, m)
         t = 2.0 * rng.random(m) ** (1.0 / (1.0 - beta))
-        y = x + t[:, None] * draw_dir(rng, m)
+        y = draw_dir(rng, m)
+        y *= t[:, None]
+        y += x
         du = u(x) - u(y)
         dv = du if v is u else v(x) - v(y)
         samp = 0.5 * c * const * t ** (beta - 1.0 - 2.0 * s) * du * dv

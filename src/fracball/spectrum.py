@@ -20,7 +20,6 @@ exactly 0.
 """
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +109,10 @@ def assemble_full_spectrum(params, ell_max, n_max, K, oracle_budget=None, jobs=1
 
     todo = list(ells) + ([] if sentinel_ell is None else [sentinel_ell])
     if jobs > 1:
+        # imported here: concurrent.futures brings logging, a few ms that a
+        # process without --jobs need not pay
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = dict(pool.map(solve, todo))
     else:

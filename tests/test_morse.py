@@ -1,4 +1,7 @@
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +182,86 @@ def test_test_functions_rotate_into_each_other_and_are_odd(cubic_n2, rng):
     assert np.count_nonzero(d1(x)) > 100
     assert np.array_equal(d2(rotated), d1(x))
     assert np.array_equal(d1(mirrored), -d1(x))
+
+
+def _whole_array_reference(fn, x):
+    """fn(x) as profile(|x|) * angular factor on the whole array."""
+    r = np.linalg.norm(x, axis=1)
+    vals = np.asarray(fn.profile(r), dtype=float)
+    if fn.ell == 1:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            vals = vals * np.where(r > 0.0, x[:, fn.j - 1] / np.where(r > 0, r, 1.0), 0.0)
+    return vals
+
+
+def _at_radii(radii, rng):
+    phi = 2.0 * np.pi * rng.random(radii.size)
+    return np.column_stack([radii * np.cos(phi), radii * np.sin(phi)])
+
+
+@pytest.mark.parametrize("npts", [64, 61, 40_000, 40_003])
+@pytest.mark.parametrize("angular", ["constant", "coordinate"])
+@pytest.mark.parametrize("part", ["d_j", "d_j without support", "opposite"])
+def test_separable_function_equals_the_whole_array_bit_for_bit(
+        cubic_n2, rng, part, angular, npts):
+    # the profile is evaluated only below end = support_radius (or 1), on
+    # the inside points alone when npts is a multiple of eight; every value
+    # must still be the whole array's, zeros and their signs included.
+    # The profiles are d_j's signed part of u', with and without its
+    # support radius r_*, and the opposite part, which reaches r = 1.
+    # Points at r = 0, inside, at least 1e-9 past r_* (where d_j's part is
+    # exactly 0; Brent's root may sit a hair off u' = 0) and at r >= 1;
+    # then sets with one to three inside points
+    _, _, sol = cubic_n2
+    r_star = build_test_functions(sol)[0].support_radius
+    positive = (sol.psi0_at_1 >= 0.0) == (part != "opposite")
+    fn = SeparableFunction(
+        profile=nonlocal_quadrature.SignedPart(sol.profile.derivative, positive),
+        angular=angular, support_radius=r_star if part == "d_j" else None)
+    quarter = npts // 4
+    radii = np.concatenate([
+        np.zeros(3), rng.uniform(0.0, r_star, quarter),
+        rng.uniform(r_star + 1e-9, 1.0, quarter), r_star + 1e-9 * (1.0 + rng.random(3)),
+        rng.uniform(1.0, 1.5, npts - 2 * quarter - 6)])
+    x = _at_radii(rng.permutation(radii), rng)
+    assert fn(x).tobytes() == _whole_array_reference(fn, x).tobytes()
+    for size in (13, 16):
+        for inside in (1, 2, 3):
+            end = fn.support_radius or 1.0
+            radii = np.concatenate([rng.uniform(0.1, 0.5, inside),
+                                    rng.uniform(end + 1e-9, 1.5, size - inside)])
+            x = _at_radii(rng.permutation(radii), rng)
+            assert fn(x).tobytes() == _whole_array_reference(fn, x).tobytes()
+
+
+# _mc_quadratic_pair(d1, d1, params, M, 20240824) at morse-certify's N = 2
+# point, at one BLAS thread, for M = 20 000 and for morse-certify's 1 M,
+# whose quadrants take more than one 200 000-sample chunk; the value and
+# error as float.hex
+_MC_STREAM = """
+from fracball.morse import _mc_quadratic_pair, build_test_functions
+from fracball.params import ProblemParams
+from fracball.semilinear import NonlinearitySpec, solve_radial_sign_changing
+params = ProblemParams(2, 0.7)
+sol = solve_radial_sign_changing(params, NonlinearitySpec(1.0, 3.0),
+                                 target_nodes=1, K=12)
+d1 = build_test_functions(sol)[0]
+for M in (20_000, 1_000_000):
+    est = _mc_quadratic_pair(d1, d1, params, M, 20240824)
+    print(est.value.hex(), est.error.hex())
+"""
+
+
+def test_monte_carlo_stream_is_pinned():
+    # the same draws in the same order and the same chunks give the same
+    # estimate bit for bit; reordering a draw or resizing a chunk moves it
+    env = {"PYTHONPATH": str(Path(nonlocal_quadrature.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", _MC_STREAM], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0x1.b8fc79a345508p+14", "0x1.81567c0ca0ce8p+10",
+                                   "0x1.bf170c0395b35p+14", "0x1.ae07a8c691b38p+7"]
 
 
 def test_test_function_checks_one_dimensional(morse_n1):

@@ -74,8 +74,9 @@ def test_brentq_nan_raises():
         brentq(lambda x: float("nan") if x > 0.5 else -1.0, 0.0, 1.0)
 
 
-# each command in turn in one fresh interpreter, printing the scipy modules
-# loaded so far after each
+# each command in turn in one fresh interpreter, printing after each the
+# scipy modules loaded so far ("loaded") and whether the thread pool's
+# concurrent.futures and its logging are ("pool")
 _COMMANDS = """
 import sys
 from fracball.cli import main
@@ -84,10 +85,16 @@ for argv in (["eigs"], ["conjecture"], ["solve"], ["morse"],
              ["eigs", "--oracle-budget", "40000"]):
     assert main([argv[0], "--config", cfg, "--out", out, *argv[1:]]) == 0, argv
     print("loaded", *argv, sorted(m for m in sys.modules if m.startswith("scipy")))
+    print("pool", *argv, sorted(m for m in sys.modules
+                                if m in ("concurrent.futures", "logging")))
 """
+_COMMAND_NAMES = ["eigs", "conjecture", "solve", "morse", "eigs --oracle-budget 40000"]
 
 
-def test_commands_import_no_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def fresh_commands(tmp_path_factory):
+    """The stdout of _COMMANDS, and its output directory."""
+    tmp_path = tmp_path_factory.mktemp("commands")
     cfg = tmp_path / "cfg.txt"
     cfg.write_text('grid.N = [1]\ngrid.s = [0.5]\n'
                    'grid.nonlinearity = ["power(1.0, 3.0)"]\n'
@@ -96,8 +103,19 @@ def test_commands_import_no_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", _COMMANDS, str(cfg), str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert [line for line in done.stdout.splitlines() if line.startswith("loaded")] == [
-        "loaded eigs []", "loaded conjecture []", "loaded solve []", "loaded morse []",
-        "loaded eigs --oracle-budget 40000 []"]
+    return done.stdout.splitlines(), tmp_path / "out"
+
+
+def test_commands_import_no_scipy(fresh_commands):
+    lines, out = fresh_commands
+    assert [line for line in lines if line.startswith("loaded")] == [
+        f"loaded {name} []" for name in _COMMAND_NAMES]
     for command in ("eigs", "conjecture", "solve", "morse"):
-        assert (tmp_path / "out" / f"{command}.json").exists()
+        assert (out / f"{command}.json").exists()
+
+
+def test_commands_without_jobs_import_no_thread_pool(fresh_commands):
+    # spectrum imports ThreadPoolExecutor only when --jobs asks for threads
+    lines, _ = fresh_commands
+    assert [line for line in lines if line.startswith("pool")] == [
+        f"pool {name} []" for name in _COMMAND_NAMES]

@@ -52,8 +52,17 @@ _LEV_DIAG = 16  # geometric levels into the diagonal before the Jacobi panel
 # stiffness_gram, one contiguous slice of the pair arrays per block.  An
 # engine keeps only its float kw, 8 B per pair.  Only elementwise work is
 # blocked: every sum is one np.dot over the full pair arrays in their fixed
-# order, so the block size changes no result
-_FORM_BLOCK = 65_536
+# order, so the block size changes no result.  32 768 pairs keep a block's
+# float arrays at 256 kB.  Against 65 536 they took 1.1 MB off the peak of
+# a cold oracle-gated-eigs campaign (48.7-48.8 against 49.8-49.9 MB), and
+# the eight gate engines of morse-certify and a form on each took 268-283 ms
+# at either size (best of 15, one BLAS thread).  Below 32 768 the
+# transients that do not scale with the block, such as the per-node and
+# per-run arrays, outgrow the ones that do
+_FORM_BLOCK = 32_768
+# inner nodes per basis_matrix call of stiffness_gram: bounds its K x chunk
+# Jacobi matrices, as basis._PROFILE_BLOCK bounds a profile's
+_GRAM_CHUNK = 8192
 # an engine holds at most this many pairs, and so fewer outer nodes than
 # its int32 idx can index
 _MAX_PAIRS = 2**31
@@ -432,16 +441,29 @@ class PairFormEngine:
         The basis is evaluated once at the outer nodes and once at the inner
         ones, block by block as form evaluates a profile, and each entry is
         summed as form sums it, so it equals form on the unit-coefficient
-        profiles bit for bit.
+        profiles bit for bit.  Each block's differences phi(r) - phi(rho) are
+        written straight into the (K, pairs) difference matrix D, the inner
+        basis _GRAM_CHUNK nodes at a time.  So the transient is D and one
+        pair-length product, 8 (K + 1) B per pair, plus one block's inner
+        nodes and one chunk's basis: 3.0 MB for K = 4 on a 45k-pair
+        oracle-gated-eigs engine, where a (K, block) basis matrix and its
+        difference took 4.75 MB.
         """
         if spec not in self._grams:
             phi = basis_matrix(spec, self.r_out)
             D = np.empty((spec.K, self.n_pairs))
-            for i, pairs, vals in self._inner(lambda rho: basis_matrix(spec, rho)):
-                D[:, pairs] = (phi[:, i, None] - vals).reshape(spec.K, -1)
+            for i, pairs, columns in _blocks(self._runs):
+                rho = columns(i)[0]
+                block = D[:, pairs]
+                block.reshape((spec.K, *rho.shape), copy=False)[...] = phi[:, i, None]
+                rho = rho.ravel()
+                for lo in range(0, rho.size, _GRAM_CHUNK):
+                    block[:, lo:lo + _GRAM_CHUNK] -= basis_matrix(spec, rho[lo:lo + _GRAM_CHUNK])
             gram = np.empty((spec.K, spec.K))
+            prod = np.empty(self.n_pairs)
             for m, n in itertools.combinations_with_replacement(range(spec.K), 2):
-                gram[m, n] = gram[n, m] = self._sum(phi[m], phi[n], D[m] * D[n])
+                np.multiply(D[m], D[n], out=prod)
+                gram[m, n] = gram[n, m] = self._sum(phi[m], phi[n], prod)
             self._grams[spec] = gram
         return self._grams[spec]
 

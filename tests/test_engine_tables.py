@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fracball import kernels
 from fracball import nonlocal_quadrature as nq
 from fracball.basis import RadialBasisSpec, RadialProfile, basis_matrix
 from fracball.errors import EngineTooLarge
@@ -266,15 +267,15 @@ def _numpy_traced():
 
 # What an engine keeps: 8 B per pair (kw) plus the per-outer-node arrays
 # and the runs.  Measured with NumPy 2 and one BLAS thread on the engine
-# below (1.16M pairs, 920 outer nodes, 12 runs): 8 B per pair plus 55 kB,
+# below (1.16M pairs, 920 outer nodes, 12 runs): 8 B per pair plus 230 kB,
 # against 20 B per pair when idx and rho were kept.
 _KEPT_PER_PAIR = 8
 _KEPT_PER_NODE = 256
 _KEPT_PER_RUN = 16_384
 # Transient allocations on top of what the engine keeps, in bytes per pair
-# and per pair of a _FORM_BLOCK block.  Measured as above: 4.6 B per pair
-# for the build, and for the one-profile form its product array (8 B per
-# pair) plus 4.6 MB, 70 B per block pair.
+# and per pair of a _FORM_BLOCK block.  Measured as above with 32 768-pair
+# blocks: 2.3 B per pair for the build, and for the one-profile form its
+# product array (8 B per pair) plus 3.6 MB, 109 B per block pair.
 _BUILD_EXTRA = 8
 _FORM_EXTRA = 8
 _FORM_EXTRA_PER_BLOCK_PAIR = 128
@@ -311,11 +312,12 @@ def test_engine_build_and_form_memory_stay_bounded():
 # Transient allocations of a gate engine (breaks = ()) on top of what it
 # keeps: a per-pair part and a per-block part that its _FORM_BLOCK blocks
 # bound.  Measured with NumPy 2 and one BLAS thread on gate engines at
-# N = 2, ell = 1: the build allocates 10.1 MB beyond what it keeps at
-# ladder position 2 (368k pairs, 27.5 B per pair) and 11.4 MB at position 3
-# (803k pairs), which is 3.0 B per pair plus 138 B per block pair.  The one
-# form stays within the break engine's _FORM_EXTRA bounds: 8 B per pair
-# plus 71 B per block pair.
+# N = 2, ell = 1, with 32 768-pair blocks and the (2, 0.7) kernel table
+# already built: the build allocates 6.8 MB beyond what it keeps at ladder
+# position 2 (368k pairs, 18.5 B per pair) and 9.7 MB at position 3 (803k
+# pairs), which is 6.6 B per pair plus 133 B per block pair.  The one form
+# stays within the break engine's _FORM_EXTRA bounds: 8 B per pair plus
+# 71 B per block pair.
 _GATE_BUILD_EXTRA = 6
 _GATE_BUILD_EXTRA_PER_BLOCK_PAIR = 240
 
@@ -345,3 +347,57 @@ def test_gate_engine_build_and_form_memory_stay_bounded():
                                   + _GATE_BUILD_EXTRA_PER_BLOCK_PAIR * nq._FORM_BLOCK)
     assert form_peak - after <= (_FORM_EXTRA * pairs
                                  + _FORM_EXTRA_PER_BLOCK_PAIR * nq._FORM_BLOCK)
+
+
+# Transient allocations of one kernel-table build on top of the 17 kB table
+# it keeps.  Measured with NumPy 2 and one BLAS thread: 0.87 MB at
+# (d, s) = (7, 0.75), an oracle-gated-eigs table, and 0.94 MB at (24, 0.75),
+# against 7.5 MB when the direct rule ran on all 1050 nodes at once.
+_TABLE_EXTRA = 1_500_000
+
+
+def test_table_build_memory_stays_bounded():
+    if not _numpy_traced():
+        pytest.skip("tracemalloc does not see NumPy's array allocations")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        # the memoised function's own body: a fresh build, whatever the
+        # cache holds
+        table = kernels._table.__wrapped__(7, 0.75)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - start <= 2 * table.nbytes
+    assert peak - after <= _TABLE_EXTRA
+
+
+# Transient allocations of a stiffness Gram on top of what its engine keeps:
+# the (K, pairs) difference matrix and one pair-length product, 8 (K + 1) B
+# per pair, plus one block's inner nodes and one chunk's basis.  Measured
+# with NumPy 2 and one BLAS thread: 3.0 MB for K = 4 on the 45k-pair engine
+# below, 1.2 MB (37 B per block pair) beyond 8 (K + 1) B per pair.  With
+# each block's basis and its difference as whole arrays it took 4.75 MB at
+# 65 536-pair blocks and 3.85 MB at 32 768.
+_GRAM_EXTRA_PER_BLOCK_PAIR = 48
+
+
+def test_oracle_gram_memory_stays_bounded():
+    # the fine engine of an oracle-gated-eigs entry at d = 7, s = 0.75
+    # (budget 40000), and the K = 4 Gram of the assembly gates
+    if not _numpy_traced():
+        pytest.skip("tracemalloc does not see NumPy's array allocations")
+    pos = nq._ladder_pos_for_budget(40_000)
+    eng = nq.PairFormEngine(7, 0.75, 0, (), *nq._LADDER[pos])
+    spec = RadialBasisSpec(7, 0.75, nq._GRAM_K)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        eng.stiffness_gram(spec)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = eng.n_pairs
+    assert 40_000 < pairs < 50_000
+    assert peak - after <= (8 * (spec.K + 1) * pairs
+                            + _GRAM_EXTRA_PER_BLOCK_PAIR * nq._FORM_BLOCK)

@@ -149,6 +149,33 @@ def test_kappa_below_finest_panel_uses_rule():
         np.testing.assert_array_equal(got, want)
 
 
+def _one_shot_table(d, s):
+    """_table(d, s) as one _kappa_fallback call on every node would build it."""
+    n = kernels._DEGREE + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    x = np.ldexp((np.cos(theta) + 3.0) / 4.0, -np.arange(kernels._PANELS)[:, None])
+    k0, kd = kernels._kappa_fallback(np.ones(x.size), 1.0 - x.ravel(), x.ravel(), d, s)
+    F = np.stack([k0, kd]).reshape(2, kernels._PANELS, n) * x ** (1.0 + 2.0 * s)
+    T = (2.0 / n) * np.cos(np.outer(np.arange(n), theta))
+    T[0] /= 2.0
+    return np.ascontiguousarray(np.einsum("jn,mkn->jmk", T, F)), x.ravel()
+
+
+@pytest.mark.parametrize("d,s", [(2, 0.05), (3, 0.5), (9, 0.95), (14, 0.9), (24, 0.75)])
+def test_blocked_table_equals_a_one_shot_build(d, s):
+    assert kernels._PANELS > kernels._TABLE_BLOCK
+    want, x = _one_shot_table(d, s)
+    got = kernels._table(d, s)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if d == 24:
+        # the finest panels overflow the plain rule: those rows go through
+        # the log-space rule inside a block
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = np.stack(kernels._kappa_rule(np.ones(x.size), 1.0 - x, x, d, s))
+        assert not np.isfinite(plain).all()
+
+
 def test_kappa_tables_built_lazily():
     # one table, for (3, 0.5): asking for that key again is a hit
     code = ("import fracball.cli, fracball.kernels as k; "
